@@ -46,7 +46,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", help="INI run config")
         sp.add_argument("--seed", type=int, help="root seed; submodule seeds derive from it")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--threads", type=int, help="cap for read-only fan-outs")
         sp.add_argument("--ablation", choices=("full", "no_context", "no_non_deg"))
 
     add_common(sub.add_parser("synth", help="generate a planted synthetic dataset"))
@@ -67,7 +66,7 @@ def build_parser() -> _Parser:
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for flag in ("seed", "out", "threads", "ablation"):
+    for flag in ("seed", "out", "ablation"):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, flag, value)
@@ -190,7 +189,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise UsageError("test split is empty")
     rep, truth = evaluate_predictions(
         dataset, predictions, test_perts,
-        alpha=cfg.alpha, correction=cfg.deg_correction, des_k=cfg.des_k, threads=cfg.threads,
+        alpha=cfg.alpha, correction=cfg.deg_correction, des_k=cfg.des_k,
     )
     rep.save(out / "metrics.json")
     for p in sorted(test_perts):
@@ -264,7 +263,7 @@ def cmd_deg_coverage(cfg: RunConfig, args) -> int:
     graph, _ = load_edge_list(cfg.graph, dataset.vocab)
     if cfg.top_k >= 1:
         graph = topk_filter(graph, cfg.top_k, cfg.topk_mode)
-    table = compute_degs(dataset, alpha=cfg.alpha, correction=cfg.deg_correction, threads=cfg.threads)
+    table = compute_degs(dataset, alpha=cfg.alpha, correction=cfg.deg_correction)
     per: dict[str, list[float]] = {}
     skipped = 0
     for pert in table.pert_names():

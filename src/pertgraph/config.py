@@ -32,6 +32,7 @@ _SECTIONS = {
         "n_genes", "n_perturbations", "cells_per_condition", "deg_fracs",
         "effect_magnitude", "noise_sigma", "embed_dim", "modules",
     ),
+    "run": ("seed",),
 }
 
 
@@ -84,9 +85,8 @@ class RunConfig:
     noise_sigma: float = 0.1
     embed_dim: int = 16
     modules: int | None = None
-    # run-level (flags only)
+    # run ([run] seed; --seed overrides it)
     seed: int = 0
-    threads: int = 1
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -211,7 +211,6 @@ def write_effective_config(cfg: RunConfig, out_dir) -> Path:
             if section == "paths" and value is None:
                 continue
             parser[section][key] = _format_value(value)
-    parser["run"] = {"seed": str(cfg.seed), "threads": str(cfg.threads)}
     path = out_dir / "effective_config.ini"
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +237,6 @@ def compute_degs(
     dataset: PerturbationDataset,
     alpha: float = 0.05,
     correction: str = "none",
-    threads: int = 1,
     perturbations: list[str] | None = None,
 ) -> DegTable:
     """Welch-test every gene of every (requested) perturbation against control.
@@ -252,21 +250,13 @@ def compute_degs(
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
     xbar_c = dataset.control.mean(axis=0)
 
-    def one(name: str) -> tuple[str, np.ndarray, np.ndarray]:
+    for name in names:
         block = dataset.block(name)
         p = welch_pvalues(dataset.control, block)
-        return name, p, block.mean(axis=0) - xbar_c
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, names))
-    else:
-        results = [one(name) for name in names]
-    for name, p, delta in results:
         effective = bh_adjust(p) if correction == "benjamini-hochberg" else p
         table.pvalues[name] = p
         table.masks[name] = effective < alpha
-        table.deltas[name] = delta
+        table.deltas[name] = block.mean(axis=0) - xbar_c
     return table
 
 
@@ -298,9 +288,6 @@ class SplitSpec:
     val: tuple[str, ...]
     test: tuple[str, ...]
     seed: int
-
-    def all_perturbations(self) -> set[str]:
-        return set(self.train) | set(self.val) | set(self.test)
 
 
 def split_by_perturbation(

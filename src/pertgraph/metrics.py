@@ -256,7 +256,6 @@ def evaluate_predictions(
     alpha: float = 0.05,
     correction: str = "none",
     des_k: tuple[int, ...] = (10, 50, 100),
-    threads: int = 1,
 ):
     """Score predicted absolute profiles against the dataset's ground truth.
 
@@ -272,7 +271,7 @@ def evaluate_predictions(
     missing = [p for p in perts if p not in predictions]
     if missing:
         raise UsageError(f"missing predictions for {missing}")
-    truth = compute_degs(dataset, alpha=alpha, correction=correction, threads=threads, perturbations=perts)
+    truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
     xbar_c = dataset.control.mean(axis=0)
     pred_deltas = {p: np.asarray(predictions[p], dtype=np.float64).reshape(-1) - xbar_c for p in perts}
     true_deltas = {p: truth.deltas[p] for p in perts}

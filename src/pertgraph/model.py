@@ -420,66 +420,6 @@ def forward(
     )
 
 
-def gnn_embed(graph: KnowledgeGraph, params: ModelParams) -> np.ndarray:
-    """Structural node embeddings (n_nodes x d_struct)."""
-    if params.values["gnn.table"].shape[0] != graph.n_nodes:
-        raise ShapeError("embedding table does not match the graph size")
-    tape = Tape()
-    pids = register_params(tape, params)
-    agg = tape.constant(aggregation_matrix(graph, params.config.weighted_aggregation))
-    return tape.value(build_gnn(tape, pids, params, agg)).copy()
-
-
-def project_semantic(s_p: np.ndarray, params: ModelParams) -> np.ndarray:
-    s = np.asarray(s_p, dtype=np.float64).reshape(-1)
-    if s.size != params.d_embed:
-        raise ShapeError(f"semantic vector has dim {s.size}, expected {params.d_embed}")
-    tape = Tape()
-    pids = register_params(tape, params)
-    return tape.value(build_semantic_projection(tape, pids, s)).reshape(-1).copy()
-
-
-def score_nodes(h: np.ndarray, s_tilde: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Softmax-normalized relevance over nodes for a projected semantic vector."""
-    tape = Tape()
-    pids = register_params(tape, params)
-    h_id = tape.constant(h)
-    st_id = tape.constant(np.asarray(s_tilde, dtype=np.float64).reshape(1, -1))
-    scores = build_scores(tape, pids, h_id, st_id, h.shape[0])
-    return tape.value(build_alpha(tape, scores)).reshape(-1).copy()
-
-
-def context_aggregate(h: np.ndarray, selection: SubgraphSelection, params: ModelParams) -> np.ndarray:
-    """Sum of the selected rows of h, projected to the latent width."""
-    if selection.selected.size == 0:
-        raise UsageError("selection is empty")
-    tape = Tape()
-    pids = register_params(tape, params)
-    h_id = tape.constant(h)
-    at_id = tape.constant(selection.alpha_tilde.reshape(1, -1))
-    return tape.value(build_context(tape, pids, h_id, at_id, selection)).reshape(-1).copy()
-
-
-def encode_control(xbar_c: np.ndarray, params: ModelParams) -> np.ndarray:
-    x = np.asarray(xbar_c, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != params.n_genes:
-        raise ShapeError(f"profile has {x.shape[1]} genes, expected {params.n_genes}")
-    tape = Tape()
-    pids = register_params(tape, params)
-    return tape.value(build_encoder(tape, pids, tape.constant(x))).reshape(-1).copy()
-
-
-def decode(z_c: np.ndarray, z_p: np.ndarray, params: ModelParams) -> np.ndarray:
-    d = params.config.d_latent
-    zc = np.asarray(z_c, dtype=np.float64).reshape(1, -1)
-    zp = np.asarray(z_p, dtype=np.float64).reshape(1, -1)
-    if zc.shape[1] != d or zp.shape[1] != d:
-        raise ShapeError(f"latent inputs must both have dim {d}")
-    tape = Tape()
-    pids = register_params(tape, params)
-    return tape.value(build_decoder(tape, pids, tape.constant(zc), tape.constant(zp))).reshape(-1).copy()
-
-
 # --- checkpoints -----------------------------------------------------------------
 
 

@@ -115,31 +115,6 @@ def _bw_mean_all(g, vals, out, aux, attrs):
     return [np.full_like(a, g[0, 0] / a.size)]
 
 
-def _fw_sum_rows(vals, attrs):
-    return vals[0].sum(axis=0, keepdims=True), None
-
-
-def _bw_sum_rows(g, vals, out, aux, attrs):
-    return [np.broadcast_to(g, vals[0].shape).copy()]
-
-
-def _fw_l2norm(vals, attrs):
-    a = vals[0]
-    _require_vector(a, "l2-normalize-vector")
-    n = float(np.sqrt((a * a).sum()))
-    if n <= NORM_EPS:
-        return np.zeros_like(a), 0.0
-    return a / n, n
-
-
-def _bw_l2norm(g, vals, out, aux, attrs):
-    n = aux
-    if n == 0.0:
-        return [np.zeros_like(vals[0])]
-    y = out
-    return [(g - y * (y * g).sum()) / n]
-
-
 def _fw_huber(vals, attrs):
     return huber_value(vals[0], attrs["delta"]), None
 
@@ -197,15 +172,6 @@ def _bw_relu(g, vals, out, aux, attrs):
     return [g * (vals[0] > 0.0)]
 
 
-def _fw_sigmoid(vals, attrs):
-    return 1.0 / (1.0 + np.exp(-vals[0])), None
-
-
-def _bw_sigmoid(g, vals, out, aux, attrs):
-    s = out
-    return [g * s * (1.0 - s)]
-
-
 def _fw_square(vals, attrs):
     return vals[0] * vals[0], None
 
@@ -228,11 +194,8 @@ _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "scale": (1, _fw_scale, lambda g, v, o, x, attrs: [g * attrs["c"]]),
     "concat-cols": (2, _fw_concat_cols, _bw_concat_cols),
     "relu": (1, _fw_relu, _bw_relu),
-    "sigmoid": (1, _fw_sigmoid, _bw_sigmoid),
     "row-softmax": (1, _fw_row_softmax, _bw_row_softmax),
     "mean-all": (1, _fw_mean_all, _bw_mean_all),
-    "sum-rows": (1, _fw_sum_rows, _bw_sum_rows),
-    "l2-normalize-vector": (1, _fw_l2norm, _bw_l2norm),
     "elementwise-square": (1, _fw_square, _bw_square),
     "huber": (1, _fw_huber, _bw_huber),
     "cosine-distance": (2, _fw_cosine_distance, _bw_cosine_distance),

@@ -212,11 +212,11 @@ def _validation_pearson(
     graph: KnowledgeGraph | None,
     embeddings: SemanticEmbeddings | None,
 ) -> float:
+    preds = predict_profiles(params, xbar_c, sorted(val_truth_deltas), graph, embeddings)
     scores = []
     for pert, true_delta in sorted(val_truth_deltas.items()):
-        pred = forward(xbar_c, pert, graph, embeddings, params, mode="eval").x_hat
         try:
-            scores.append(pearson_delta(pred - xbar_c, true_delta))
+            scores.append(pearson_delta(preds[pert] - xbar_c, true_delta))
         except DegenerateError:
             scores.append(0.0)
     return float(np.mean(scores))

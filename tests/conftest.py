@@ -14,7 +14,15 @@ from pertgraph.data import (
 )
 from pertgraph.graph import GeneVocab, KnowledgeGraph
 from pertgraph.loss import LossWeights
-from pertgraph.model import ModelConfig, init_params
+from pertgraph.model import ModelConfig, init_params, register_params
+from pertgraph.numerics import Tape
+
+
+def run_builder(params, build):
+    """Value of `build(tape, pids)` on a fresh tape holding every parameter."""
+    tape = Tape()
+    pids = register_params(tape, params)
+    return tape.value(build(tape, pids)).copy()
 
 
 def build_toy_problem(seed=0, no_context=False):

@@ -213,14 +213,6 @@ def test_bh_adjust_monotone_and_bounded():
     assert np.all(np.diff(q[order]) >= -1e-15)
 
 
-def test_compute_degs_threads_match_serial():
-    ds = tiny_dataset(n_genes=8, perts=("PA", "PB", "PC"), seed=23)
-    t1 = compute_degs(ds, threads=1)
-    t2 = compute_degs(ds, threads=3)
-    for name in ds.pert_names():
-        assert np.array_equal(t1.pvalues[name], t2.pvalues[name])
-
-
 # --- strata -------------------------------------------------------------------------
 
 
@@ -259,7 +251,7 @@ def test_split_sizes_floor_then_distribute():
     ds = ten_pert_dataset()
     spec = split_by_perturbation(ds, (0.8, 0.1, 0.1), seed=1)
     assert (len(spec.train), len(spec.val), len(spec.test)) == (8, 1, 1)
-    assert spec.all_perturbations() == set(ds.pert_names())
+    assert set(spec.train) | set(spec.val) | set(spec.test) == set(ds.pert_names())
     assert not (set(spec.train) & set(spec.val)) and not (set(spec.val) & set(spec.test))
 
 

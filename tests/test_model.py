@@ -7,25 +7,30 @@ from pertgraph.model import (
     ModelConfig,
     SubgraphSelection,
     aggregation_matrix,
-    context_aggregate,
-    decode,
-    encode_control,
+    build_alpha,
+    build_context,
+    build_decoder,
+    build_encoder,
+    build_gnn,
+    build_scores,
+    build_semantic_projection,
     forward,
-    gnn_embed,
     gumbel_select,
     init_params,
     load_checkpoint,
-    project_semantic,
     save_checkpoint,
-    score_nodes,
 )
 
-from conftest import build_toy_problem
+from conftest import build_toy_problem, run_builder
 
 
 def small_params(n_nodes, n_genes=None, d_embed=3, seed=0, **cfg_kw):
     config = ModelConfig(**{"n_layers": 1, "d_struct": 3, "d_latent": 3, "d_score": 3, **cfg_kw})
     return init_params(n_nodes, n_genes or n_nodes, d_embed, config, seed=seed)
+
+
+def gnn_builder(graph, params):
+    return lambda t, pids: build_gnn(t, pids, params, t.constant(aggregation_matrix(graph)))
 
 
 # --- gnn ----------------------------------------------------------------------
@@ -35,7 +40,7 @@ def test_gnn_zero_layers_returns_table():
     vocab = GeneVocab(["A", "B", "C"])
     g = KnowledgeGraph.from_edges(vocab, [(0, 1, 1.0)])
     params = small_params(3, n_layers=0)
-    assert np.array_equal(gnn_embed(g, params), params.values["gnn.table"])
+    assert np.array_equal(run_builder(params, gnn_builder(g, params)), params.values["gnn.table"])
 
 
 def test_gnn_isolated_nodes_self_mean_identity():
@@ -43,7 +48,7 @@ def test_gnn_isolated_nodes_self_mean_identity():
     g = KnowledgeGraph.from_edges(vocab, [])
     params = small_params(2, n_layers=1, d_struct=3)
     params.values["gnn.w0"] = np.eye(3)
-    assert np.allclose(gnn_embed(g, params), params.values["gnn.table"], atol=1e-12)
+    assert np.allclose(run_builder(params, gnn_builder(g, params)), params.values["gnn.table"], atol=1e-12)
 
 
 def test_gnn_triangle_one_hot_mean():
@@ -52,7 +57,7 @@ def test_gnn_triangle_one_hot_mean():
     params = small_params(3, n_layers=1, d_struct=3)
     params.values["gnn.table"] = np.eye(3)
     params.values["gnn.w0"] = np.eye(3)
-    h = gnn_embed(g, params)
+    h = run_builder(params, gnn_builder(g, params))
     assert np.allclose(h, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
 
@@ -70,10 +75,11 @@ def test_aggregation_matrix_weighted_mode():
 
 def test_project_semantic_zero_and_identity():
     params = small_params(4, d_embed=3, d_struct=3)
+    s = [1.0, 2.0, 3.0]
     params.values["sem.proj"] = np.zeros((3, 3))
-    assert np.array_equal(project_semantic([1.0, 2.0, 3.0], params), np.zeros(3))
+    assert np.array_equal(run_builder(params, lambda t, pids: build_semantic_projection(t, pids, s)), [[0.0] * 3])
     params.values["sem.proj"] = np.eye(3)
-    assert np.array_equal(project_semantic([1.0, 2.0, 3.0], params), [1.0, 2.0, 3.0])
+    assert np.array_equal(run_builder(params, lambda t, pids: build_semantic_projection(t, pids, s)), [s])
 
 
 def test_project_semantic_matches_matvec_oracle():
@@ -82,13 +88,14 @@ def test_project_semantic_matches_matvec_oracle():
     params.values["sem.proj"] = rng.normal(size=(6, 3))
     s = rng.normal(size=6)
     expected = np.array([sum(s[i] * params.values["sem.proj"][i, j] for i in range(6)) for j in range(3)])
-    assert np.allclose(project_semantic(s, params), expected, atol=1e-12)
+    projected = run_builder(params, lambda t, pids: build_semantic_projection(t, pids, s))
+    assert np.allclose(projected, [expected], atol=1e-12)
 
 
 def test_project_semantic_dimension_error():
     params = small_params(4, d_embed=3)
     with pytest.raises(ShapeError):
-        project_semantic([1.0, 2.0], params)
+        run_builder(params, lambda t, pids: build_semantic_projection(t, pids, [1.0, 2.0]))
 
 
 # --- scoring -----------------------------------------------------------------------
@@ -99,7 +106,10 @@ def test_score_nodes_uniform_when_readout_zero():
     params = small_params(5, d_struct=3)
     params.values["score.v"] = np.zeros((3, 1))
     h = rng.normal(size=(5, 3))
-    alpha = score_nodes(h, rng.normal(size=3), params)
+    s_tilde = rng.normal(size=3)
+    alpha = run_builder(
+        params, lambda t, pids: build_alpha(t, build_scores(t, pids, t.constant(h), t.constant(s_tilde), 5))
+    )[0]
     assert np.allclose(alpha, 0.2, atol=1e-12)
     assert abs(alpha.sum() - 1.0) < 1e-9
 
@@ -201,13 +211,17 @@ def make_selection(n, selected, alpha_tilde=None):
     )
 
 
+def context_builder(h, selection):
+    return lambda t, pids: build_context(t, pids, t.constant(h), t.constant(selection.alpha_tilde), selection)
+
+
 def test_context_single_node_identity_projection():
     rng = np.random.default_rng(1)
     params = small_params(4, d_struct=3, d_latent=3)
     params.values["ctx.proj"] = np.eye(3)
     h = rng.normal(size=(4, 3))
-    z = context_aggregate(h, make_selection(4, [2]), params)
-    assert np.allclose(z, h[2], atol=1e-12)
+    z = run_builder(params, context_builder(h, make_selection(4, [2])))
+    assert np.allclose(z, [h[2]], atol=1e-12)
 
 
 def test_context_opposite_rows_cancel():
@@ -215,7 +229,7 @@ def test_context_opposite_rows_cancel():
     params.values["ctx.proj"] = np.eye(3)
     u = np.array([0.3, -0.7, 1.1])
     h = np.vstack([u, -u, np.ones(3), np.zeros(3)])
-    z = context_aggregate(h, make_selection(4, [0, 1]), params)
+    z = run_builder(params, context_builder(h, make_selection(4, [0, 1])))
     assert np.allclose(z, 0.0, atol=1e-12)
 
 
@@ -224,27 +238,29 @@ def test_context_matches_naive_sum_oracle():
     params = small_params(9, d_struct=3, d_latent=5)
     h = rng.normal(size=(9, 3))
     chosen = [1, 3, 4, 6, 8]
-    z = context_aggregate(h, make_selection(9, chosen), params)
+    z = run_builder(params, context_builder(h, make_selection(9, chosen)))
     naive = np.zeros(3)
     for v in chosen:
         naive += h[v]
-    assert np.allclose(z, naive @ params.values["ctx.proj"], atol=1e-12)
-
-
-def test_context_rejects_empty_selection():
-    params = small_params(3)
-    with pytest.raises(UsageError):
-        context_aggregate(np.ones((3, 3)), make_selection(3, []), params)
+    assert np.allclose(z, [naive @ params.values["ctx.proj"]], atol=1e-12)
 
 
 # --- encoder / decoder ----------------------------------------------------------------
+
+
+def encoder_builder(x):
+    return lambda t, pids: build_encoder(t, pids, t.constant(x))
+
+
+def decoder_builder(z_c, z_p):
+    return lambda t, pids: build_decoder(t, pids, t.constant(z_c), t.constant(z_p))
 
 
 def test_encoder_zero_weights():
     params = small_params(4, n_genes=6, d_latent=3)
     for k in ("enc.w1", "enc.w2"):
         params.values[k] = np.zeros_like(params.values[k])
-    assert np.array_equal(encode_control(np.ones(6), params), np.zeros(3))
+    assert np.array_equal(run_builder(params, encoder_builder(np.ones(6))), np.zeros((1, 3)))
 
 
 def test_encoder_identity_configuration():
@@ -252,7 +268,7 @@ def test_encoder_identity_configuration():
     params.values["enc.w1"] = np.eye(3)
     params.values["enc.w2"] = np.eye(3)
     x = np.array([0.5, 1.5, 0.0])  # log1p values are nonnegative, relu passes them
-    assert np.allclose(encode_control(x, params), x, atol=1e-12)
+    assert np.allclose(run_builder(params, encoder_builder(x)), [x], atol=1e-12)
 
 
 def test_encoder_matches_naive_oracle():
@@ -261,14 +277,14 @@ def test_encoder_matches_naive_oracle():
     x = rng.uniform(0, 2, size=5)
     v = params.values
     naive = np.maximum(x @ v["enc.w1"] + v["enc.b1"][0], 0.0) @ v["enc.w2"] + v["enc.b2"][0]
-    assert np.allclose(encode_control(x, params), naive, atol=1e-12)
+    assert np.allclose(run_builder(params, encoder_builder(x)), [naive], atol=1e-12)
 
 
 def test_decoder_zero_weights():
     params = small_params(4, n_genes=6, d_latent=3)
     for k in ("dec.w1", "dec.w2"):
         params.values[k] = np.zeros_like(params.values[k])
-    assert np.array_equal(decode(np.ones(3), np.ones(3), params), np.zeros(6))
+    assert np.array_equal(run_builder(params, decoder_builder(np.ones(3), np.ones(3))), np.zeros((1, 6)))
 
 
 def test_decoder_copy_pathway_reproduces_control():
@@ -280,8 +296,11 @@ def test_decoder_copy_pathway_reproduces_control():
     v["dec.w1"] = np.vstack([np.eye(3), np.zeros((3, 3))])
     v["dec.w2"] = np.eye(3)
     xbar_c = np.array([0.2, 1.0, 2.5])
-    z_c = encode_control(xbar_c, params)
-    assert np.allclose(decode(z_c, np.zeros(3), params), xbar_c, atol=1e-12)
+    x_hat = run_builder(
+        params,
+        lambda t, pids: build_decoder(t, pids, build_encoder(t, pids, t.constant(xbar_c)), t.constant(np.zeros(3))),
+    )
+    assert np.allclose(x_hat, [xbar_c], atol=1e-12)
 
 
 def test_decoder_matches_naive_oracle():
@@ -291,13 +310,13 @@ def test_decoder_matches_naive_oracle():
     v = params.values
     fused = np.concatenate([zc, zp])
     naive = np.maximum(fused @ v["dec.w1"] + v["dec.b1"][0], 0.0) @ v["dec.w2"] + v["dec.b2"][0]
-    assert np.allclose(decode(zc, zp, params), naive, atol=1e-12)
+    assert np.allclose(run_builder(params, decoder_builder(zc, zp)), [naive], atol=1e-12)
 
 
 def test_decoder_dimension_error():
     params = small_params(4, n_genes=5, d_latent=3)
     with pytest.raises(ShapeError):
-        decode(np.ones(2), np.ones(3), params)
+        run_builder(params, decoder_builder(np.ones(2), np.ones(3)))
 
 
 # --- full forward -----------------------------------------------------------------------

@@ -51,14 +51,6 @@ def test_row_softmax_rows_sum_to_one():
     assert np.all(s > 0.0) and np.all(s < 1.0)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
-def test_l2_normalize_unit_norm():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        v = rng.uniform(-1, 1, size=(1, 7))
-        out = tape_eval("l2-normalize-vector", v)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
-    assert np.array_equal(tape_eval("l2-normalize-vector", np.zeros((1, 4))), np.zeros((1, 4)))
-
 
 def test_huber_branch_values():
     assert huber_value(np.array(0.5), 1.0) == pytest.approx(0.125)
@@ -74,7 +66,6 @@ def test_huber_branch_values():
 def test_mean_all_and_sum_rows():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert tape_eval("mean-all", a)[0, 0] == pytest.approx(2.5)
-    assert np.array_equal(tape_eval("sum-rows", a), [[4.0, 6.0]])
 
 
 def test_shape_and_kind_errors():
@@ -160,11 +151,8 @@ OP_CASES = {
     "scale": ([(3, 4)], {"c": -1.7}),
     "concat-cols": ([(3, 2), (3, 4)], {}),
     "relu": ([(3, 4)], {}),
-    "sigmoid": ([(3, 4)], {}),
     "row-softmax": ([(3, 4)], {}),
     "mean-all": ([(3, 4)], {}),
-    "sum-rows": ([(3, 4)], {}),
-    "l2-normalize-vector": ([(1, 5)], {}),
     "elementwise-square": ([(3, 4)], {}),
     "huber": ([(3, 4)], {"delta": 0.5}),
     "cosine-distance": ([(1, 5), (1, 5)], {}),
