@@ -170,21 +170,30 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     return list(splits.test)
 
 
+def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) -> tuple[list[str], dict]:
+    """Load the checkpoint, check that it fits the inputs, and predict the test split."""
+    manifest, blob = _resolve_checkpoint_paths(cfg, args)
+    params = load_checkpoint(manifest, blob)
+    if params.n_genes != dataset.n_genes:
+        raise DataError(f"checkpoint has {params.n_genes} genes, the expression data has {dataset.n_genes}")
+    if params.n_nodes != graph.n_nodes:
+        raise DataError(f"checkpoint has {params.n_nodes} graph nodes, the graph has {graph.n_nodes}")
+    test_perts = _resolve_test_split(cfg, args, dataset, manifest)
+    graph_arg = None if params.config.no_context else graph
+    emb_arg = None if params.config.no_context else embeddings
+    xbar_c = dataset.control.mean(axis=0)
+    return test_perts, predict_profiles(params, xbar_c, test_perts, graph_arg, emb_arg)
+
+
 def cmd_eval(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     dataset, graph, embeddings, _ = _load_inputs(cfg)
     xbar_c = dataset.control.mean(axis=0)
     if args.oracle:
-        manifest = None
         test_perts = _resolve_test_split(cfg, args, dataset, None)
         predictions = {p: dataset.block(p).mean(axis=0) for p in test_perts}
     else:
-        manifest, blob = _resolve_checkpoint_paths(cfg, args)
-        params = load_checkpoint(manifest, blob)
-        test_perts = _resolve_test_split(cfg, args, dataset, manifest)
-        graph_arg = None if params.config.no_context else graph
-        emb_arg = None if params.config.no_context else embeddings
-        predictions = predict_profiles(params, xbar_c, test_perts, graph_arg, emb_arg)
+        test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
     if not test_perts:
         raise UsageError("test split is empty")
     rep, truth = evaluate_predictions(
@@ -209,15 +218,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_predict(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     dataset, graph, embeddings, _ = _load_inputs(cfg)
-    manifest, blob = _resolve_checkpoint_paths(cfg, args)
-    params = load_checkpoint(manifest, blob)
-    test_perts = _resolve_test_split(cfg, args, dataset, manifest)
+    test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
     if not test_perts:
         raise UsageError("test split is empty")
-    xbar_c = dataset.control.mean(axis=0)
-    graph_arg = None if params.config.no_context else graph
-    emb_arg = None if params.config.no_context else embeddings
-    predictions = predict_profiles(params, xbar_c, test_perts, graph_arg, emb_arg)
     with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(["perturbation"] + dataset.vocab.names) + "\n")
         for p in sorted(predictions):

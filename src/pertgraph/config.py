@@ -169,7 +169,8 @@ def _parse_value(key: str, raw: str):
 
 def load_config(path) -> RunConfig:
     """Parse an INI run config; unknown sections or keys are usage errors."""
-    parser = configparser.ConfigParser()
+    # values are literal on both sides, so a path may hold a '%'
+    parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
@@ -203,7 +204,7 @@ def write_effective_config(cfg: RunConfig, out_dir) -> Path:
     """Write the fully resolved configuration (defaults included) to the run dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser[section] = {}
         for key in keys:

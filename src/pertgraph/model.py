@@ -1,11 +1,16 @@
 """Conditional perturbation-response model.
 
-Pipeline per perturbation: graph message passing produces structural node
-embeddings; the perturbation's semantic vector is projected into the same
-space and drives a per-node relevance score; Gumbel-perturbed softmax scores
-select a sparse node subset (the perturbed gene is always force-included);
-the selected embeddings are summed into a context vector that is fused with
-the encoded control profile to decode the predicted expression.
+Graph message passing produces structural node embeddings; each
+perturbation's semantic vector is projected into the same space and drives a
+per-node relevance score; Gumbel-perturbed softmax scores select a sparse
+node subset (the perturbed gene is always force-included); the selected
+embeddings are summed into a context vector that is fused with the encoded
+control profile to decode the predicted expression.
+
+A forward pass handles a batch of perturbations as rows. The message
+passing, the control encoding and the node half of the scorer do not depend
+on the perturbation, so they run once per batch; scores, selection, context
+and decoding run once on the (B, ...) rows.
 
 Node selection is discrete, so training uses a straight-through sum: the
 forward value is the plain sum over hard-selected nodes, while gradients
@@ -21,9 +26,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .data import SemanticEmbeddings
-from .errors import NumericalError, ShapeError, UsageError
+from .errors import DataError, NumericalError, ShapeError, UsageError
 from .graph import KnowledgeGraph
 from .numerics import Tape
 
@@ -196,25 +202,19 @@ def gumbel_select(
     )
 
 
-def aggregation_matrix(graph: KnowledgeGraph, weighted: bool = False) -> np.ndarray:
-    """Dense neighbor-mean operator with self-loops, so isolated nodes are defined.
+def aggregation_matrix(graph: KnowledgeGraph, weighted: bool = False) -> scipy.sparse.csr_array:
+    """Sparse (CSR) neighbor-mean operator with self-loops, so isolated nodes are defined.
 
     Unweighted rows average uniformly over N(v) plus v itself; weighted rows
     normalize by edge confidence with the self-loop carrying weight 1.
     """
     n = graph.n_nodes
-    a = np.zeros((n, n))
-    for v in range(n):
-        nbrs = graph.neighbors(v)
-        if weighted:
-            ws = graph.neighbor_weights(v)
-            total = ws.sum() + 1.0
-            a[v, v] = 1.0 / total
-            a[v, nbrs] = ws / total
-        else:
-            k = len(nbrs) + 1
-            a[v, v] = 1.0 / k
-            a[v, nbrs] = 1.0 / k
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(graph.indptr)), np.arange(n)])
+    cols = np.concatenate([graph.indices, np.arange(n)])
+    ws = np.concatenate([graph.weights if weighted else np.ones(graph.indices.size), np.ones(n)])
+    totals = np.bincount(rows, weights=ws, minlength=n)
+    a = scipy.sparse.csr_array((ws / totals[rows], (rows, cols)), shape=(n, n))
+    a.sort_indices()
     return a
 
 
@@ -225,26 +225,36 @@ def register_params(tape: Tape, params: ModelParams) -> dict[str, int]:
     return {name: tape.param(arr, name) for name, arr in params.values.items()}
 
 
-def build_gnn(tape: Tape, pids: dict[str, int], params: ModelParams, agg_id: int) -> int:
-    """L rounds of (aggregate, transform); layer 0's input is the embedding table."""
+def build_gnn(tape: Tape, pids: dict[str, int], params: ModelParams, agg) -> int:
+    """L rounds of (aggregate, transform); layer 0's input is the embedding table.
+
+    `agg` is the sparse operator from `aggregation_matrix`.
+    """
     h = pids["gnn.table"]
     for layer in range(params.config.n_layers):
-        h = tape.apply("matmul", tape.apply("matmul", agg_id, h), pids[f"gnn.w{layer}"])
+        h = tape.apply("matmul", tape.apply("spmm", h, op=agg), pids[f"gnn.w{layer}"])
     return h
 
 
 def build_semantic_projection(tape: Tape, pids: dict[str, int], s_p: np.ndarray) -> int:
-    s = np.asarray(s_p, dtype=np.float64).reshape(1, -1)
-    return tape.apply("matmul", tape.constant(s), pids["sem.proj"])
+    """Project the semantic vectors, one per row (a 1-D vector is one row)."""
+    return tape.apply("matmul", tape.constant(s_p), pids["sem.proj"])
 
 
-def build_scores(tape: Tape, pids: dict[str, int], h_id: int, s_tilde_id: int, n_nodes: int) -> int:
-    """Per-node relevance a_v = v' relu(W [h_v || s~_p]) as a (1, n) row."""
-    tile = tape.apply("matmul", tape.constant(np.ones((n_nodes, 1))), s_tilde_id)
-    joint = tape.apply("concat-cols", h_id, tile)
-    hidden = tape.apply("relu", tape.apply("matmul", joint, pids["score.w"]))
+def build_scores(tape: Tape, pids: dict[str, int], h_id: int, s_tilde_id: int) -> int:
+    """Per-node relevance a_v = v' relu(W [h_v || s~_p]) as a (B, n) block, one row per s~_p.
+
+    W [h_v || s~_p] = W_h h_v + W_s s~_p, so the node half runs once for all rows.
+    """
+    half = tape.value(pids["score.w"]).shape[0] // 2
+    w_h = tape.apply("slice-rows", pids["score.w"], start=0, stop=half)
+    w_s = tape.apply("slice-rows", pids["score.w"], start=half, stop=2 * half)
+    node_part = tape.apply("matmul", h_id, w_h)
+    pert_part = tape.apply("matmul", s_tilde_id, w_s)
+    hidden = tape.apply("relu", tape.apply("broadcast-add", node_part, pert_part))
     scores = tape.apply("matmul", hidden, pids["score.v"])
-    return tape.apply("transpose", scores)
+    n_rows, n_nodes = tape.value(pert_part).shape[0], tape.value(node_part).shape[0]
+    return tape.apply("reshape", scores, shape=(n_rows, n_nodes))
 
 
 def build_alpha(tape: Tape, scores_row_id: int) -> int:
@@ -254,7 +264,7 @@ def build_alpha(tape: Tape, scores_row_id: int) -> int:
 def build_alpha_tilde(tape: Tape, scores_row_id: int, noise: np.ndarray, tau: float) -> int:
     # softmax((log alpha + g)/tau) == softmax((a + g)/tau): the log-sum-exp
     # shift is constant across nodes and cancels in the softmax
-    shifted = tape.apply("add", scores_row_id, tape.constant(noise.reshape(1, -1)))
+    shifted = tape.apply("add", scores_row_id, tape.constant(noise))
     return tape.apply("row-softmax", tape.apply("scale", shifted, c=1.0 / tau))
 
 
@@ -263,17 +273,17 @@ def build_context(
     pids: dict[str, int],
     h_id: int,
     alpha_tilde_id: int,
-    selection: SubgraphSelection,
+    selections: list[SubgraphSelection],
 ) -> int:
-    """Straight-through sum of the selected node embeddings, projected to the latent width.
+    """Straight-through sums of the selected node embeddings, projected to the latent width.
 
-    The coefficient row evaluates to the hard mask (its constant part is
-    mask - alpha_tilde at the captured base point), so the forward value is the
-    plain sum over selected nodes while the backward pass routes gradients
-    through the soft weights.
+    Row i of the coefficients evaluates to selection i's hard mask (its
+    constant part is mask - alpha_tilde at the captured base point), so the
+    forward value is the plain sum over selected nodes while the backward
+    pass routes gradients through the soft weights.
     """
-    offset = selection.mask() - selection.alpha_tilde
-    coeff = tape.apply("add", tape.constant(offset.reshape(1, -1)), alpha_tilde_id)
+    offset = np.stack([sel.mask() - sel.alpha_tilde for sel in selections])
+    coeff = tape.apply("add", tape.constant(offset), alpha_tilde_id)
     z_pre = tape.apply("matmul", coeff, h_id)
     return tape.apply("matmul", z_pre, pids["ctx.proj"])
 
@@ -284,29 +294,36 @@ def build_encoder(tape: Tape, pids: dict[str, int], x_id: int) -> int:
 
 
 def build_decoder(tape: Tape, pids: dict[str, int], z_c_id: int, z_p_id: int) -> int:
-    fused = tape.apply("concat-cols", z_c_id, z_p_id)
-    h = tape.apply("relu", tape.apply("add", tape.apply("matmul", fused, pids["dec.w1"]), pids["dec.b1"]))
-    return tape.apply("add", tape.apply("matmul", h, pids["dec.w2"]), pids["dec.b2"])
+    """Decode [z_c || z_p] for each row of z_p; the one control row z_c is repeated."""
+    rows = tape.value(z_p_id).shape[0]
+    tile = tape.apply("matmul", tape.constant(np.ones((rows, 1))), z_c_id)
+    pre = tape.apply("matmul", tape.apply("concat-cols", tile, z_p_id), pids["dec.w1"])
+    h = tape.apply("relu", tape.apply("broadcast-add", pids["dec.b1"], pre))
+    return tape.apply("broadcast-add", pids["dec.b2"], tape.apply("matmul", h, pids["dec.w2"]))
 
 
-def build_no_context_embedding(tape: Tape, pids: dict[str, int], params: ModelParams, pert: str) -> int:
-    """Learned per-perturbation row; unseen perturbations fall back to the row mean."""
+def build_no_context_embedding(tape: Tape, pids: dict[str, int], params: ModelParams, perts: list[str]) -> int:
+    """Learned per-perturbation rows; unseen perturbations fall back to the row mean."""
     n_rows = params.values["pert.table"].shape[0]
-    if pert in params.pert_index:
-        row = np.zeros((1, n_rows))
-        row[0, params.pert_index[pert]] = 1.0
-    else:
-        row = np.full((1, n_rows), 1.0 / n_rows)
-    return tape.apply("matmul", tape.constant(row), pids["pert.table"])
+    rows = np.full((len(perts), n_rows), 1.0 / n_rows)
+    for i, pert in enumerate(perts):
+        if pert in params.pert_index:
+            rows[i] = 0.0
+            rows[i, params.pert_index[pert]] = 1.0
+    return tape.apply("matmul", tape.constant(rows), pids["pert.table"])
 
 
 @dataclass
 class ForwardBuild:
-    """Node ids of interest on a shared tape, plus the realized selection."""
+    """Node ids of interest on a shared tape, plus the realized selections.
+
+    `x_hat` and `z_context` have one row per perturbation; `selections` is
+    None in no_context mode.
+    """
 
     x_hat: int
-    z_context: int | None
-    selection: SubgraphSelection | None
+    z_context: int
+    selections: list[SubgraphSelection] | None
 
 
 def build_forward(
@@ -314,77 +331,69 @@ def build_forward(
     pids: dict[str, int],
     params: ModelParams,
     xbar_c: np.ndarray,
-    pert: str,
+    perts: list[str],
     graph: KnowledgeGraph | None,
     embeddings: SemanticEmbeddings | None,
     mode: str = "eval",
-    gumbel_seed: int | None = None,
-    frozen_selection: SubgraphSelection | None = None,
-    h_id: int | None = None,
-    agg_id: int | None = None,
+    gumbel_seeds: list[int | None] | None = None,
+    frozen_selections: list[SubgraphSelection | None] | None = None,
 ) -> ForwardBuild:
-    """Compose the full forward pass for one perturbation on `tape`.
+    """Compose the full forward pass for a batch of perturbations on `tape`, one row each.
 
-    `mode="train"` draws Gumbel noise from `gumbel_seed`; eval mode uses zero
-    noise. Passing `frozen_selection` reuses a previously captured selection
-    (noise, hard mask, and straight-through base), which keeps the surrogate
-    fixed across gradient-check probes.
+    `mode="train"` draws row i's Gumbel noise from `gumbel_seeds[i]`; eval
+    mode uses zero noise. A non-None `frozen_selections[i]` reuses a
+    previously captured selection (noise, hard mask, and straight-through
+    base), which keeps the surrogate fixed across gradient-check probes.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"unknown mode {mode!r}")
+    if not perts:
+        raise UsageError("no perturbations to forward")
     x_id = tape.constant(np.asarray(xbar_c, dtype=np.float64).reshape(1, -1))
     if tape.value(x_id).shape[1] != params.n_genes:
         raise ShapeError("control profile width does not match the model")
     z_c = build_encoder(tape, pids, x_id)
 
     if params.config.no_context:
-        # the learned row stands in for the graph context everywhere downstream
-        z_p = build_no_context_embedding(tape, pids, params, pert)
+        # the learned rows stand in for the graph context everywhere downstream
+        z_p = build_no_context_embedding(tape, pids, params, perts)
         x_hat = build_decoder(tape, pids, z_c, z_p)
-        return ForwardBuild(x_hat=x_hat, z_context=z_p, selection=None)
+        return ForwardBuild(x_hat=x_hat, z_context=z_p, selections=None)
 
     if graph is None or embeddings is None:
         raise UsageError("graph and embeddings are required unless no_context is set")
     cfg = params.config
-    if agg_id is None:
-        agg_id = tape.constant(aggregation_matrix(graph, cfg.weighted_aggregation))
-    if h_id is None:
-        h_id = build_gnn(tape, pids, params, agg_id)
-    s_tilde = build_semantic_projection(tape, pids, embeddings.vector(pert))
-    scores = build_scores(tape, pids, h_id, s_tilde, params.n_nodes)
+    forced = [graph.vocab.index(p) for p in perts]
+    h_id = build_gnn(tape, pids, params, aggregation_matrix(graph, cfg.weighted_aggregation))
+    s_tilde = build_semantic_projection(tape, pids, np.stack([embeddings.vector(p) for p in perts]))
+    scores = build_scores(tape, pids, h_id, s_tilde)
     alpha_id = build_alpha(tape, scores)
 
-    forced = graph.vocab.index(pert)
-    if frozen_selection is not None:
-        selection = frozen_selection
-        noise_seed = selection.gumbel_seed
-    else:
-        noise_seed = gumbel_seed if mode == "train" else None
-    noise = (
-        np.zeros(params.n_nodes)
-        if noise_seed is None
-        else np.random.default_rng(noise_seed).gumbel(size=params.n_nodes)
-    )
+    frozen = frozen_selections or [None] * len(perts)
+    seeds = gumbel_seeds if gumbel_seeds is not None and mode == "train" else [None] * len(perts)
+    noise_seeds = [seed if sel is None else sel.gumbel_seed for seed, sel in zip(seeds, frozen)]
+    noise = np.stack([
+        np.zeros(params.n_nodes) if seed is None else np.random.default_rng(seed).gumbel(size=params.n_nodes)
+        for seed in noise_seeds
+    ])
     at_id = build_alpha_tilde(tape, scores, noise, cfg.tau)
-    if not np.all(np.isfinite(tape.value(at_id))):
+    alpha, alpha_tilde = tape.value(alpha_id), tape.value(at_id)
+    if not np.all(np.isfinite(alpha_tilde)):
         raise NumericalError("non-finite node selection scores (model diverged)")
-    if frozen_selection is None:
-        selection = SubgraphSelection(
-            alpha=tape.value(alpha_id).reshape(-1).copy(),
-            alpha_tilde=tape.value(at_id).reshape(-1).copy(),
-            selected=_select_indices(
-                tape.value(at_id).reshape(-1),
-                cfg.resolve_threshold(params.n_nodes),
-                forced,
-                cfg.selection_mode,
-                cfg.select_top_m,
-            ),
-            gumbel_seed=noise_seed,
-            forced=forced,
+    threshold = cfg.resolve_threshold(params.n_nodes)
+    selections = [
+        sel if sel is not None else SubgraphSelection(
+            alpha=alpha[i].copy(),
+            alpha_tilde=alpha_tilde[i].copy(),
+            selected=_select_indices(alpha_tilde[i], threshold, forced[i], cfg.selection_mode, cfg.select_top_m),
+            gumbel_seed=noise_seeds[i],
+            forced=forced[i],
         )
-    z_ctx = build_context(tape, pids, h_id, at_id, selection)
+        for i, sel in enumerate(frozen)
+    ]
+    z_ctx = build_context(tape, pids, h_id, at_id, selections)
     x_hat = build_decoder(tape, pids, z_c, z_ctx)
-    return ForwardBuild(x_hat=x_hat, z_context=z_ctx, selection=selection)
+    return ForwardBuild(x_hat=x_hat, z_context=z_ctx, selections=selections)
 
 
 # --- value-level wrappers ------------------------------------------------------
@@ -393,7 +402,7 @@ def build_forward(
 @dataclass
 class ForwardResult:
     x_hat: np.ndarray
-    z_context: np.ndarray | None
+    z_context: np.ndarray
     selection: SubgraphSelection | None
 
 
@@ -410,13 +419,13 @@ def forward(
     tape = Tape()
     pids = register_params(tape, params)
     built = build_forward(
-        tape, pids, params, xbar_c, pert, graph, embeddings,
-        mode=mode, gumbel_seed=gumbel_seed, frozen_selection=frozen_selection,
+        tape, pids, params, xbar_c, [pert], graph, embeddings,
+        mode=mode, gumbel_seeds=[gumbel_seed], frozen_selections=[frozen_selection],
     )
     return ForwardResult(
-        x_hat=tape.value(built.x_hat).reshape(-1).copy(),
-        z_context=None if built.z_context is None else tape.value(built.z_context).reshape(-1).copy(),
-        selection=built.selection,
+        x_hat=tape.value(built.x_hat)[0].copy(),
+        z_context=tape.value(built.z_context)[0].copy(),
+        selection=None if built.selections is None else built.selections[0],
     )
 
 
@@ -444,28 +453,33 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:
-    with open(json_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "pertgraph-checkpoint-v1":
+    """Read a checkpoint; a malformed manifest, or a blob whose size does not
+    match the manifest's shapes, is a DataError."""
+    try:
+        with open(json_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "pertgraph-checkpoint-v1":
         raise UsageError("not a model checkpoint manifest")
-    config = ModelConfig(**manifest["config"])
-    blob = open(bin_path, "rb").read()
+    try:
+        config = ModelConfig(**manifest["config"])
+        sizes = {k: int(manifest[k]) for k in ("n_nodes", "n_genes", "d_embed", "seed")}
+        shapes = [(entry["name"], tuple(int(d) for d in entry["shape"])) for entry in manifest["params"]]
+        if any(d < 0 for _, shape in shapes for d in shape):
+            raise ValueError("negative dimension")
+        pert_index = dict(manifest.get("pert_index") or {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint manifest {json_path} has missing or malformed fields: {exc!r}") from None
+    with open(bin_path, "rb") as fh:
+        blob = fh.read()
+    counts = [int(np.prod(shape)) for _, shape in shapes]
+    if 8 * sum(counts) != len(blob):
+        raise DataError(f"checkpoint blob {bin_path} holds {len(blob)} bytes, its manifest needs {8 * sum(counts)}")
     values: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
+    for (name, shape), count in zip(shapes, counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        values[entry["name"]] = arr.astype(np.float64)
+        values[name] = arr.astype(np.float64)
         offset += count * 8
-    if offset != len(blob):
-        raise UsageError("checkpoint blob size does not match the manifest")
-    return ModelParams(
-        config=config,
-        n_nodes=manifest["n_nodes"],
-        n_genes=manifest["n_genes"],
-        d_embed=manifest["d_embed"],
-        seed=manifest["seed"],
-        values=values,
-        pert_index=dict(manifest.get("pert_index") or {}),
-    )
+    return ModelParams(config=config, values=values, pert_index=pert_index, **sizes)

@@ -3,8 +3,9 @@
 Values are 2-D numpy arrays (vectors are 1xN or Nx1). The tape is rebuilt
 per training step (define-by-run); backward accumulates gradients in
 reverse topological order, so two backward passes over the same tape are
-bit-identical. Everything is float64: the finite-difference verification
-tolerances leave no headroom for float32.
+bit-identical. Gradient buffers exist only after backward, so a tape that
+is only evaluated allocates none. Everything is float64: the
+finite-difference verification tolerances leave no headroom for float32.
 """
 
 from __future__ import annotations
@@ -95,6 +96,51 @@ def _bw_concat_cols(g, vals, out, aux, attrs):
     return [g[:, :split].copy(), g[:, split:].copy()]
 
 
+def _fw_spmm(vals, attrs):
+    op, x = attrs["op"], vals[0]
+    if op.shape[1] != x.shape[0]:
+        raise ShapeError(f"spmm: {op.shape} @ {x.shape}")
+    return np.asarray(op @ x), None
+
+
+def _bw_spmm(g, vals, out, aux, attrs):
+    return [np.asarray(attrs["op"].T @ g)]
+
+
+def _fw_slice_rows(vals, attrs):
+    a, start, stop = vals[0], attrs["start"], attrs["stop"]
+    if not 0 <= start < stop <= a.shape[0]:
+        raise ShapeError(f"slice-rows: [{start}:{stop}] of {a.shape}")
+    return a[start:stop], None
+
+
+def _bw_slice_rows(g, vals, out, aux, attrs):
+    full = np.zeros_like(vals[0])
+    full[attrs["start"] : attrs["stop"]] = g
+    return [full]
+
+
+def _fw_broadcast_add(vals, attrs):
+    # (n, m) + (B, m) -> (B*n, m); row k*n + v holds a[v] + b[k]
+    a, b = vals
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"broadcast-add: {a.shape} vs {b.shape}")
+    return (b[:, None, :] + a[None, :, :]).reshape(-1, a.shape[1]), None
+
+
+def _bw_broadcast_add(g, vals, out, aux, attrs):
+    a, b = vals
+    g3 = g.reshape(b.shape[0], a.shape[0], a.shape[1])
+    return [g3.sum(axis=0), g3.sum(axis=1)]
+
+
+def _fw_reshape(vals, attrs):
+    a, shape = vals[0], tuple(attrs["shape"])
+    if int(np.prod(shape)) != a.size:
+        raise ShapeError(f"reshape: {a.shape} to {shape}")
+    return a.reshape(shape), None
+
+
 def _fw_row_softmax(vals, attrs):
     s = _softmax_rows(vals[0])
     return s, None
@@ -180,19 +226,15 @@ def _bw_square(g, vals, out, aux, attrs):
     return [2.0 * g * vals[0]]
 
 
-def _fw_transpose(vals, attrs):
-    return vals[0].T.copy(), None
-
-
-def _bw_transpose(g, vals, out, aux, attrs):
-    return [g.T.copy()]
-
-
 _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "matmul": (2, _fw_matmul, _bw_matmul),
     "add": (2, _fw_add, lambda g, *a: [g.copy(), g.copy()]),
     "scale": (1, _fw_scale, lambda g, v, o, x, attrs: [g * attrs["c"]]),
+    "spmm": (1, _fw_spmm, _bw_spmm),
     "concat-cols": (2, _fw_concat_cols, _bw_concat_cols),
+    "slice-rows": (1, _fw_slice_rows, _bw_slice_rows),
+    "broadcast-add": (2, _fw_broadcast_add, _bw_broadcast_add),
+    "reshape": (1, _fw_reshape, lambda g, vals, o, x, attrs: [g.reshape(vals[0].shape)]),
     "relu": (1, _fw_relu, _bw_relu),
     "row-softmax": (1, _fw_row_softmax, _bw_row_softmax),
     "mean-all": (1, _fw_mean_all, _bw_mean_all),
@@ -200,10 +242,13 @@ _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "huber": (1, _fw_huber, _bw_huber),
     "cosine-distance": (2, _fw_cosine_distance, _bw_cosine_distance),
     "mse": (2, _fw_mse, _bw_mse),
-    "transpose": (1, _fw_transpose, _bw_transpose),
 }
 
 OP_KINDS = tuple(sorted(_OPS))
+
+# shared read-only stand-in for a gradient buffer that backward has not allocated
+_NO_GRAD = np.empty((0, 0))
+_NO_GRAD.flags.writeable = False
 
 
 @dataclass
@@ -211,9 +256,9 @@ class TapeNode:
     kind: str                 # "leaf" for constants/parameters
     parents: tuple[int, ...]
     value: np.ndarray
-    grad: np.ndarray
     attrs: dict = field(default_factory=dict)
     aux: object = None
+    grad: np.ndarray = field(default_factory=lambda: _NO_GRAD)
 
 
 class Tape:
@@ -231,7 +276,7 @@ class Tape:
         v = as_matrix(value)
         if not np.all(np.isfinite(v)):
             raise UsageError("non-finite constant on tape")
-        return self._push(TapeNode("leaf", (), v, np.zeros_like(v)))
+        return self._push(TapeNode("leaf", (), v))
 
     def param(self, value, name: str | None = None) -> int:
         """Leaf whose gradient is reported by backward()."""
@@ -252,7 +297,7 @@ class Tape:
             raise UsageError(f"{kind} takes {arity} inputs, got {len(parents)}")
         vals = [self.nodes[p].value for p in parents]
         out, aux = fw(vals, attrs)
-        node = TapeNode(kind, tuple(parents), out, np.zeros_like(out), attrs, aux)
+        node = TapeNode(kind, tuple(parents), out, attrs, aux)
         return self._push(node)
 
     def _reachable(self, root: int) -> list[int]:
@@ -270,15 +315,23 @@ class Tape:
         """Reverse accumulation from a scalar loss node.
 
         Returns gradients keyed by parameter node id; parameters not
-        reachable from the loss keep their zero gradient.
+        reachable from the loss keep their zero gradient. Every call
+        allocates fresh buffers, for the parameters and the reachable op
+        nodes only (constants keep the empty placeholder), so gradients
+        returned by an earlier call stay valid.
         """
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
             raise UsageError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        order = self._reachable(loss_id)
         for node in self.nodes:
-            node.grad[...] = 0.0
+            node.grad = _NO_GRAD
+        owners = {loss_id, *self.param_ids}
+        owners.update(nid for nid in order if self.nodes[nid].kind != "leaf")
+        for nid in owners:
+            self.nodes[nid].grad = np.zeros_like(self.nodes[nid].value)
         loss.grad[...] = 1.0
-        for nid in self._reachable(loss_id):
+        for nid in order:
             node = self.nodes[nid]
             if node.kind == "leaf":
                 continue
@@ -286,15 +339,17 @@ class Tape:
             vals = [self.nodes[p].value for p in node.parents]
             pgrads = bw(node.grad, vals, node.value, node.aux, node.attrs)
             for pid, pg in zip(node.parents, pgrads):
-                self.nodes[pid].grad += pg
-        return {pid: self.nodes[pid].grad.copy() for pid in self.param_ids}
+                parent = self.nodes[pid]
+                if parent.grad is not _NO_GRAD:
+                    parent.grad += pg
+        return {pid: self.nodes[pid].grad for pid in self.param_ids}
 
     def grads_by_name(self) -> dict[str, np.ndarray]:
         out = {}
         for pid in self.param_ids:
             name = self.nodes[pid].attrs.get("name")
             if name is not None:
-                out[name] = self.nodes[pid].grad.copy()
+                out[name] = self.nodes[pid].grad
         return out
 
 

@@ -1,10 +1,11 @@
 """Seeded training loop with validation-monitored early stopping.
 
 One batch is a set of perturbations, each contributing a (control mean,
-perturbed mean) pair; the whole batch shares a single tape so the node
-embeddings are computed once per step. The DEG table and Huber threshold
-come from the training split only; validation is monitored with the delta
-correlation in eval mode and the best-epoch parameters are returned.
+perturbed mean) pair; the whole batch is one batched forward on a single
+tape, so the node embeddings are computed once per step. The DEG table and
+Huber threshold come from the training split only; validation is monitored
+with the delta correlation in eval mode and the best-epoch parameters are
+returned.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     SubgraphSelection,
-    aggregation_matrix,
     build_forward,
-    build_gnn,
-    forward,
     init_params,
     register_params,
 )
@@ -42,6 +40,9 @@ from .numerics import AdamState, Tape, adam_step, sgd_step
 
 ABLATIONS = ("full", "no_context", "no_non_deg")
 FALLBACK_HUBER_DELTA = 1.0
+# perturbations per prediction tape; bounds the (rows * n_nodes, d_score)
+# scorer intermediate
+PREDICT_CHUNK = 32
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -125,27 +126,21 @@ def evaluate_batch(
         raise UsageError("batch is empty")
     tape = Tape()
     pids = register_params(tape, params)
-    agg_id = h_id = None
-    if not params.config.no_context:
-        agg_id = tape.constant(aggregation_matrix(graph, params.config.weighted_aggregation))
-        h_id = build_gnn(tape, pids, params, agg_id)
+    built = build_forward(
+        tape, pids, params, xbar_c, perts, graph, embeddings,
+        mode=mode,
+        gumbel_seeds=[(gumbel_seeds or {}).get(p) for p in perts],
+        frozen_selections=[(frozen_selections or {}).get(p) for p in perts],
+    )
+    selections = dict(zip(perts, built.selections)) if built.selections is not None else {}
     part_ids: dict[str, list[int]] = {"recon": [], "non": [], "align": [], "total": []}
-    selections: dict[str, SubgraphSelection] = {}
-    for pert in perts:
-        built = build_forward(
-            tape, pids, params, xbar_c, pert, graph, embeddings,
-            mode=mode,
-            gumbel_seed=(gumbel_seeds or {}).get(pert),
-            frozen_selection=(frozen_selections or {}).get(pert),
-            h_id=h_id,
-            agg_id=agg_id,
-        )
-        if built.selection is not None:
-            selections[pert] = built.selection
-        recon = build_recon_loss(tape, built.x_hat, targets[pert])
-        non = build_non_deg_loss(tape, built.x_hat, xbar_c, deg_table.non_deg_mask(pert), huber_delta)
+    for i, pert in enumerate(perts):
+        x_hat = tape.apply("slice-rows", built.x_hat, start=i, stop=i + 1)
+        z_context = tape.apply("slice-rows", built.z_context, start=i, stop=i + 1)
+        recon = build_recon_loss(tape, x_hat, targets[pert])
+        non = build_non_deg_loss(tape, x_hat, xbar_c, deg_table.non_deg_mask(pert), huber_delta)
         align = build_align_loss(
-            tape, built.z_context, deg_table.deltas[pert], deg_table.deg_mask(pert), pids["align.proj"]
+            tape, z_context, deg_table.deltas[pert], deg_table.deg_mask(pert), pids["align.proj"]
         )
         part_ids["recon"].append(recon)
         part_ids["non"].append(non)
@@ -198,11 +193,19 @@ def predict_profiles(
     graph: KnowledgeGraph | None,
     embeddings: SemanticEmbeddings | None,
 ) -> dict[str, np.ndarray]:
-    """Deterministic eval-mode predictions, one absolute profile per perturbation."""
-    return {
-        p: forward(xbar_c, p, graph, embeddings, params, mode="eval").x_hat
-        for p in perts
-    }
+    """Deterministic eval-mode predictions, one absolute profile per perturbation.
+
+    Each chunk of up to PREDICT_CHUNK perturbations is one batched forward on
+    its own tape; no backward runs, so the tapes hold no gradient buffers.
+    """
+    out: dict[str, np.ndarray] = {}
+    for start in range(0, len(perts), PREDICT_CHUNK):
+        chunk = perts[start : start + PREDICT_CHUNK]
+        tape = Tape()
+        pids = register_params(tape, params)
+        x_hat = tape.value(build_forward(tape, pids, params, xbar_c, chunk, graph, embeddings).x_hat)
+        out.update((p, x_hat[i].copy()) for i, p in enumerate(chunk))
+    return out
 
 
 def _validation_pearson(

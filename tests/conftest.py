@@ -1,6 +1,8 @@
 """Shared fixtures: a 10-gene toy problem with a 6-node connected subgraph,
 planted effects, and a small model — the workhorse for gradient checks."""
 
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,11 @@ from pertgraph.loss import LossWeights
 from pertgraph.model import ModelConfig, init_params, register_params
 from pertgraph.numerics import Tape
 
+# pytest's pythonpath setting covers this process only; tests that run the CLI
+# in a child process need the source tree on PYTHONPATH as well
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
 
 def run_builder(params, build):
     """Value of `build(tape, pids)` on a fresh tape holding every parameter."""
@@ -25,7 +32,7 @@ def run_builder(params, build):
     return tape.value(build(tape, pids)).copy()
 
 
-def build_toy_problem(seed=0, no_context=False):
+def build_toy_problem(seed=0, no_context=False, **model_options):
     rng = np.random.default_rng(seed)
     names = [f"G{i}" for i in range(10)]
     vocab = GeneVocab(names)
@@ -49,7 +56,7 @@ def build_toy_problem(seed=0, no_context=False):
     deg_table = compute_degs(dataset)
     embeddings = SemanticEmbeddings(dim=3, vectors={g: hash_embedding(g, 3) for g in names})
     config = ModelConfig(
-        n_layers=2, d_struct=4, d_latent=5, d_score=4, tau=1.0, no_context=no_context
+        n_layers=2, d_struct=4, d_latent=5, d_score=4, tau=1.0, no_context=no_context, **model_options
     )
     params = init_params(10, 10, 3, config, seed=seed + 1, train_perts=perts)
     weights = LossWeights(lambda_non=0.05, lambda_align=0.2, huber_delta=0.5)

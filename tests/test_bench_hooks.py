@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from pertgraph.numerics import Tape
+from pertgraph.training import evaluate_batch
+
+from conftest import build_toy_problem
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -27,3 +32,25 @@ def test_traced_attribute_resolves(key):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_tape_stats_reads_a_backward_tape(monkeypatch):
+    # the tracer walks every node's value and gradient after each backward
+    tapes = []
+    original = Tape.backward
+
+    def recording_backward(self, loss_id):
+        tapes.append(self)
+        return original(self, loss_id)
+
+    monkeypatch.setattr(Tape, "backward", recording_backward)
+    t = build_toy_problem()
+    evaluate_batch(
+        t.params, t.perts, t.xbar_c, t.targets, t.graph, t.embeddings,
+        t.deg_table, t.weights, huber_delta=t.weights.huber_delta, mode="train",
+    )
+    (tape,) = tapes
+    nodes, flops, nbytes = tracing._tape_stats(tape)
+    assert nodes == len(tape.nodes)
+    assert flops > 0
+    assert nbytes > sum(node.value.nbytes for node in tape.nodes)

@@ -86,6 +86,13 @@ def test_synth_manifest_matches_computed_degs_at_zero_noise(synth_run):
         assert found == set(genes)
 
 
+def test_synth_out_path_with_percent(tmp_path):
+    out = tmp_path / "100%"
+    cfg = write_config(tmp_path / "run.ini", out, tmp_path / "out")
+    assert main(["synth", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    assert main(["synth", "--config", str(out / "effective_config.ini"), "--out", str(tmp_path / "again")]) == 0
+
+
 # --- train ---------------------------------------------------------------------
 
 
@@ -171,6 +178,43 @@ def test_eval_deterministic_and_strata_consistent(synth_run):
 def test_eval_missing_checkpoint_exits_2(synth_run):
     cfg, _, tmp = synth_run
     assert main(["eval", "--config", str(cfg), "--out", str(tmp / "nope")]) == 2
+
+
+def _rewrite_manifest(ckpt: Path, **fields):
+    manifest = json.loads(ckpt.read_text())
+    manifest.update(fields)
+    ckpt.write_text(json.dumps(manifest))
+
+
+def _drop_manifest_key(ckpt: Path, key: str):
+    manifest = json.loads(ckpt.read_text())
+    del manifest[key]
+    ckpt.write_text(json.dumps(manifest))
+
+
+CHECKPOINT_DEFECTS = {
+    "truncated-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes()[:-12]),
+    "oversized-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes() + bytes(8)),
+    "malformed-manifest": lambda c: c.write_text(c.read_text()[:-30]),
+    "manifest-missing-params": lambda c: _drop_manifest_key(c, "params"),
+    "manifest-missing-n-genes": lambda c: _drop_manifest_key(c, "n_genes"),
+    "gene-count-mismatch": lambda c: _rewrite_manifest(c, n_genes=41),
+    "node-count-mismatch": lambda c: _rewrite_manifest(c, n_nodes=41),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    ckpt = tmp / "out" / "checkpoint.json"
+    CHECKPOINT_DEFECTS[defect](ckpt)
+    capsys.readouterr()
+    for command in ("eval", "predict"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 # --- predict --------------------------------------------------------------------

@@ -32,8 +32,9 @@ from pertgraph.config import RunConfig, load_config, write_effective_config
             modules=4,
             seed=11,
         ),
+        RunConfig(expression="data/50%_expr.csv", out="runs/100%", seed=3),
     ],
-    ids=["defaults", "non-defaults"],
+    ids=["defaults", "non-defaults", "percent-paths"],
 )
 def test_effective_config_round_trips(tmp_path, cfg):
     assert load_config(write_effective_config(cfg, tmp_path)) == cfg

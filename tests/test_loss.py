@@ -240,6 +240,18 @@ def test_loss_gradients_match_finite_differences(objective, mode):
     assert grad_check(fn, problem.params.values, eps=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "option",
+    [{"weighted_aggregation": True}, {"selection_mode": "top_m", "select_top_m": 3}],
+    ids=["weighted_aggregation", "top_m"],
+)
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_model_option_gradients_match_finite_differences(option, mode):
+    problem = build_toy_problem(seed=3, **option)
+    fn = make_objective_fn(problem, "total", mode)
+    assert grad_check(fn, problem.params.values, eps=1e-5) < 1e-4
+
+
 def test_no_context_gradients_match_finite_differences():
     problem = build_toy_problem(seed=4, no_context=True)
     fn = make_objective_fn(problem, "total", "eval")

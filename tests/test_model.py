@@ -30,7 +30,7 @@ def small_params(n_nodes, n_genes=None, d_embed=3, seed=0, **cfg_kw):
 
 
 def gnn_builder(graph, params):
-    return lambda t, pids: build_gnn(t, pids, params, t.constant(aggregation_matrix(graph)))
+    return lambda t, pids: build_gnn(t, pids, params, aggregation_matrix(graph))
 
 
 # --- gnn ----------------------------------------------------------------------
@@ -64,9 +64,9 @@ def test_gnn_triangle_one_hot_mean():
 def test_aggregation_matrix_weighted_mode():
     vocab = GeneVocab(["A", "B"])
     g = KnowledgeGraph.from_edges(vocab, [(0, 1, 3.0)])
-    a = aggregation_matrix(g, weighted=True)
+    a = aggregation_matrix(g, weighted=True).toarray()
     assert np.allclose(a[0], [1.0 / 4.0, 3.0 / 4.0])
-    rows = aggregation_matrix(g, weighted=False)
+    rows = aggregation_matrix(g, weighted=False).toarray()
     assert np.allclose(rows.sum(axis=1), 1.0)
 
 
@@ -108,7 +108,7 @@ def test_score_nodes_uniform_when_readout_zero():
     h = rng.normal(size=(5, 3))
     s_tilde = rng.normal(size=3)
     alpha = run_builder(
-        params, lambda t, pids: build_alpha(t, build_scores(t, pids, t.constant(h), t.constant(s_tilde), 5))
+        params, lambda t, pids: build_alpha(t, build_scores(t, pids, t.constant(h), t.constant(s_tilde)))
     )[0]
     assert np.allclose(alpha, 0.2, atol=1e-12)
     assert abs(alpha.sum() - 1.0) < 1e-9
@@ -212,7 +212,7 @@ def make_selection(n, selected, alpha_tilde=None):
 
 
 def context_builder(h, selection):
-    return lambda t, pids: build_context(t, pids, t.constant(h), t.constant(selection.alpha_tilde), selection)
+    return lambda t, pids: build_context(t, pids, t.constant(h), t.constant(selection.alpha_tilde), [selection])
 
 
 def test_context_single_node_identity_projection():

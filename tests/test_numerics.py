@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pertgraph.errors import ShapeError, UsageError
 from pertgraph.numerics import (
@@ -150,6 +151,10 @@ OP_CASES = {
     "add": ([(3, 4), (3, 4)], {}),
     "scale": ([(3, 4)], {"c": -1.7}),
     "concat-cols": ([(3, 2), (3, 4)], {}),
+    "spmm": ([(3, 2)], {"op": scipy.sparse.csr_array(np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.2, 0.3, 0.0], [0.0, 0.0, 0.0]]))}),
+    "slice-rows": ([(4, 3)], {"start": 1, "stop": 3}),
+    "broadcast-add": ([(3, 2), (4, 2)], {}),
+    "reshape": ([(3, 4)], {"shape": (2, 6)}),
     "relu": ([(3, 4)], {}),
     "row-softmax": ([(3, 4)], {}),
     "mean-all": ([(3, 4)], {}),
@@ -157,7 +162,6 @@ OP_CASES = {
     "huber": ([(3, 4)], {"delta": 0.5}),
     "cosine-distance": ([(1, 5), (1, 5)], {}),
     "mse": ([(2, 5), (2, 5)], {}),
-    "transpose": ([(3, 4)], {}),
 }
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pertgraph import training
 from pertgraph.data import (
     PerturbationDataset,
     SynthConfig,
@@ -11,8 +12,10 @@ from pertgraph.data import (
 )
 from pertgraph.errors import NumericalError, UsageError
 from pertgraph.loss import LossWeights
-from pertgraph.model import ModelConfig, save_checkpoint
+from pertgraph.model import ModelConfig, forward, init_params, save_checkpoint
+from pertgraph.numerics import Tape
 from pertgraph.training import (
+    PREDICT_CHUNK,
     TrainConfig,
     apply_ablation,
     derive_seed,
@@ -207,6 +210,57 @@ def test_train_ablations_run_end_to_end():
             preds = predict_profiles(params, xbar_c, list(splits.test), None, None)
             for x in preds.values():
                 assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize(
+    "option",
+    [{"weighted_aggregation": True}, {"selection_mode": "top_m", "select_top_m": 3}],
+    ids=["weighted_aggregation", "top_m"],
+)
+def test_train_model_options_run_end_to_end(option):
+    synth, splits = synth_setup(seed=11)
+    model = ModelConfig(n_layers=2, d_struct=8, d_latent=16, d_score=8, **option)
+    cfg = quick_config(max_epochs=2, patience=2, model=model)
+    _, history = train(synth.dataset, splits, synth.graph, synth.embeddings, cfg)
+    for key, value in option.items():
+        assert history.config["model"][key] == value
+    assert all(np.isfinite(row["total"]) for row in history.epochs)
+
+
+# --- batched prediction ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("no_context", [False, True], ids=["context", "no_context"])
+def test_predict_profiles_matches_per_perturbation_forward(no_context):
+    synth, _ = synth_setup(seed=12, n_genes=PREDICT_CHUNK + 8)
+    perts = synth.dataset.vocab.names[: PREDICT_CHUNK + 5]
+    config = ModelConfig(n_layers=2, d_struct=8, d_latent=16, d_score=8, no_context=no_context)
+    params = init_params(
+        synth.graph.n_nodes, synth.dataset.n_genes, synth.embeddings.dim, config, seed=4,
+        train_perts=synth.dataset.pert_names(),
+    )
+    xbar_c = synth.dataset.control.mean(axis=0)
+    graph, emb = (None, None) if no_context else (synth.graph, synth.embeddings)
+    preds = predict_profiles(params, xbar_c, perts, graph, emb)
+    assert list(preds) == perts
+    for p in perts:
+        single = forward(xbar_c, p, graph, emb, params, mode="eval").x_hat
+        assert np.allclose(preds[p], single, rtol=0.0, atol=1e-12)
+
+
+def test_predict_profiles_allocates_no_gradient_buffers(monkeypatch, toy_problem):
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(training, "Tape", RecordingTape)
+    t = toy_problem
+    predict_profiles(t.params, t.xbar_c, t.perts, t.graph, t.embeddings)
+    assert tapes
+    assert all(node.grad.nbytes == 0 for tape in tapes for node in tape.nodes)
 
 
 def test_history_json_round_trip(tmp_path):
