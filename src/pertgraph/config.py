@@ -171,7 +171,10 @@ def load_config(path) -> RunConfig:
     """Parse an INI run config; unknown sections or keys are usage errors."""
     # values are literal on both sides, so a path may hold a '%'
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a line without '=', a repeated key or section
+        raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")
     cfg = RunConfig()

@@ -1,14 +1,14 @@
 """Weighted gene-gene interaction graph: ingestion, top-k confidence
 filtering, topology statistics, and hop-distance coverage of DEG sets.
 
-Graphs are undirected, stored in compressed sparse form (per-node sorted
-neighbor lists), carry no self-loops, and are immutable once built.
+Graphs are undirected, stored in CSR form (each edge once per endpoint,
+neighbor ids sorted per row), carry no self-loops, and are immutable once
+built. Every operation works on whole `indptr`/`indices`/`weights` arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +42,12 @@ class GeneVocab:
         return isinstance(other, GeneVocab) and self.names == other.names
 
 
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Undirected weighted graph over a gene vocabulary, CSR layout."""
@@ -49,39 +55,28 @@ class KnowledgeGraph:
     vocab: GeneVocab
     indptr: np.ndarray   # int64, len(vocab) + 1
     indices: np.ndarray  # int64, neighbor ids sorted per node
-    weights: np.ndarray  # float64, confidence >= 0, aligned with indices
+    weights: np.ndarray  # float64, finite confidence >= 0, aligned with indices
 
     @classmethod
     def from_edges(cls, vocab: GeneVocab, edges: Iterable[tuple[int, int, float]]) -> "KnowledgeGraph":
         """Build from (u, v, weight) index triples; duplicates keep the max weight."""
         n = len(vocab)
-        canon: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise UsageError("self-loops are not stored")
-            if w < 0:
-                raise DataError(f"negative edge weight {w}")
-            key = (u, v) if u < v else (v, u)
-            prev = canon.get(key)
-            canon[key] = w if prev is None else max(prev, w)
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), w in canon.items():
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        idx_parts = []
-        w_parts = []
-        for u in range(n):
-            adj[u].sort()
-            indptr[u + 1] = indptr[u] + len(adj[u])
-            idx_parts.extend(p[0] for p in adj[u])
-            w_parts.extend(p[1] for p in adj[u])
-        return cls(
-            vocab=vocab,
-            indptr=indptr,
-            indices=np.asarray(idx_parts, dtype=np.int64),
-            weights=np.asarray(w_parts, dtype=np.float64),
-        )
+        edges = list(edges)
+        triples = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
+        u, v, w = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if np.any((lo == hi) | (lo < 0) | (hi >= n)):
+            raise UsageError(f"edges need two distinct endpoints in 0..{n - 1} (self-loops are not stored)")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise DataError("edge weights must be finite and >= 0")
+        # a stable sort puts the heaviest duplicate of each pair first; keep that one
+        pair = lo * n + hi
+        order = np.lexsort((-w, pair))
+        keep = order[np.unique(pair[order], return_index=True)[1]]
+        lo, hi, w = lo[keep], hi[keep], w[keep]
+        rows, cols, ws = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])
+        order = np.argsort(rows * n + cols)
+        return cls(vocab=vocab, indptr=_row_pointers(rows, n), indices=cols[order], weights=ws[order])
 
     @property
     def n_nodes(self) -> int:
@@ -91,32 +86,19 @@ class KnowledgeGraph:
     def n_edges(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
-    def neighbor_weights(self, u: int) -> np.ndarray:
-        return self.weights[self.indptr[u] : self.indptr[u + 1]]
-
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
+    def rows(self) -> np.ndarray:
+        """Source node of every CSR entry, aligned with `indices` and `weights`."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
 
     def edge_set(self) -> set[tuple[int, int]]:
-        out = set()
-        for u in range(self.n_nodes):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.add((u, int(v)))
-        return out
+        return set(self.edge_weight_map())
 
     def edge_weight_map(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for u in range(self.n_nodes):
-            nbrs = self.neighbors(u)
-            ws = self.neighbor_weights(u)
-            for v, w in zip(nbrs, ws):
-                if u < v:
-                    out[(u, int(v))] = float(w)
-        return out
+        """{(u, v): weight} with u < v, in CSR order."""
+        rows = self.rows()
+        upper = rows < self.indices
+        pairs = zip(rows[upper].tolist(), self.indices[upper].tolist())
+        return dict(zip(pairs, self.weights[upper].tolist()))
 
 
 def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
@@ -124,7 +106,8 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
 
     Lines starting with `#` and blank lines are ignored. Edges touching a gene
     outside the vocabulary, and self-loop lines, are dropped but counted; the
-    count is returned next to the graph. Duplicate edges keep the maximum weight.
+    count is returned next to the graph. Duplicate edges keep the maximum
+    weight; a negative or non-finite weight is a DataError.
     """
     edges: list[tuple[int, int, float]] = []
     dropped = 0
@@ -141,8 +124,8 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
                 w = float(wtxt)
             except ValueError:
                 raise ParseError(f"bad weight {wtxt!r}", lineno) from None
-            if w < 0:
-                raise DataError(f"line {lineno}: negative weight {w}")
+            if not (np.isfinite(w) and w >= 0):
+                raise DataError(f"line {lineno}: edge weight must be finite and >= 0, got {wtxt!r}")
             if a not in vocab or b not in vocab or a == b:
                 dropped += 1
                 continue
@@ -159,15 +142,24 @@ def save_edge_list(graph: KnowledgeGraph, path) -> None:
             fh.write(f"{names[u]}\t{names[v]}\t{w!r}\n")
 
 
+def _nominated(graph: KnowledgeGraph, k: int) -> np.ndarray:
+    """Mask over CSR entries: the entry is among its row's k heaviest (ties: lower index)."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
+    rows = graph.rows()
+    order = np.lexsort((graph.indices, -graph.weights, rows))
+    # rows is sorted, so sorting by row first keeps every row's block in place
+    rank = np.empty(rows.size, dtype=np.int64)
+    rank[order] = np.arange(rows.size) - graph.indptr[rows]
+    return rank < k
+
+
 def nominations(graph: KnowledgeGraph, k: int) -> list[set[int]]:
     """Per node, the <= k neighbors with the highest confidence (ties: lower index)."""
-    out = []
-    for u in range(graph.n_nodes):
-        nbrs = graph.neighbors(u)
-        ws = graph.neighbor_weights(u)
-        order = sorted(range(len(nbrs)), key=lambda i: (-ws[i], nbrs[i]))
-        out.append({int(nbrs[i]) for i in order[:k]})
-    return out
+    mask = _nominated(graph, k)
+    ptr = _row_pointers(graph.rows()[mask], graph.n_nodes).tolist()
+    nominated = graph.indices[mask].tolist()
+    return [set(nominated[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
 def topk_filter(graph: KnowledgeGraph, k: int, mode: str = "union") -> KnowledgeGraph:
@@ -176,19 +168,16 @@ def topk_filter(graph: KnowledgeGraph, k: int, mode: str = "union") -> Knowledge
     `union` keeps the edge when either endpoint nominates it; `mutual`
     requires both. The result stays symmetric and is a subgraph of the input.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
     if mode not in ("union", "mutual"):
         raise UsageError(f"unknown topk mode {mode!r}")
-    nominated = nominations(graph, k)
-    kept = []
-    for (u, v), w in graph.edge_weight_map().items():
-        hit_u = v in nominated[u]
-        hit_v = u in nominated[v]
-        keep = (hit_u or hit_v) if mode == "union" else (hit_u and hit_v)
-        if keep:
-            kept.append((u, v, w))
-    return KnowledgeGraph.from_edges(graph.vocab, kept)
+    hit = _nominated(graph, k)
+    rows = graph.rows()
+    # the CSR is symmetric and sorted by (row, col), so sorting by (col, row)
+    # lists entry e's mirror (col, row) at position e
+    mirror = np.lexsort((rows, graph.indices))
+    keep = (hit | hit[mirror]) if mode == "union" else (hit & hit[mirror])
+    indptr = _row_pointers(rows[keep], graph.n_nodes)
+    return KnowledgeGraph(graph.vocab, indptr, graph.indices[keep], graph.weights[keep])
 
 
 @dataclass(frozen=True)
@@ -212,16 +201,16 @@ def degree_stats(graph: KnowledgeGraph) -> GraphStats:
 
 def hop_distances(graph: KnowledgeGraph, source: str) -> np.ndarray:
     """Breadth-first hop counts from `source`; unreachable nodes get inf."""
-    s = graph.vocab.index(source)
     dist = np.full(graph.n_nodes, np.inf)
-    dist[s] = 0.0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if not np.isfinite(dist[v]):
-                dist[v] = dist[u] + 1.0
-                queue.append(int(v))
+    frontier = np.zeros(graph.n_nodes, dtype=bool)
+    frontier[graph.vocab.index(source)] = True
+    rows, hops = graph.rows(), 0.0
+    while frontier.any():
+        dist[frontier] = hops
+        hops += 1.0
+        reached = np.zeros_like(frontier)
+        reached[graph.indices[frontier[rows]]] = True
+        frontier = reached & np.isinf(dist)
     return dist
 
 

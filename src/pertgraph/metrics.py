@@ -51,18 +51,13 @@ def pearson_delta(pred_delta, true_delta) -> float:
 
 
 def rank_average_ties(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
+    """1-based ranks; tied values share the average of their positions.
+    NaNs rank last, each in a group of its own."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # the tie group at sorted positions i..j (0-based) gets (i + j) / 2 + 1
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[group]
 
 
 def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:

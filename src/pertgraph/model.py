@@ -54,6 +54,13 @@ class ModelConfig:
     def resolve_threshold(self, n_nodes: int) -> float:
         return 1.0 / n_nodes if self.threshold is None else self.threshold
 
+    def validate(self) -> None:
+        """tau > 0, and an explicit threshold lies in (0, 1); None resolves to 1/n."""
+        if not self.tau > 0:
+            raise UsageError("tau must be positive")
+        if self.threshold is not None and not 0.0 < self.threshold < 1.0:
+            raise UsageError("threshold must lie in (0, 1)")
+
 
 @dataclass
 class ModelParams:
@@ -181,10 +188,7 @@ def gumbel_select(
     outcome is deterministic. alpha is floored at 1e-12 before the log.
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    if tau <= 0:
-        raise UsageError("tau must be positive")
-    if not (0.0 < threshold < 1.0):
-        raise UsageError("threshold must lie in (0, 1)")
+    ModelConfig(tau=tau, threshold=threshold).validate()
     if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-6:
         raise UsageError("alpha must be a probability vector")
     noise = np.zeros_like(alpha) if seed is None else np.random.default_rng(seed).gumbel(size=alpha.size)
@@ -209,7 +213,7 @@ def aggregation_matrix(graph: KnowledgeGraph, weighted: bool = False) -> scipy.s
     normalize by edge confidence with the self-loop carrying weight 1.
     """
     n = graph.n_nodes
-    rows = np.concatenate([np.repeat(np.arange(n), np.diff(graph.indptr)), np.arange(n)])
+    rows = np.concatenate([graph.rows(), np.arange(n)])
     cols = np.concatenate([graph.indices, np.arange(n)])
     ws = np.concatenate([graph.weights if weighted else np.ones(graph.indices.size), np.ones(n)])
     totals = np.bincount(rows, weights=ws, minlength=n)
@@ -464,6 +468,7 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
         raise UsageError("not a model checkpoint manifest")
     try:
         config = ModelConfig(**manifest["config"])
+        config.validate()  # a UsageError is a ValueError: bad hyperparameters are data errors here
         sizes = {k: int(manifest[k]) for k in ("n_nodes", "n_genes", "d_embed", "seed")}
         shapes = [(entry["name"], tuple(int(d) for d in entry["shape"])) for entry in manifest["params"]]
         if any(d < 0 for _, shape in shapes for d in shape):

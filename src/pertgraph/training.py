@@ -79,6 +79,7 @@ class TrainConfig:
             raise UsageError(f"ablation must be one of {ABLATIONS}")
         if self.optimizer not in ("adam", "sgd"):
             raise UsageError("optimizer must be adam or sgd")
+        self.model.validate()
         self.weights.validate()
 
 

@@ -138,6 +138,48 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
 
 
+def assert_one_line(err: str, prefix: str) -> None:
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[training]\nmax_epochs\n", "[training]\nmax_epochs = 1\nmax_epochs = 2\n"],
+    ids=["no-equals", "duplicate-key"],
+)
+def test_malformed_config_exits_1(tmp_path, capsys, text):
+    # a line without '=' is a configparser ParsingError, a repeated key a DuplicateOptionError
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["train", "--config", str(bad)]) == 1
+    assert_one_line(capsys.readouterr().err, "error: malformed config file")
+
+
+@pytest.mark.parametrize("setting", ["tau = 0", "tau = -1", "threshold = 1.5", "threshold = 0"])
+def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
+    cfg, _, _ = synth_run
+    cfg.write_text(cfg.read_text().replace("d_score = 8\n", f"d_score = 8\n{setting}\n"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "error: ")
+    assert setting.split()[0] in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_edge_weight_is_a_one_line_data_error(synth_run, capsys, weight):
+    cfg, synth_dir, _ = synth_run
+    cfg.write_text(cfg.read_text().replace("[metrics]", "[graph]\nweighted_aggregation = true\n\n[metrics]"))
+    graph = synth_dir / "graph.tsv"
+    header, first, *rest = graph.read_text().splitlines()
+    graph.write_text("\n".join([header, first.rsplit("\t", 1)[0] + f"\t{weight}", *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "data error: line 2: ")
+
+
 # --- eval -----------------------------------------------------------------------
 
 
@@ -186,6 +228,11 @@ def _rewrite_manifest(ckpt: Path, **fields):
     ckpt.write_text(json.dumps(manifest))
 
 
+def _rewrite_model_config(ckpt: Path, **fields):
+    config = json.loads(ckpt.read_text())["config"]
+    _rewrite_manifest(ckpt, config={**config, **fields})
+
+
 def _drop_manifest_key(ckpt: Path, key: str):
     manifest = json.loads(ckpt.read_text())
     del manifest[key]
@@ -200,6 +247,8 @@ CHECKPOINT_DEFECTS = {
     "manifest-missing-n-genes": lambda c: _drop_manifest_key(c, "n_genes"),
     "gene-count-mismatch": lambda c: _rewrite_manifest(c, n_genes=41),
     "node-count-mismatch": lambda c: _rewrite_manifest(c, n_nodes=41),
+    "config-tau-zero": lambda c: _rewrite_model_config(c, tau=0.0),
+    "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
 }
 
 
@@ -212,9 +261,7 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
     capsys.readouterr()
     for command in ("eval", "predict"):
         assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", str(ckpt)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1, err
-        assert "Traceback" not in err
+        assert_one_line(capsys.readouterr().err, "data error: ")
 
 
 # --- predict --------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pertgraph.graph import (
     degree_stats,
     hop_distances,
     load_edge_list,
+    nominations,
     save_edge_list,
     topk_filter,
 )
@@ -73,6 +74,27 @@ def test_load_negative_weight(tmp_path):
         load_edge_list(p, GeneVocab(["A", "B"]))
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+def test_load_non_finite_weight_reports_lineno(tmp_path, weight):
+    p = tmp_path / "edges.tsv"
+    p.write_text(f"A\tB\t0.5\nA\tB\t{weight}\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_edge_list(p, GeneVocab(["A", "B"]))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5])
+def test_from_edges_rejects_bad_weights(weight):
+    with pytest.raises(DataError):
+        build(["A", "B", "C"], [(0, 1, 1.0), (1, 2, weight)])
+
+
+def test_from_edges_rejects_self_loops_and_foreign_ids():
+    with pytest.raises(UsageError):
+        build(["A", "B"], [(1, 1, 1.0)])
+    with pytest.raises(UsageError):
+        build(["A", "B"], [(0, 2, 1.0)])
+
+
 def test_save_load_round_trip(tmp_path):
     g = random_graph(12, 0.4, seed=3)
     path = tmp_path / "g.tsv"
@@ -105,7 +127,7 @@ def test_topk_star_union_keeps_leaf_nominations():
 
 def test_topk_noop_when_k_covers_max_degree():
     g = random_graph(20, 0.3, seed=1)
-    max_deg = max(g.degree(u) for u in range(g.n_nodes))
+    max_deg = int(np.diff(g.indptr).max())
     f = topk_filter(g, max_deg)
     assert f.edge_weight_map() == g.edge_weight_map()
 
@@ -130,8 +152,6 @@ def test_topk_properties_random_graphs():
         f2 = topk_filter(f, k)
         assert f2.edge_weight_map() == f.edge_weight_map()
         # each node's own nominations in the original graph number <= k
-        from pertgraph.graph import nominations
-
         noms = nominations(g, k)
         assert all(len(s) <= k for s in noms)
         # every kept edge is nominated by at least one endpoint
@@ -221,3 +241,93 @@ def test_deg_coverage_empty_set_rejected():
     g = build(["A", "B"], [(0, 1, 1.0)])
     with pytest.raises(UsageError):
         deg_coverage(g, "A", [], max_hops=2)
+
+
+# --- dense brute-force oracles -------------------------------------------------------
+
+
+def messy_edges(seed):
+    """Random edges on n nodes, with duplicates in both directions, tied weights,
+    and isolated nodes (only the first two thirds of the ids take part)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 30))
+    touched = max(2, 2 * n // 3)
+    levels = np.array([0.0, 0.25, 0.5, 1.0]) if seed % 2 else rng.uniform(0.0, 1.0, size=8)
+    edges = []
+    for _ in range(int(rng.integers(0, 3 * n))):
+        u, v = (int(x) for x in rng.choice(touched, size=2, replace=False))
+        edges.append((u, v, float(rng.choice(levels))))
+        if rng.random() < 0.4:
+            edges.append((v, u, float(rng.choice(levels))))
+    return n, edges
+
+
+def dense_weights(n, edges):
+    """Dense symmetric weights, duplicates keeping the maximum; NaN marks no edge."""
+    w = np.full((n, n), np.nan)
+    for u, v, x in edges:
+        best = x if np.isnan(w[u, v]) else max(w[u, v], x)
+        w[u, v] = w[v, u] = best
+    return w
+
+
+def dense_nominations(w, k):
+    """nom[u, v]: fewer than k neighbors of u beat v (higher weight, or equal
+    weight and lower index)."""
+    n = w.shape[0]
+    nom = np.zeros((n, n), dtype=bool)
+    ids = np.arange(n)
+    for u in range(n):
+        present = ~np.isnan(w[u])
+        for v in np.flatnonzero(present):
+            beats = present & ((w[u] > w[u, v]) | ((w[u] == w[u, v]) & (ids < v)))
+            nom[u, v] = beats.sum() < k
+    return nom
+
+
+def assert_csr_matches_dense(g, w):
+    present = ~np.isnan(w)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64 and g.weights.dtype == np.float64
+    assert np.array_equal(g.indptr, np.concatenate([[0], np.cumsum(present.sum(axis=1))]))
+    rows, cols = np.nonzero(present)  # row-major, so columns ascend within each row
+    assert np.array_equal(g.indices, cols)
+    assert g.weights.tobytes() == w[rows, cols].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_from_edges_matches_dense_oracle(seed):
+    n, edges = messy_edges(seed)
+    g = build([f"G{i}" for i in range(n)], edges)
+    w = dense_weights(n, edges)
+    assert_csr_matches_dense(g, w)
+    upper = np.triu(~np.isnan(w))
+    assert g.edge_weight_map() == {(int(u), int(v)): float(w[u, v]) for u, v in zip(*np.nonzero(upper))}
+    assert g.edge_set() == set(g.edge_weight_map())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nominations_and_topk_match_dense_oracle(seed):
+    n, edges = messy_edges(seed)
+    g = build([f"G{i}" for i in range(n)], edges)
+    w = dense_weights(n, edges)
+    present = ~np.isnan(w)
+    for k in (1, 2, 3, 6):
+        nom = dense_nominations(w, k)
+        assert nominations(g, k) == [set(np.flatnonzero(row).tolist()) for row in nom]
+        for mode, keep in (("union", nom | nom.T), ("mutual", nom & nom.T)):
+            assert_csr_matches_dense(topk_filter(g, k, mode), np.where(present & keep, w, np.nan))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hop_distances_match_boolean_matrix_powers(seed):
+    n, edges = messy_edges(seed)
+    g = build([f"G{i}" for i in range(n)], edges)
+    adj = ~np.isnan(dense_weights(n, edges))
+    for s in range(n):
+        expected = np.full(n, np.inf)
+        reach = np.zeros(n, dtype=bool)
+        reach[s] = True
+        for h in range(n):  # reach = nodes within h hops: row s of (I + A)^h
+            expected[reach & np.isinf(expected)] = h
+            reach = reach | (reach.astype(int) @ adj.astype(int) > 0)
+        assert hop_distances(g, f"G{s}").tobytes() == expected.tobytes()

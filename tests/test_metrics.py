@@ -74,6 +74,28 @@ def test_rank_average_ties():
     assert np.array_equal(rank_average_ties(np.array([10.0, 20.0, 20.0, 30.0])), [1.0, 2.5, 2.5, 4.0])
 
 
+def loop_ranks(x):
+    """Reference: walk the stably sorted values, one tie group at a time."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_rank_average_ties_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 5e-324])
+    for size in list(range(0, 12)) + [50, 240]:
+        for x in (rng.choice(values, size=size), rng.normal(size=size), rng.integers(-2, 3, size=size) * 1.0):
+            assert rank_average_ties(x).tobytes() == loop_ranks(x).tobytes()
+
+
 def test_weighted_spearman_uniform_equals_plain_bit_for_bit():
     rng = np.random.default_rng(2)
     for _ in range(50):
