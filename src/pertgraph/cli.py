@@ -164,8 +164,11 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     elif manifest is not None and (manifest.parent / "splits.json").exists():
         split_path = manifest.parent / "splits.json"
     if split_path is not None:
-        with open(split_path, "r", encoding="utf-8") as fh:
-            return list(json.load(fh)["test"])
+        try:
+            with open(split_path, "r", encoding="utf-8") as fh:
+                return list(json.load(fh)["test"])
+        except (KeyError, TypeError, ValueError) as exc:  # not UTF-8, not JSON, or no "test" list
+            raise DataError(f"splits file {split_path} is malformed: {exc!r}") from None
     splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split"))
     return list(splits.test)
 

@@ -172,9 +172,11 @@ def load_config(path) -> RunConfig:
     # values are literal on both sides, so a path may hold a '%'
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # a line without '=', a repeated key or section
         raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc.reason}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")
     cfg = RunConfig()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, ParseError, UsageError
+from .errors import DataError, ParseError, UsageError, open_utf8
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -72,9 +72,20 @@ class PerturbationDataset:
             raise UsageError(f"unknown perturbation {name!r}") from None
 
 
+LOAD_CHUNK_ROWS = 256  # data lines parsed per np.loadtxt call; bounds the line text held at once
+
+
 def load_expression(path) -> PerturbationDataset:
-    """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block.
+
+    Data lines are streamed and their numbers parsed by numpy, LOAD_CHUNK_ROWS
+    lines at a time, so no Python float or per-cell list is made. A line that
+    holds a double quote is split by the csv module, so quoted ids and labels
+    work (a quoted field may not span lines). Blank lines are skipped.
+    """
+    labels: list[str] = []
+    chunks: list[np.ndarray] = []
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -85,23 +96,63 @@ def load_expression(path) -> PerturbationDataset:
         genes = header[2:]
         if len(set(genes)) != len(genes):
             raise ParseError("duplicate gene column in header", 1)
-        rows_by_label: dict[str, list[list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        texts: list[str] = []
+        linenos: list[int] = []
+        for lineno, line in enumerate(fh, start=2):  # the csv reader holds no line back
+            line = line.rstrip("\r\n")
+            if not line:
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-            label = row[1]
-            try:
-                values = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            rows_by_label.setdefault(label, []).append(values)
+            if '"' in line:
+                row = next(csv.reader([line]))
+                n_fields, text = len(row), ",".join(row[2:])
+            else:
+                row = line.split(",", 2)
+                text = row[-1]
+                n_fields = len(row) + text.count(",")
+            if n_fields != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {n_fields}", lineno)
+            labels.append(row[1])
+            texts.append(text)
+            linenos.append(lineno)
+            if len(texts) == LOAD_CHUNK_ROWS:
+                chunks.append(_parse_numeric_lines(texts, linenos, len(genes)))
+                texts, linenos = [], []
+        if texts:
+            chunks.append(_parse_numeric_lines(texts, linenos, len(genes)))
+    rows_by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        rows_by_label.setdefault(label, []).append(i)
     if CONTROL_LABEL not in rows_by_label:
         raise DataError("no control rows in expression file")
-    control = np.array(rows_by_label.pop(CONTROL_LABEL), dtype=np.float64)
-    blocks = {k: np.array(v, dtype=np.float64) for k, v in rows_by_label.items()}
+    values = np.concatenate(chunks)
+    del chunks  # before the blocks are copied out, so at most two copies are alive
+    blocks = {label: values[rows] for label, rows in rows_by_label.items()}
+    control = blocks.pop(CONTROL_LABEL)
     return PerturbationDataset(GeneVocab(genes), control, blocks)
+
+
+def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) -> np.ndarray:
+    """Parse comma-separated numbers into one float64 row per text.
+
+    numpy's parser is stricter than `float()`: `1_0` and non-ASCII digits are
+    errors. A text that fails, or does not give exactly `n_values` numbers,
+    is a ParseError naming its line.
+    """
+    if "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
+        try:
+            values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+            if values.shape == (len(texts), n_values):
+                return values
+        except ValueError:
+            pass
+    for text, lineno in zip(texts, linenos):  # error path: find the first bad line
+        try:
+            row = np.loadtxt([text], delimiter=",", comments=None) if text else np.empty(0)
+        except ValueError as exc:
+            raise ParseError(str(exc).split(" at row ")[0], lineno) from None
+        if row.size != n_values:  # an empty cell, or a quoted cell holding a comma
+            raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
+    raise AssertionError("a chunk failed to parse but each of its lines parses")
 
 
 def save_expression(dataset: PerturbationDataset, path) -> None:
@@ -356,7 +407,7 @@ def hash_embedding(name: str, dim: int) -> np.ndarray:
 def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
     """Read `gene,v0,...,v{d-1}` CSV; vocabulary genes absent from the file get
     the deterministic hash fallback at the same dimension."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

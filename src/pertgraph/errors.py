@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the UTF-8 opener for
+input files that reports undecodable bytes as one of them.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
 data problems exit 2, numerical failures exit 3.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 
 class UsageError(ValueError):
@@ -35,3 +40,14 @@ class DegenerateError(DataError):
 
 class NumericalError(RuntimeError):
     """Computation produced non-finite values (training divergence etc.)."""
+
+
+@contextmanager
+def open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text; a byte that does not decode, wherever
+    it is read, raises a DataError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, UsageError
+from .errors import DataError, ParseError, UsageError, open_utf8
 
 
 class GeneVocab:
@@ -111,7 +111,7 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
     """
     edges: list[tuple[int, int, float]] = []
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

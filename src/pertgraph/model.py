@@ -457,8 +457,8 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:
-    """Read a checkpoint; a malformed manifest, or a blob whose size does not
-    match the manifest's shapes, is a DataError."""
+    """Read a checkpoint; a malformed manifest, a blob whose size does not
+    match the manifest's shapes, or a NaN or inf in the blob is a DataError."""
     try:
         with open(json_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -481,6 +481,8 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
     counts = [int(np.prod(shape)) for _, shape in shapes]
     if 8 * sum(counts) != len(blob):
         raise DataError(f"checkpoint blob {bin_path} holds {len(blob)} bytes, its manifest needs {8 * sum(counts)}")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+        raise DataError(f"checkpoint blob {bin_path} holds non-finite values")
     values: dict[str, np.ndarray] = {}
     offset = 0
     for (name, shape), count in zip(shapes, counts):

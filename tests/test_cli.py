@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pertgraph.cli import main
@@ -128,6 +130,25 @@ def test_train_ablation_flag_recorded(synth_run):
     assert history["config"]["lambda_non"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("training", "optimizer", "sgd"), ("data", "deg_correction", "benjamini-hochberg")],
+    ids=["sgd", "benjamini-hochberg"],
+)
+def test_train_option_smoke(synth_run, section, key, value):
+    cfg, _, tmp = synth_run
+    text = cfg.read_text().replace("max_epochs = 1\n", "max_epochs = 2\n").replace("patience = 1\n", "patience = 2\n")
+    cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    out = tmp / "out"
+    history = json.loads((out / "history.json").read_text())
+    assert history["config"][key] == value
+    assert len(history["epochs"]) == 2
+    assert all(math.isfinite(row[term]) for row in history["epochs"] for term in ("recon", "non", "align", "total"))
+    params = load_checkpoint(out / "checkpoint.json", out / "checkpoint.bin")
+    assert all(np.all(np.isfinite(v)) for v in params.values.values())
+
+
 def test_bad_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -178,6 +199,35 @@ def test_non_finite_edge_weight_is_a_one_line_data_error(synth_run, capsys, weig
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
     err = capsys.readouterr().err
     assert_one_line(err, "data error: line 2: ")
+
+
+def _append_non_utf8_line(path: Path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [("expression.csv", "deg-coverage"), ("embeddings.csv", "train"), ("graph.tsv", "deg-coverage")],
+    ids=["expression", "embeddings", "edge-list"],
+)
+def test_non_utf8_input_file_is_a_one_line_data_error(synth_run, capsys, name, command):
+    cfg, synth_dir, _ = synth_run
+    _append_non_utf8_line(synth_dir / name)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "data error: ")
+    assert name in err and "UTF-8" in err
+
+
+def test_non_utf8_config_is_a_one_line_usage_error(synth_run, capsys):
+    cfg, _, _ = synth_run
+    cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "error: config file ")
+    assert "UTF-8" in err
 
 
 # --- eval -----------------------------------------------------------------------
@@ -249,6 +299,9 @@ CHECKPOINT_DEFECTS = {
     "node-count-mismatch": lambda c: _rewrite_manifest(c, n_nodes=41),
     "config-tau-zero": lambda c: _rewrite_model_config(c, tau=0.0),
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
+    "non-finite-blob": lambda c: c.with_suffix(".bin").write_bytes(
+        np.full(c.with_suffix(".bin").stat().st_size // 8, np.nan).tobytes()
+    ),
 }
 
 
@@ -262,6 +315,20 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
     for command in ("eval", "predict"):
         assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", str(ckpt)]) == 2
         assert_one_line(capsys.readouterr().err, "data error: ")
+
+
+@pytest.mark.parametrize(
+    "content", [b"{", b'{"train": []}', b"\xff"], ids=["not-json", "no-test-list", "not-utf8"]
+)
+def test_bad_splits_file_is_a_one_line_data_error(synth_run, capsys, content):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    (tmp / "out" / "splits.json").write_bytes(content)
+    ckpt = str(tmp / "out" / "checkpoint.json")
+    capsys.readouterr()
+    for command in ("eval", "predict"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", ckpt]) == 2
+        assert_one_line(capsys.readouterr().err, "data error: splits file ")
 
 
 # --- predict --------------------------------------------------------------------

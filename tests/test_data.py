@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from pertgraph.data import (
+    LOAD_CHUNK_ROWS,
     DegTable,
     PerturbationDataset,
     SemanticEmbeddings,
@@ -74,16 +77,95 @@ def test_load_expression_missing_control(tmp_path):
 
 
 def test_expression_round_trip_bit_exact(tmp_path):
-    ds = tiny_dataset(seed=42)
+    # the second dataset has 600 rows, more than two parse chunks, and values
+    # across many magnitudes, zeros and subnormals included
+    rng = np.random.default_rng(1)
+    spread = rng.uniform(0.0, 1.0, size=(600, 7)) * 10.0 ** rng.integers(-320, 300, size=(600, 7))
+    spread[::5, 0] = 0.0
+    blocks = {f"P{i}": spread[200 + 50 * i : 250 + 50 * i] for i in range(8)}
+    wide = PerturbationDataset(GeneVocab([f"G{i}" for i in range(7)]), spread[:200], blocks)
+    for ds in (tiny_dataset(seed=42), wide):
+        path = tmp_path / "expr.csv"
+        save_expression(ds, path)
+        ds2 = load_expression(path)
+        assert ds2.vocab.names == ds.vocab.names
+        assert ds2.control.tobytes() == ds.control.tobytes() and ds2.control.flags.c_contiguous
+        assert ds2.pert_names() == ds.pert_names()
+        for name in ds.pert_names():
+            assert ds2.block(name).tobytes() == ds.block(name).tobytes() and ds2.block(name).flags.c_contiguous
+        save_expression(ds2, tmp_path / "expr2.csv")
+        assert (tmp_path / "expr.csv").read_bytes() == (tmp_path / "expr2.csv").read_bytes()
+
+
+def test_load_expression_keeps_file_order_within_labels(tmp_path):
+    # interleaved labels, a quoted label holding a comma, a quoted id,
+    # CRLF line endings and blank lines
+    p = tmp_path / "expr.csv"
+    p.write_bytes(
+        b"sample_id,perturbation,G0,G1\r\n"
+        b"s1,control,1.0,2.0\r\n"
+        b"s2,PA,0.5,0.25\r\n"
+        b"\r\n"
+        b's3,"P,B",3.0,4.0\r\n'
+        b"s4,control,5.0,6.0\r\n"
+        b'"s,5",PA,0.75,0.125\r\n'
+        b"\r\n"
+        b's6,"P,B",7.0,8.0\r\n'
+    )
+    ds = load_expression(p)
+    assert list(ds.perturbations) == ["PA", "P,B"]
+    assert ds.control.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+    assert ds.block("PA").tolist() == [[0.5, 0.25], [0.75, 0.125]]
+    assert ds.block("P,B").tolist() == [[3.0, 4.0], [7.0, 8.0]]
+
+
+def _expression_lines(n_rows, n_genes=2):
+    lines = ["sample_id,perturbation," + ",".join(f"G{i}" for i in range(n_genes))]
+    labels = ("control", "PA")
+    lines += [f"s{i},{labels[i % 2]}," + ",".join(["1.5"] * n_genes) for i in range(n_rows)]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "n_genes,bad_row,cell",
+    [
+        (2, LOAD_CHUNK_ROWS + 3, "abc"),  # a data row in the second chunk
+        (1, 2, ""),  # np.loadtxt would skip the empty line and shift the labels
+        (2, 0, "1_0"),  # float() accepts it, numpy does not
+        (2, 1, "\uff11.5"),  # a fullwidth (non-ASCII) digit
+        (2, 5, '"1,5"'),  # a quoted cell holding a comma
+    ],
+    ids=["second-chunk", "one-gene-empty-cell", "underscore", "fullwidth-digit", "quoted-comma-cell"],
+)
+def test_load_expression_bad_cell_names_its_line(tmp_path, n_genes, bad_row, cell):
+    lines = _expression_lines(2 * LOAD_CHUNK_ROWS + 10, n_genes)
+    head, _, _ = lines[1 + bad_row].rpartition(",")
+    lines[1 + bad_row] = f"{head},{cell}"
+    lines.insert(1, "")  # a blank line 2 is skipped but still counted
+    p = tmp_path / "expr.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = bad_row + 3
+    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+        load_expression(p)
+    assert info.value.line == line
+
+
+def test_load_expression_peak_memory_within_three_times_the_arrays(tmp_path):
+    rng = np.random.default_rng(0)
+    vocab = GeneVocab([f"G{i:03d}" for i in range(200)])
+    blocks = {f"P{i:02d}": rng.uniform(0.0, 3.0, size=(40, 200)) for i in range(50)}
+    ds = PerturbationDataset(vocab, rng.uniform(0.0, 3.0, size=(20, 200)), blocks)
     path = tmp_path / "expr.csv"
     save_expression(ds, path)
-    ds2 = load_expression(path)
-    assert ds2.vocab.names == ds.vocab.names
-    assert np.array_equal(ds.control, ds2.control)
-    for name in ds.pert_names():
-        assert np.array_equal(ds.block(name), ds2.block(name))
-    save_expression(ds2, tmp_path / "expr2.csv")
-    assert (tmp_path / "expr.csv").read_bytes() == (tmp_path / "expr2.csv").read_bytes()
+    tracemalloc.start()
+    try:
+        loaded = load_expression(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = loaded.control.nbytes + sum(b.nbytes for b in loaded.perturbations.values())
+    assert nbytes == 2020 * 200 * 8
+    assert peak <= 3 * nbytes, f"peak {peak} B for {nbytes} B of arrays"
 
 
 def test_dataset_rejects_negative_values():
