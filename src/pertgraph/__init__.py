@@ -9,10 +9,8 @@ from .data import (
     compute_degs,
     effect_size_strata,
     load_expression,
-    pseudobulk,
     split_by_perturbation,
     synth_generate,
-    welch_t_test,
 )
 from .graph import GeneVocab, KnowledgeGraph, deg_coverage, degree_stats, hop_distances, load_edge_list, topk_filter
 from .loss import LossWeights, align_loss, estimate_huber_delta, non_deg_loss, recon_loss, total_loss
@@ -53,7 +51,6 @@ __all__ = [
     "non_deg_loss",
     "pds",
     "pearson_delta",
-    "pseudobulk",
     "recon_loss",
     "save_checkpoint",
     "split_by_perturbation",
@@ -61,5 +58,4 @@ __all__ = [
     "topk_filter",
     "total_loss",
     "train",
-    "welch_t_test",
 ]

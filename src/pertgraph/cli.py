@@ -166,9 +166,12 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     if split_path is not None:
         try:
             with open(split_path, "r", encoding="utf-8") as fh:
-                return list(json.load(fh)["test"])
+                test = json.load(fh)["test"]
         except (KeyError, TypeError, ValueError) as exc:  # not UTF-8, not JSON, or no "test" list
             raise DataError(f"splits file {split_path} is malformed: {exc!r}") from None
+        if not isinstance(test, list) or not all(isinstance(p, str) and p in dataset.perturbations for p in test):
+            raise DataError(f"splits file {split_path}: 'test' must list perturbations of the expression file")
+        return test
     splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split"))
     return list(splits.test)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,12 +166,6 @@ def save_expression(dataset: PerturbationDataset, path) -> None:
                 writer.writerow([f"{name}_{i:04d}", name] + [repr(float(x)) for x in row])
 
 
-def pseudobulk(dataset: PerturbationDataset) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Columnwise mean profiles: (control mean, {perturbation: mean})."""
-    xbar_c = dataset.control.mean(axis=0)
-    return xbar_c, {name: dataset.block(name).mean(axis=0) for name in dataset.pert_names()}
-
-
 # --- differential expression ---------------------------------------------------
 
 
@@ -201,13 +194,6 @@ def welch_pvalues(control_block: np.ndarray, pert_block: np.ndarray) -> np.ndarr
     return np.where(degenerate, np.where(a.max(axis=0) == b.max(axis=0), 1.0, 0.0), p)
 
 
-def welch_t_test(control_samples, perturbed_samples) -> float:
-    """Scalar Welch p-value for one gene."""
-    a = np.asarray(control_samples, dtype=np.float64).reshape(-1, 1)
-    b = np.asarray(perturbed_samples, dtype=np.float64).reshape(-1, 1)
-    return float(welch_pvalues(a, b)[0])
-
-
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     """Benjamini-Hochberg adjusted p-values (monotone step-up)."""
     p = np.asarray(pvalues, dtype=np.float64)
@@ -231,8 +217,6 @@ class DegTable:
     masks: dict[str, np.ndarray] = field(default_factory=dict)    # bool per gene
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
 
-    TEST_NAME = "welch"
-
     def pert_names(self) -> list[str]:
         return sorted(self.pvalues)
 
@@ -247,41 +231,6 @@ class DegTable:
 
     def deg_fraction(self, pert: str) -> float:
         return float(self.masks[pert].sum()) / len(self.genes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "correction": self.correction,
-            "test": self.TEST_NAME,
-            "genes": self.genes,
-            "perturbations": {
-                name: {
-                    "pvalues": self.pvalues[name].tolist(),
-                    "deg_mask": [int(x) for x in self.masks[name]],
-                    "delta": self.deltas[name].tolist(),
-                }
-                for name in self.pert_names()
-            },
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DegTable":
-        table = cls(alpha=float(d["alpha"]), correction=d.get("correction", "none"), genes=list(d["genes"]))
-        for name, entry in d["perturbations"].items():
-            table.pvalues[name] = np.asarray(entry["pvalues"], dtype=np.float64)
-            table.masks[name] = np.asarray(entry["deg_mask"], dtype=bool)
-            table.deltas[name] = np.asarray(entry["delta"], dtype=np.float64)
-        return table
-
-    @classmethod
-    def load(cls, path) -> "DegTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def compute_degs(

@@ -31,7 +31,7 @@ import scipy.sparse
 from .data import SemanticEmbeddings
 from .errors import DataError, NumericalError, ShapeError, UsageError
 from .graph import KnowledgeGraph
-from .numerics import Tape
+from .numerics import Tape, _softmax_rows
 
 ALPHA_FLOOR = 1e-12
 
@@ -55,11 +55,15 @@ class ModelConfig:
         return 1.0 / n_nodes if self.threshold is None else self.threshold
 
     def validate(self) -> None:
-        """tau > 0, and an explicit threshold lies in (0, 1); None resolves to 1/n."""
+        """tau > 0, threshold in (0, 1) or None (1/n), a known selection mode, top_m >= 1."""
         if not self.tau > 0:
             raise UsageError("tau must be positive")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
             raise UsageError("threshold must lie in (0, 1)")
+        if self.selection_mode not in ("threshold", "top_m"):
+            raise UsageError(f"selection_mode must be 'threshold' or 'top_m', got {self.selection_mode!r}")
+        if not self.select_top_m >= 1:
+            raise UsageError(f"select_top_m must be at least 1, got {self.select_top_m!r}")
 
 
 @dataclass
@@ -140,37 +144,47 @@ def init_params(
 
 @dataclass
 class SubgraphSelection:
-    """Normalized scores, Gumbel-perturbed scores, and the hard node choice."""
+    """One row of a forward's selection blocks: normalized scores, Gumbel-perturbed
+    scores, and the hard node mask (views, not copies)."""
 
     alpha: np.ndarray          # (n,) softmax-normalized relevance
     alpha_tilde: np.ndarray    # (n,) Gumbel-softmax weights
-    selected: np.ndarray       # sorted node indices
+    mask: np.ndarray           # (n,) bool, the hard node choice
     gumbel_seed: int | None    # None means eval mode (zero noise)
     forced: int | None = None
 
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.alpha.shape[0])
-        m[self.selected] = 1.0
-        return m
+    @property
+    def selected(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
+
+
+def _gumbel_noise(seeds: list[int | None], n: int) -> np.ndarray:
+    """One row of Gumbel noise per seed; a None seed is eval mode (zero noise)."""
+    return np.array([np.zeros(n) if seed is None else np.random.default_rng(seed).gumbel(size=n) for seed in seeds])
 
 
 def _select_indices(
     alpha_tilde: np.ndarray,
-    threshold: float,
-    forced: int | None,
+    forced: list[int] | None,
     mode: str,
+    threshold: float,
     top_m: int,
 ) -> np.ndarray:
+    """(B, n) boolean mask of the chosen nodes of each row; forced[i] is always in row i.
+
+    top_m keeps the m largest weights, the lower node index first on ties.
+    """
     if mode == "threshold":
-        chosen = set(np.flatnonzero(alpha_tilde > threshold).tolist())
+        mask = alpha_tilde > threshold
     elif mode == "top_m":
-        order = np.lexsort((np.arange(alpha_tilde.size), -alpha_tilde))
-        chosen = set(order[:top_m].tolist())
+        mask = np.zeros(alpha_tilde.shape, dtype=bool)
+        order = np.argsort(-alpha_tilde, axis=1, kind="stable")[:, :top_m]
+        np.put_along_axis(mask, order, True, axis=1)
     else:
         raise UsageError(f"unknown selection mode {mode!r}")
     if forced is not None:
-        chosen.add(int(forced))
-    return np.array(sorted(chosen), dtype=np.int64)
+        mask[np.arange(len(forced)), forced] = True
+    return mask
 
 
 def gumbel_select(
@@ -188,22 +202,13 @@ def gumbel_select(
     outcome is deterministic. alpha is floored at 1e-12 before the log.
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    ModelConfig(tau=tau, threshold=threshold).validate()
+    ModelConfig(tau=tau, threshold=threshold, selection_mode=mode, select_top_m=top_m).validate()
     if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-6:
         raise UsageError("alpha must be a probability vector")
-    noise = np.zeros_like(alpha) if seed is None else np.random.default_rng(seed).gumbel(size=alpha.size)
-    logits = (np.log(np.maximum(alpha, ALPHA_FLOOR)) + noise) / tau
-    z = logits - logits.max()
-    e = np.exp(z)
-    alpha_tilde = e / e.sum()
-    selected = _select_indices(alpha_tilde, threshold, forced, mode, top_m)
-    return SubgraphSelection(
-        alpha=alpha,
-        alpha_tilde=alpha_tilde,
-        selected=selected,
-        gumbel_seed=seed,
-        forced=forced,
-    )
+    logits = (np.log(np.maximum(alpha, ALPHA_FLOOR)) + _gumbel_noise([seed], alpha.size)) / tau
+    alpha_tilde = _softmax_rows(logits)
+    mask = _select_indices(alpha_tilde, None if forced is None else [forced], mode, threshold, top_m)
+    return SubgraphSelection(alpha=alpha, alpha_tilde=alpha_tilde[0], mask=mask[0], gumbel_seed=seed, forced=forced)
 
 
 def aggregation_matrix(graph: KnowledgeGraph, weighted: bool = False) -> scipy.sparse.csr_array:
@@ -277,17 +282,17 @@ def build_context(
     pids: dict[str, int],
     h_id: int,
     alpha_tilde_id: int,
-    selections: list[SubgraphSelection],
+    mask: np.ndarray,
+    base: np.ndarray,
 ) -> int:
     """Straight-through sums of the selected node embeddings, projected to the latent width.
 
-    Row i of the coefficients evaluates to selection i's hard mask (its
-    constant part is mask - alpha_tilde at the captured base point), so the
+    The coefficients evaluate to the (B, n) hard `mask` (their constant part
+    is mask - base, where `base` is alpha_tilde at the captured point), so the
     forward value is the plain sum over selected nodes while the backward
     pass routes gradients through the soft weights.
     """
-    offset = np.stack([sel.mask() - sel.alpha_tilde for sel in selections])
-    coeff = tape.apply("add", tape.constant(offset), alpha_tilde_id)
+    coeff = tape.apply("add", tape.constant(mask - base), alpha_tilde_id)
     z_pre = tape.apply("matmul", coeff, h_id)
     return tape.apply("matmul", z_pre, pids["ctx.proj"])
 
@@ -376,26 +381,20 @@ def build_forward(
     frozen = frozen_selections or [None] * len(perts)
     seeds = gumbel_seeds if gumbel_seeds is not None and mode == "train" else [None] * len(perts)
     noise_seeds = [seed if sel is None else sel.gumbel_seed for seed, sel in zip(seeds, frozen)]
-    noise = np.stack([
-        np.zeros(params.n_nodes) if seed is None else np.random.default_rng(seed).gumbel(size=params.n_nodes)
-        for seed in noise_seeds
-    ])
-    at_id = build_alpha_tilde(tape, scores, noise, cfg.tau)
-    alpha, alpha_tilde = tape.value(alpha_id), tape.value(at_id)
-    if not np.all(np.isfinite(alpha_tilde)):
+    at_id = build_alpha_tilde(tape, scores, _gumbel_noise(noise_seeds, params.n_nodes), cfg.tau)
+    alpha, base = tape.value(alpha_id), tape.value(at_id)
+    if not np.all(np.isfinite(base)):
         raise NumericalError("non-finite node selection scores (model diverged)")
-    threshold = cfg.resolve_threshold(params.n_nodes)
+    mask = _select_indices(base, forced, cfg.selection_mode, cfg.resolve_threshold(params.n_nodes), cfg.select_top_m)
+    held = [i for i, sel in enumerate(frozen) if sel is not None]
+    if held:  # a frozen row replays its captured mask and straight-through base
+        base = base.copy()
+        mask[held] = [frozen[i].mask for i in held]
+        base[held] = [frozen[i].alpha_tilde for i in held]
     selections = [
-        sel if sel is not None else SubgraphSelection(
-            alpha=alpha[i].copy(),
-            alpha_tilde=alpha_tilde[i].copy(),
-            selected=_select_indices(alpha_tilde[i], threshold, forced[i], cfg.selection_mode, cfg.select_top_m),
-            gumbel_seed=noise_seeds[i],
-            forced=forced[i],
-        )
-        for i, sel in enumerate(frozen)
+        SubgraphSelection(alpha[i], base[i], mask[i], noise_seeds[i], forced[i]) for i in range(len(perts))
     ]
-    z_ctx = build_context(tape, pids, h_id, at_id, selections)
+    z_ctx = build_context(tape, pids, h_id, at_id, mask, base)
     x_hat = build_decoder(tape, pids, z_c, z_ctx)
     return ForwardBuild(x_hat=x_hat, z_context=z_ctx, selections=selections)
 
@@ -465,7 +464,7 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
     except ValueError as exc:
         raise DataError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "pertgraph-checkpoint-v1":
-        raise UsageError("not a model checkpoint manifest")
+        raise DataError(f"checkpoint manifest {json_path} is not a pertgraph-checkpoint-v1 manifest")
     try:
         config = ModelConfig(**manifest["config"])
         config.validate()  # a UsageError is a ValueError: bad hyperparameters are data errors here

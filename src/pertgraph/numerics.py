@@ -218,14 +218,6 @@ def _bw_relu(g, vals, out, aux, attrs):
     return [g * (vals[0] > 0.0)]
 
 
-def _fw_square(vals, attrs):
-    return vals[0] * vals[0], None
-
-
-def _bw_square(g, vals, out, aux, attrs):
-    return [2.0 * g * vals[0]]
-
-
 _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "matmul": (2, _fw_matmul, _bw_matmul),
     "add": (2, _fw_add, lambda g, *a: [g.copy(), g.copy()]),
@@ -238,7 +230,6 @@ _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "relu": (1, _fw_relu, _bw_relu),
     "row-softmax": (1, _fw_row_softmax, _bw_row_softmax),
     "mean-all": (1, _fw_mean_all, _bw_mean_all),
-    "elementwise-square": (1, _fw_square, _bw_square),
     "huber": (1, _fw_huber, _bw_huber),
     "cosine-distance": (2, _fw_cosine_distance, _bw_cosine_distance),
     "mse": (2, _fw_mse, _bw_mse),

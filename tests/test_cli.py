@@ -177,7 +177,13 @@ def test_malformed_config_exits_1(tmp_path, capsys, text):
     assert_one_line(capsys.readouterr().err, "error: malformed config file")
 
 
-@pytest.mark.parametrize("setting", ["tau = 0", "tau = -1", "threshold = 1.5", "threshold = 0"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "tau = 0", "tau = -1", "threshold = 1.5", "threshold = 0",
+        "selection_mode = topm", "select_top_m = 0", "select_top_m = -3",
+    ],
+)
 def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
     cfg, _, _ = synth_run
     cfg.write_text(cfg.read_text().replace("d_score = 8\n", f"d_score = 8\n{setting}\n"))
@@ -299,6 +305,8 @@ CHECKPOINT_DEFECTS = {
     "node-count-mismatch": lambda c: _rewrite_manifest(c, n_nodes=41),
     "config-tau-zero": lambda c: _rewrite_model_config(c, tau=0.0),
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
+    "config-top-m-zero": lambda c: _rewrite_model_config(c, select_top_m=0),
+    "not-a-checkpoint": lambda c: c.write_text('{"epochs": [], "best_epoch": 0}\n'),
     "non-finite-blob": lambda c: c.with_suffix(".bin").write_bytes(
         np.full(c.with_suffix(".bin").stat().st_size // 8, np.nan).tobytes()
     ),
@@ -318,7 +326,9 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
 
 
 @pytest.mark.parametrize(
-    "content", [b"{", b'{"train": []}', b"\xff"], ids=["not-json", "no-test-list", "not-utf8"]
+    "content",
+    [b"{", b'{"train": []}', b"\xff", b'{"test": "G0003"}', b'{"test": ["NOPE"]}'],
+    ids=["not-json", "no-test-list", "not-utf8", "test-is-a-string", "unknown-perturbation"],
 )
 def test_bad_splits_file_is_a_one_line_data_error(synth_run, capsys, content):
     cfg, _, tmp = synth_run

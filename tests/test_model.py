@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from pertgraph import model
 from pertgraph.errors import ShapeError, UsageError
 from pertgraph.graph import GeneVocab, KnowledgeGraph
 from pertgraph.model import (
     ModelConfig,
     SubgraphSelection,
+    _select_indices,
     aggregation_matrix,
     build_alpha,
     build_context,
     build_decoder,
     build_encoder,
+    build_forward,
     build_gnn,
     build_scores,
     build_semantic_projection,
@@ -18,8 +21,10 @@ from pertgraph.model import (
     gumbel_select,
     init_params,
     load_checkpoint,
+    register_params,
     save_checkpoint,
 )
+from pertgraph.numerics import Tape
 
 from conftest import build_toy_problem, run_builder
 
@@ -196,23 +201,58 @@ def test_gumbel_validates_inputs():
         gumbel_select(np.array([0.5, 0.5]), tau=1.0, threshold=1.5)
     with pytest.raises(UsageError):
         gumbel_select(np.array([0.9, 0.4]), tau=1.0, threshold=0.5)
+    with pytest.raises(UsageError, match="selection_mode"):
+        gumbel_select(np.array([0.5, 0.5]), tau=1.0, threshold=0.5, mode="topm")
+    for top_m in (0, -3):
+        with pytest.raises(UsageError, match="select_top_m"):
+            gumbel_select(np.array([0.5, 0.5]), tau=1.0, threshold=0.5, mode="top_m", top_m=top_m)
+
+
+def brute_select(row, forced, mode, threshold, top_m):
+    """Per-row reference: compare with the threshold, or sort by (-weight, index) and take m."""
+    if mode == "threshold":
+        chosen = {v for v in range(row.size) if row[v] > threshold}
+    else:
+        chosen = set(sorted(range(row.size), key=lambda v: (-row[v], v))[:top_m])
+    if forced is not None:
+        chosen.add(forced)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("mode", ["threshold", "top_m"])
+def test_select_indices_matches_per_row_brute_force(mode):
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        b, n = int(rng.integers(1, 6)), int(rng.integers(1, 41))
+        top_m = int(rng.integers(1, n + 3))
+        # coarse values tie often; fine values tie only where a tie is planted
+        block = rng.integers(0, 4, size=(b, n)) / 8.0 if trial % 2 else rng.uniform(size=(b, n))
+        threshold = float(rng.choice(block.ravel())) if trial % 3 else 0.3
+        for row in block:
+            order = sorted(range(n), key=lambda v: (-row[v], v))
+            if top_m < n:  # the first node past the cut ties with the m-th
+                row[order[top_m]] = row[order[top_m - 1]]
+        forced = None if trial % 5 == 0 else [int(v) for v in rng.integers(0, n, size=b)]
+        mask = _select_indices(block, forced, mode, threshold, top_m)
+        assert mask.shape == (b, n) and mask.dtype == bool
+        for i, row in enumerate(block):
+            expected = brute_select(row, None if forced is None else forced[i], mode, threshold, top_m)
+            assert np.flatnonzero(mask[i]).tolist() == expected
 
 
 # --- context aggregation -----------------------------------------------------------
 
 
-def make_selection(n, selected, alpha_tilde=None):
-    at = np.full(n, 1.0 / n) if alpha_tilde is None else alpha_tilde
-    return SubgraphSelection(
-        alpha=np.full(n, 1.0 / n),
-        alpha_tilde=at,
-        selected=np.asarray(selected, dtype=np.int64),
-        gumbel_seed=None,
+def make_selection(n, selected):
+    mask = np.zeros(n, dtype=bool)
+    mask[selected] = True
+    return SubgraphSelection(alpha=np.full(n, 1.0 / n), alpha_tilde=np.full(n, 1.0 / n), mask=mask, gumbel_seed=None)
+
+
+def context_builder(h, sel):
+    return lambda t, pids: build_context(
+        t, pids, t.constant(h), t.constant(sel.alpha_tilde), sel.mask[None], sel.alpha_tilde[None]
     )
-
-
-def context_builder(h, selection):
-    return lambda t, pids: build_context(t, pids, t.constant(h), t.constant(selection.alpha_tilde), [selection])
 
 
 def test_context_single_node_identity_projection():
@@ -392,6 +432,51 @@ def test_model_selection_paths_agree(toy_problem):
     )
     assert np.allclose(replay.alpha_tilde, sel.alpha_tilde, atol=1e-12)
     assert np.array_equal(replay.selected, sel.selected)
+
+
+def batched_forward(t, perts, seeds, mode="train"):
+    tape = Tape()
+    built = build_forward(
+        tape, register_params(tape, t.params), t.params, t.xbar_c, perts, t.graph, t.embeddings,
+        mode=mode, gumbel_seeds=seeds,
+    )
+    return tape, built
+
+
+@pytest.mark.parametrize("options", [{}, {"selection_mode": "top_m", "select_top_m": 3}], ids=["threshold", "top_m"])
+def test_batched_forward_selections_match_single_forwards(options):
+    t = build_toy_problem(**options)
+    perts = t.vocab.names + ["G1"]
+    seeds = [100 + i for i in range(len(perts))]
+    _, built = batched_forward(t, perts, seeds)
+    for pert, seed, sel in zip(perts, seeds, built.selections):
+        single = forward(t.xbar_c, pert, t.graph, t.embeddings, t.params, mode="train", gumbel_seed=seed).selection
+        assert np.array_equal(sel.selected, single.selected)
+        assert np.allclose(sel.alpha_tilde, single.alpha_tilde, atol=1e-12)
+        assert sel.forced == single.forced == t.vocab.index(pert)
+
+
+def test_selections_are_row_views_of_the_forward_blocks(toy_problem):
+    t = toy_problem
+    tape, built = batched_forward(t, t.perts, [1, 2])
+    for name in ("alpha", "alpha_tilde", "mask"):
+        block = getattr(built.selections[0], name).base
+        assert block.shape == (len(t.perts), 10)
+        for i, sel in enumerate(built.selections):
+            assert np.shares_memory(getattr(sel, name), block)
+            assert np.array_equal(getattr(sel, name), block[i])
+    # alpha and alpha_tilde are the tape's own values, not copies
+    for name in ("alpha", "alpha_tilde"):
+        assert any(np.shares_memory(node.value, getattr(built.selections[0], name)) for node in tape.nodes)
+
+
+def test_selection_runs_once_per_forward_and_per_gumbel_select(toy_problem, monkeypatch):
+    calls = []
+    real = model._select_indices
+    monkeypatch.setattr(model, "_select_indices", lambda block, *rest: calls.append(block.shape) or real(block, *rest))
+    batched_forward(toy_problem, toy_problem.perts, [1, 2])
+    gumbel_select(np.array([0.5, 0.3, 0.2]), tau=1.0, threshold=0.25, seed=4)
+    assert calls == [(2, 10), (1, 3)]
 
 
 # --- checkpoints ------------------------------------------------------------------------

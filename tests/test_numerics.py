@@ -126,8 +126,8 @@ def test_backward_deterministic_bit_identical():
 
 
 def _scalarize(tape, nid):
-    """Reduce any node to a scalar through a square + mean so FD probes see curvature."""
-    return tape.apply("mean-all", tape.apply("elementwise-square", nid))
+    """Reduce any node to a scalar through a mean square (mse against zeros) so FD probes see curvature."""
+    return tape.apply("mse", nid, tape.constant(np.zeros(tape.value(nid).shape)))
 
 
 def make_op_fn(kind, shapes, attrs, seed):
@@ -158,7 +158,6 @@ OP_CASES = {
     "relu": ([(3, 4)], {}),
     "row-softmax": ([(3, 4)], {}),
     "mean-all": ([(3, 4)], {}),
-    "elementwise-square": ([(3, 4)], {}),
     "huber": ([(3, 4)], {"delta": 0.5}),
     "cosine-distance": ([(1, 5), (1, 5)], {}),
     "mse": ([(2, 5), (2, 5)], {}),
