@@ -2,7 +2,9 @@
 deg-coverage subcommands, driven by an INI config with flag overrides
 (flags > file > defaults). All randomness derives from the single --seed.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
+failure, 4 internal error (any other exception; one stderr line naming its
+type, no traceback).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .metrics import evaluate_predictions, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
 from .training import derive_seed, predict_profiles, train
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,6 +327,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # a defect, not bad input: keep it apart from the codes above
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -246,6 +246,8 @@ def compute_degs(
     """
     if correction not in ("none", "benjamini-hochberg"):
         raise UsageError(f"unknown correction {correction!r}")
+    if not 0 < alpha <= 1:
+        raise UsageError(f"alpha must lie in (0, 1], got {alpha!r}")
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
     xbar_c = dataset.control.mean(axis=0)

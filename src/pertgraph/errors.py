@@ -2,7 +2,8 @@
 input files that reports undecodable bytes as one of them.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
-data problems exit 2, numerical failures exit 3.
+data problems exit 2, numerical failures exit 3. Any other exception is a
+defect and exits 4 as an internal error.
 """
 
 from __future__ import annotations

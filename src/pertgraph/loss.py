@@ -28,12 +28,14 @@ class LossWeights:
     huber_scale: float = 1.0  # delta = scale * std of pooled non-DEG deltas
 
     def validate(self) -> None:
-        if self.lambda_non < 0 or self.lambda_align < 0:
-            raise UsageError("loss weights must be nonnegative")
+        # written so that NaN fails every check
+        for name in ("lambda_non", "lambda_align"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise UsageError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if self.huber_delta is not None and not (0 < self.huber_delta < np.inf):
             raise UsageError("huber_delta must be positive and finite")
-        if self.huber_scale <= 0:
-            raise UsageError("huber_scale must be positive")
+        if not 0 < self.huber_scale < np.inf:
+            raise UsageError(f"huber_scale must be positive and finite, got {self.huber_scale!r}")
 
 
 def recon_loss(x_hat: np.ndarray, xbar_p: np.ndarray) -> float:
@@ -80,10 +82,8 @@ def non_deg_loss(x_hat: np.ndarray, xbar_c: np.ndarray, non_deg_mask: np.ndarray
 
 
 def masked_response(delta: np.ndarray, deg_mask: np.ndarray) -> np.ndarray:
-    """Signed effect sizes on DEGs, zero elsewhere."""
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
-    mask = np.asarray(deg_mask, dtype=bool).reshape(-1)
-    return np.where(mask, delta, 0.0)
+    """Signed effect sizes on DEGs, zero elsewhere (same shape as delta)."""
+    return np.where(np.asarray(deg_mask, dtype=bool), np.asarray(delta, dtype=np.float64), 0.0)
 
 
 def align_loss(
@@ -95,7 +95,7 @@ def align_loss(
     """Squared distance between the unit context vector and the unit projected
     response target; 0 when either vector is (numerically) zero."""
     z = np.asarray(z_context, dtype=np.float64).reshape(-1)
-    y = masked_response(delta, deg_mask)
+    y = masked_response(delta, deg_mask).reshape(-1)
     if head.shape[0] != y.size or head.shape[1] != z.size:
         raise ShapeError(f"alignment head {head.shape} does not map {y.size} -> {z.size}")
     t = y @ head
@@ -112,27 +112,30 @@ def total_loss(recon: float, non: float, align: float, weights: LossWeights) -> 
 
 
 # --- tape builders -----------------------------------------------------------------
+# Each builder takes the whole batch, one row per perturbation, and returns the
+# mean of the per-perturbation term over the rows.
 
 
 def build_recon_loss(tape: Tape, x_hat_id: int, xbar_p: np.ndarray) -> int:
-    return tape.apply("mse", x_hat_id, tape.constant(np.asarray(xbar_p).reshape(1, -1)))
+    return tape.apply("mse", x_hat_id, tape.constant(xbar_p))
 
 
 def build_non_deg_loss(
     tape: Tape,
     x_hat_id: int,
     xbar_c: np.ndarray,
-    non_deg_mask: np.ndarray,
+    non_deg_masks: np.ndarray,
     delta: float,
 ) -> int:
-    mask = np.asarray(non_deg_mask, dtype=bool).reshape(-1)
-    if not mask.any():
-        return tape.constant(np.zeros((1, 1)))
-    diff = tape.apply("add", x_hat_id, tape.constant(-np.asarray(xbar_c).reshape(1, -1)))
-    rho = tape.apply("huber", diff, delta=delta)
-    # column of 1/|non-DEG| on the non-DEG genes turns the matmul into their mean
-    weights_col = (mask / mask.sum()).reshape(-1, 1)
-    return tape.apply("matmul", rho, tape.constant(weights_col))
+    shape = tape.value(x_hat_id).shape
+    masks = np.asarray(non_deg_masks, dtype=bool).reshape(shape)
+    diff = tape.apply("add", x_hat_id, tape.constant(np.broadcast_to(-np.asarray(xbar_c), shape)))
+    rho = tape.apply("reshape", tape.apply("huber", diff, delta=delta), shape=(1, masks.size))
+    # row i weighs its non-DEG genes by 1/|non-DEG_i|/B, so the matmul is the
+    # mean over rows of each row's mean; a row without non-DEG genes adds 0
+    counts = masks.sum(axis=1, keepdims=True)
+    weights = np.divide(masks, counts * len(masks), out=np.zeros(masks.shape), where=counts > 0)
+    return tape.apply("matmul", rho, tape.constant(weights.reshape(-1, 1)))
 
 
 def build_align_loss(
@@ -142,8 +145,7 @@ def build_align_loss(
     deg_mask: np.ndarray,
     head_id: int,
 ) -> int:
-    y = masked_response(delta, deg_mask).reshape(1, -1)
-    target = tape.apply("matmul", tape.constant(y), head_id)
+    target = tape.apply("matmul", tape.constant(masked_response(delta, deg_mask)), head_id)
     return tape.apply("cosine-distance", z_context_id, target)
 
 

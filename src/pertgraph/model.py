@@ -55,7 +55,13 @@ class ModelConfig:
         return 1.0 / n_nodes if self.threshold is None else self.threshold
 
     def validate(self) -> None:
-        """tau > 0, threshold in (0, 1) or None (1/n), a known selection mode, top_m >= 1."""
+        """Widths >= 1, layers >= 0, tau > 0, threshold in (0, 1) or None (1/n),
+        a known selection mode, top_m >= 1."""
+        for name in ("d_struct", "d_latent", "d_score"):
+            if not getattr(self, name) >= 1:
+                raise UsageError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not self.n_layers >= 0:
+            raise UsageError(f"n_layers must be at least 0, got {self.n_layers!r}")
         if not self.tau > 0:
             raise UsageError("tau must be positive")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
@@ -346,6 +352,7 @@ def build_forward(
     mode: str = "eval",
     gumbel_seeds: list[int | None] | None = None,
     frozen_selections: list[SubgraphSelection | None] | None = None,
+    agg=None,
 ) -> ForwardBuild:
     """Compose the full forward pass for a batch of perturbations on `tape`, one row each.
 
@@ -353,6 +360,7 @@ def build_forward(
     mode uses zero noise. A non-None `frozen_selections[i]` reuses a
     previously captured selection (noise, hard mask, and straight-through
     base), which keeps the surrogate fixed across gradient-check probes.
+    `agg` is the graph's `aggregation_matrix`, built here when None.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"unknown mode {mode!r}")
@@ -373,7 +381,9 @@ def build_forward(
         raise UsageError("graph and embeddings are required unless no_context is set")
     cfg = params.config
     forced = [graph.vocab.index(p) for p in perts]
-    h_id = build_gnn(tape, pids, params, aggregation_matrix(graph, cfg.weighted_aggregation))
+    if agg is None:
+        agg = aggregation_matrix(graph, cfg.weighted_aggregation)
+    h_id = build_gnn(tape, pids, params, agg)
     s_tilde = build_semantic_projection(tape, pids, np.stack([embeddings.vector(p) for p in perts]))
     scores = build_scores(tape, pids, h_id, s_tilde)
     alpha_id = build_alpha(tape, scores)

@@ -3,8 +3,9 @@
 Values are 2-D numpy arrays (vectors are 1xN or Nx1). The tape is rebuilt
 per training step (define-by-run); backward accumulates gradients in
 reverse topological order, so two backward passes over the same tape are
-bit-identical. Gradient buffers exist only after backward, so a tape that
-is only evaluated allocates none. Everything is float64: the
+bit-identical. Backward computes no gradient for a constant operand and
+keeps only the parameters' gradients, so a tape that is only evaluated
+allocates no gradient buffer at all. Everything is float64: the
 finite-difference verification tolerances leave no headroom for float32.
 """
 
@@ -32,11 +33,6 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def _require_vector(a: np.ndarray, op: str) -> None:
-    if a.shape[0] != 1 and a.shape[1] != 1:
-        raise ShapeError(f"{op} expects a vector, got shape {a.shape}")
-
-
 def huber_value(r: np.ndarray, delta: float) -> np.ndarray:
     """Elementwise robust penalty: quadratic r^2/2 inside |r| <= delta, linear outside."""
     r = np.asarray(r, dtype=np.float64)
@@ -57,8 +53,9 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 # --- op registry -----------------------------------------------------------
-# forward(values, attrs) -> (result, aux); backward(g, values, result, aux, attrs)
-# -> list of gradients aligned with the parents.
+# forward(values, attrs) -> (result, aux); backward(g, values, result, aux, attrs,
+# needs) -> list of gradients aligned with the parents. needs[i] is False for a
+# constant parent, whose entry may then be None.
 
 
 def _fw_matmul(vals, attrs):
@@ -68,9 +65,9 @@ def _fw_matmul(vals, attrs):
     return a @ b, None
 
 
-def _bw_matmul(g, vals, out, aux, attrs):
+def _bw_matmul(g, vals, out, aux, attrs, needs):
     a, b = vals
-    return [g @ b.T, a.T @ g]
+    return [g @ b.T if needs[0] else None, a.T @ g if needs[1] else None]
 
 
 def _fw_add(vals, attrs):
@@ -91,9 +88,8 @@ def _fw_concat_cols(vals, attrs):
     return np.concatenate([a, b], axis=1), a.shape[1]
 
 
-def _bw_concat_cols(g, vals, out, aux, attrs):
-    split = aux
-    return [g[:, :split].copy(), g[:, split:].copy()]
+def _bw_concat_cols(g, vals, out, aux, attrs, needs):
+    return [g[:, :aux], g[:, aux:]]
 
 
 def _fw_spmm(vals, attrs):
@@ -103,7 +99,7 @@ def _fw_spmm(vals, attrs):
     return np.asarray(op @ x), None
 
 
-def _bw_spmm(g, vals, out, aux, attrs):
+def _bw_spmm(g, vals, out, aux, attrs, needs):
     return [np.asarray(attrs["op"].T @ g)]
 
 
@@ -114,7 +110,7 @@ def _fw_slice_rows(vals, attrs):
     return a[start:stop], None
 
 
-def _bw_slice_rows(g, vals, out, aux, attrs):
+def _bw_slice_rows(g, vals, out, aux, attrs, needs):
     full = np.zeros_like(vals[0])
     full[attrs["start"] : attrs["stop"]] = g
     return [full]
@@ -128,7 +124,7 @@ def _fw_broadcast_add(vals, attrs):
     return (b[:, None, :] + a[None, :, :]).reshape(-1, a.shape[1]), None
 
 
-def _bw_broadcast_add(g, vals, out, aux, attrs):
+def _bw_broadcast_add(g, vals, out, aux, attrs, needs):
     a, b = vals
     g3 = g.reshape(b.shape[0], a.shape[0], a.shape[1])
     return [g3.sum(axis=0), g3.sum(axis=1)]
@@ -146,7 +142,7 @@ def _fw_row_softmax(vals, attrs):
     return s, None
 
 
-def _bw_row_softmax(g, vals, out, aux, attrs):
+def _bw_row_softmax(g, vals, out, aux, attrs, needs):
     s = out
     inner = (g * s).sum(axis=1, keepdims=True)
     return [s * (g - inner)]
@@ -156,7 +152,7 @@ def _fw_mean_all(vals, attrs):
     return np.array([[vals[0].mean()]]), None
 
 
-def _bw_mean_all(g, vals, out, aux, attrs):
+def _bw_mean_all(g, vals, out, aux, attrs, needs):
     a = vals[0]
     return [np.full_like(a, g[0, 0] / a.size)]
 
@@ -165,31 +161,30 @@ def _fw_huber(vals, attrs):
     return huber_value(vals[0], attrs["delta"]), None
 
 
-def _bw_huber(g, vals, out, aux, attrs):
+def _bw_huber(g, vals, out, aux, attrs, needs):
     return [g * huber_grad(vals[0], attrs["delta"])]
 
 
 def _fw_cosine_distance(vals, attrs):
+    # mean over rows of |a_i/|a_i| - b_i/|b_i||^2; a row where either norm is
+    # at most NORM_EPS contributes 0
     a, b = vals
-    _require_vector(a, "cosine-distance")
     if a.shape != b.shape:
         raise ShapeError(f"cosine-distance: {a.shape} vs {b.shape}")
-    na = float(np.sqrt((a * a).sum()))
-    nb = float(np.sqrt((b * b).sum()))
-    if na <= NORM_EPS or nb <= NORM_EPS:
-        return np.zeros((1, 1)), None
+    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    nb = np.sqrt((b * b).sum(axis=1, keepdims=True))
+    ok = (na > NORM_EPS) & (nb > NORM_EPS)
+    na, nb = np.where(ok, na, 1.0), np.where(ok, nb, 1.0)
     ah, bh = a / na, b / nb
     d = ah - bh
-    return np.array([[(d * d).sum()]]), (na, nb, ah, bh)
+    rows = np.where(ok[:, 0], (d * d).sum(axis=1), 0.0)
+    return np.array([[rows.mean()]]), (ok, na, nb, ah, bh)
 
 
-def _bw_cosine_distance(g, vals, out, aux, attrs):
-    a, b = vals
-    if aux is None:
-        return [np.zeros_like(a), np.zeros_like(b)]
-    na, nb, ah, bh = aux
-    gs = g[0, 0]
-    cos = (ah * bh).sum()
+def _bw_cosine_distance(g, vals, out, aux, attrs, needs):
+    ok, na, nb, ah, bh = aux
+    gs = (g[0, 0] / ok.shape[0]) * ok
+    cos = (ah * bh).sum(axis=1, keepdims=True)
     # d/da of 2 - 2*cos through the normalization of a (and symmetrically for b)
     da = gs * (-2.0 / na) * (bh - ah * cos)
     db = gs * (-2.0 / nb) * (ah - bh * cos)
@@ -204,29 +199,29 @@ def _fw_mse(vals, attrs):
     return np.array([[(d * d).mean()]]), d
 
 
-def _bw_mse(g, vals, out, aux, attrs):
+def _bw_mse(g, vals, out, aux, attrs, needs):
     d = aux
     scale = 2.0 * g[0, 0] / d.size
-    return [scale * d, -scale * d]
+    return [scale * d if needs[0] else None, -scale * d if needs[1] else None]
 
 
 def _fw_relu(vals, attrs):
     return np.maximum(vals[0], 0.0), None
 
 
-def _bw_relu(g, vals, out, aux, attrs):
+def _bw_relu(g, vals, out, aux, attrs, needs):
     return [g * (vals[0] > 0.0)]
 
 
 _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "matmul": (2, _fw_matmul, _bw_matmul),
-    "add": (2, _fw_add, lambda g, *a: [g.copy(), g.copy()]),
-    "scale": (1, _fw_scale, lambda g, v, o, x, attrs: [g * attrs["c"]]),
+    "add": (2, _fw_add, lambda g, *_: [g, g]),
+    "scale": (1, _fw_scale, lambda g, v, o, x, attrs, needs: [g * attrs["c"]]),
     "spmm": (1, _fw_spmm, _bw_spmm),
     "concat-cols": (2, _fw_concat_cols, _bw_concat_cols),
     "slice-rows": (1, _fw_slice_rows, _bw_slice_rows),
     "broadcast-add": (2, _fw_broadcast_add, _bw_broadcast_add),
-    "reshape": (1, _fw_reshape, lambda g, vals, o, x, attrs: [g.reshape(vals[0].shape)]),
+    "reshape": (1, _fw_reshape, lambda g, vals, o, x, attrs, needs: [g.reshape(vals[0].shape)]),
     "relu": (1, _fw_relu, _bw_relu),
     "row-softmax": (1, _fw_row_softmax, _bw_row_softmax),
     "mean-all": (1, _fw_mean_all, _bw_mean_all),
@@ -306,10 +301,13 @@ class Tape:
         """Reverse accumulation from a scalar loss node.
 
         Returns gradients keyed by parameter node id; parameters not
-        reachable from the loss keep their zero gradient. Every call
-        allocates fresh buffers, for the parameters and the reachable op
-        nodes only (constants keep the empty placeholder), so gradients
-        returned by an earlier call stay valid.
+        reachable from the loss get a zero gradient. Only parameters and op
+        nodes receive gradients: the first one to reach a node is assigned
+        and later ones are added out of place, so the ops may pass their
+        incoming gradient on uncopied. An op node's gradient is dropped once
+        its parents have theirs, so after the pass only the parameters hold
+        buffers, fresh on every call, and gradients returned by an earlier
+        call stay valid.
         """
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
@@ -317,22 +315,23 @@ class Tape:
         order = self._reachable(loss_id)
         for node in self.nodes:
             node.grad = _NO_GRAD
-        owners = {loss_id, *self.param_ids}
-        owners.update(nid for nid in order if self.nodes[nid].kind != "leaf")
-        for nid in owners:
-            self.nodes[nid].grad = np.zeros_like(self.nodes[nid].value)
-        loss.grad[...] = 1.0
+        params = set(self.param_ids)
+        loss.grad = np.ones((1, 1))
         for nid in order:
             node = self.nodes[nid]
             if node.kind == "leaf":
                 continue
             _, _, bw = _OPS[node.kind]
-            vals = [self.nodes[p].value for p in node.parents]
-            pgrads = bw(node.grad, vals, node.value, node.aux, node.attrs)
-            for pid, pg in zip(node.parents, pgrads):
-                parent = self.nodes[pid]
-                if parent.grad is not _NO_GRAD:
-                    parent.grad += pg
+            parents = [self.nodes[p] for p in node.parents]
+            needs = [p in params or parent.kind != "leaf" for p, parent in zip(node.parents, parents)]
+            pgrads = bw(node.grad, [parent.value for parent in parents], node.value, node.aux, node.attrs, needs)
+            node.grad = _NO_GRAD
+            for parent, need, pg in zip(parents, needs, pgrads):
+                if need:
+                    parent.grad = pg if parent.grad is _NO_GRAD else parent.grad + pg
+        for pid in self.param_ids:
+            if self.nodes[pid].grad is _NO_GRAD:
+                self.nodes[pid].grad = np.zeros_like(self.nodes[pid].value)
         return {pid: self.nodes[pid].grad for pid in self.param_ids}
 
     def grads_by_name(self) -> dict[str, np.ndarray]:
@@ -408,13 +407,19 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+    """One bias-corrected adaptive-moment update, in place.
+
+    The temporaries live in two scratch buffers sized for the largest
+    parameter and shared by all of them.
+    """
     if lr <= 0:
         raise UsageError("learning rate must be positive")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
+    size = max((p.size for p in params.values()), default=0)
+    buf1, buf2 = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -423,11 +428,17 @@ def adam_step(
             g = g + weight_decay * p
         m = state.m[name]
         v = state.v[name]
+        s1 = buf1[: p.size].reshape(p.shape)
+        s2 = buf2[: p.size].reshape(p.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=s1)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(g, g, out=s1)
+        v += np.multiply(1.0 - beta2, s1, out=s1)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+        np.multiply(lr, np.divide(m, c1, out=s1), out=s1)
+        np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2)
+        p -= np.divide(s1, s2, out=s1)
 
 
 def sgd_step(

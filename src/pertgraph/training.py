@@ -32,6 +32,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     SubgraphSelection,
+    aggregation_matrix,
     build_forward,
     init_params,
     register_params,
@@ -71,10 +72,11 @@ class TrainConfig:
             raise UsageError("max_epochs and batch_size must be >= 1")
         if self.patience < 1 or self.patience > self.max_epochs:
             raise UsageError("patience must lie in [1, max_epochs]")
-        if self.learning_rate <= 0:
-            raise UsageError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise UsageError("weight decay must be nonnegative")
+        # written so that NaN fails every check
+        if not 0 < self.learning_rate < np.inf:
+            raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise UsageError(f"weight_decay must be nonnegative and finite, got {self.weight_decay!r}")
         if self.ablation not in ABLATIONS:
             raise UsageError(f"ablation must be one of {ABLATIONS}")
         if self.optimizer not in ("adam", "sgd"):
@@ -116,12 +118,14 @@ def evaluate_batch(
     gumbel_seeds: dict[str, int] | None = None,
     frozen_selections: dict[str, SubgraphSelection] | None = None,
     objective: str = "total",
+    agg=None,
 ) -> tuple[LossParts, dict[str, np.ndarray], dict[str, SubgraphSelection]]:
     """Build one tape over the batch, average the loss terms, and differentiate
     the requested objective ("total", "recon", "non", or "align").
 
     `frozen_selections` replays captured node selections (noise, mask, and the
-    straight-through base), which is what gradient checks rely on.
+    straight-through base), which is what gradient checks rely on. `agg` is
+    passed on to `build_forward`.
     """
     if not perts:
         raise UsageError("batch is empty")
@@ -132,29 +136,16 @@ def evaluate_batch(
         mode=mode,
         gumbel_seeds=[(gumbel_seeds or {}).get(p) for p in perts],
         frozen_selections=[(frozen_selections or {}).get(p) for p in perts],
+        agg=agg,
     )
     selections = dict(zip(perts, built.selections)) if built.selections is not None else {}
-    part_ids: dict[str, list[int]] = {"recon": [], "non": [], "align": [], "total": []}
-    for i, pert in enumerate(perts):
-        x_hat = tape.apply("slice-rows", built.x_hat, start=i, stop=i + 1)
-        z_context = tape.apply("slice-rows", built.z_context, start=i, stop=i + 1)
-        recon = build_recon_loss(tape, x_hat, targets[pert])
-        non = build_non_deg_loss(tape, x_hat, xbar_c, deg_table.non_deg_mask(pert), huber_delta)
-        align = build_align_loss(
-            tape, z_context, deg_table.deltas[pert], deg_table.deg_mask(pert), pids["align.proj"]
-        )
-        part_ids["recon"].append(recon)
-        part_ids["non"].append(non)
-        part_ids["align"].append(align)
-        part_ids["total"].append(build_total_loss(tape, recon, non, align, weights))
-
-    def mean_node(ids: list[int]) -> int:
-        acc = ids[0]
-        for nid in ids[1:]:
-            acc = tape.apply("add", acc, nid)
-        return tape.apply("scale", acc, c=1.0 / len(ids))
-
-    means = {name: mean_node(ids) for name, ids in part_ids.items()}
+    deg_masks = np.stack([deg_table.deg_mask(p) for p in perts])
+    recon = build_recon_loss(tape, built.x_hat, np.stack([targets[p] for p in perts]))
+    non = build_non_deg_loss(tape, built.x_hat, xbar_c, ~deg_masks, huber_delta)
+    align = build_align_loss(
+        tape, built.z_context, np.stack([deg_table.deltas[p] for p in perts]), deg_masks, pids["align.proj"]
+    )
+    means = {"recon": recon, "non": non, "align": align, "total": build_total_loss(tape, recon, non, align, weights)}
     if objective not in means:
         raise UsageError(f"unknown objective {objective!r}")
     tape.backward(means[objective])
@@ -193,20 +184,31 @@ def predict_profiles(
     perts: list[str],
     graph: KnowledgeGraph | None,
     embeddings: SemanticEmbeddings | None,
+    agg=None,
 ) -> dict[str, np.ndarray]:
     """Deterministic eval-mode predictions, one absolute profile per perturbation.
 
     Each chunk of up to PREDICT_CHUNK perturbations is one batched forward on
     its own tape; no backward runs, so the tapes hold no gradient buffers.
+    The aggregation operator is `agg` or, when None, built once per call.
     """
+    if agg is None:
+        agg = _aggregation(params.config, graph)
     out: dict[str, np.ndarray] = {}
     for start in range(0, len(perts), PREDICT_CHUNK):
         chunk = perts[start : start + PREDICT_CHUNK]
         tape = Tape()
         pids = register_params(tape, params)
-        x_hat = tape.value(build_forward(tape, pids, params, xbar_c, chunk, graph, embeddings).x_hat)
+        x_hat = tape.value(build_forward(tape, pids, params, xbar_c, chunk, graph, embeddings, agg=agg).x_hat)
         out.update((p, x_hat[i].copy()) for i, p in enumerate(chunk))
     return out
+
+
+def _aggregation(config: ModelConfig, graph: KnowledgeGraph | None):
+    """The graph's aggregation operator, or None where the forward uses no graph."""
+    if graph is None or config.no_context:
+        return None
+    return aggregation_matrix(graph, config.weighted_aggregation)
 
 
 def _validation_pearson(
@@ -215,8 +217,9 @@ def _validation_pearson(
     val_truth_deltas: dict[str, np.ndarray],
     graph: KnowledgeGraph | None,
     embeddings: SemanticEmbeddings | None,
+    agg=None,
 ) -> float:
-    preds = predict_profiles(params, xbar_c, sorted(val_truth_deltas), graph, embeddings)
+    preds = predict_profiles(params, xbar_c, sorted(val_truth_deltas), graph, embeddings, agg)
     scores = []
     for pert, true_delta in sorted(val_truth_deltas.items()):
         try:
@@ -266,6 +269,7 @@ def train(
         seed=derive_seed(config.seed, "init"), train_perts=train_perts,
     )
     opt_state = AdamState.for_params(params.values)
+    agg = _aggregation(model_cfg, graph)
 
     best_params = params.copy()
     best_monitor = -np.inf
@@ -287,7 +291,7 @@ def train(
                 parts, grads, _ = evaluate_batch(
                     params, batch, xbar_c, targets, graph, embeddings,
                     deg_table, weights, huber_delta,
-                    mode="train", gumbel_seeds=gumbel_seeds,
+                    mode="train", gumbel_seeds=gumbel_seeds, agg=agg,
                 )
             except NumericalError as exc:
                 raise NumericalError(
@@ -311,7 +315,7 @@ def train(
         recon_m, non_m, align_m, total_m = (sums / seen).tolist()
         try:
             val_pd = (
-                _validation_pearson(params, xbar_c, val_truth, graph, embeddings) if val_perts else None
+                _validation_pearson(params, xbar_c, val_truth, graph, embeddings, agg) if val_perts else None
             )
         except NumericalError as exc:
             raise NumericalError(f"divergence during validation after epoch {epoch}: {exc}") from exc

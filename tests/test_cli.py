@@ -194,6 +194,40 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
     assert setting.split()[0] in err
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("model", "d_latent", "-1"), ("model", "d_score", "0"), ("model", "d_struct", "0"),
+        ("model", "layers", "-1"), ("training", "learning_rate", "nan"), ("training", "weight_decay", "nan"),
+        ("loss", "huber_scale", "nan"), ("loss", "lambda_non", "nan"), ("data", "alpha", "2.0"), ("data", "alpha", "0"),
+    ],
+)
+def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
+    # the bad value replaces the key's line, or is added to its section
+    cfg, _, _ = synth_run
+    lines = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "error: ")
+    assert key in err and "malformed" not in err
+
+
+def test_unexpected_exception_exits_4_with_one_line(monkeypatch, tmp_path, capsys):
+    from pertgraph import cli
+
+    def broken(cfg, args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "graph-stats", broken)
+    assert main(["graph-stats", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_non_finite_edge_weight_is_a_one_line_data_error(synth_run, capsys, weight):
     cfg, synth_dir, _ = synth_run

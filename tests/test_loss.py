@@ -6,13 +6,17 @@ from pertgraph.errors import DegenerateError, ShapeError, UsageError
 from pertgraph.loss import (
     LossWeights,
     align_loss,
+    build_align_loss,
+    build_non_deg_loss,
+    build_recon_loss,
+    build_total_loss,
     estimate_huber_delta,
     masked_response,
     non_deg_loss,
     recon_loss,
     total_loss,
 )
-from pertgraph.numerics import grad_check, huber_value
+from pertgraph.numerics import Tape, grad_check, huber_value
 from pertgraph.training import evaluate_batch
 
 from conftest import build_toy_problem
@@ -199,6 +203,64 @@ def test_total_loss_composition_oracle(toy_problem):
         abs=1e-12,
     )
     assert all(v >= 0.0 for v in (parts.recon, parts.non, parts.align, parts.total))
+
+
+def batch_case(b, seed=0, n=7, d=3):
+    """Random blocks for b perturbations; with b >= 3, row 1 is all DEGs (no
+    non-DEG gene) and row 2 has no DEGs (a zero alignment target)."""
+    rng = np.random.default_rng(seed)
+    deg = rng.uniform(size=(b, n)) < 0.4
+    deg[:, 0] = True
+    if b >= 3:
+        deg[1], deg[2] = True, False
+    blocks = {
+        "x_hat": rng.normal(size=(b, n)), "z": rng.normal(size=(b, d)), "head": rng.normal(size=(n, d)),
+        "targets": rng.normal(size=(b, n)), "deltas": rng.normal(size=(b, n)), "xbar_c": rng.normal(size=n),
+    }
+    return blocks, deg
+
+
+def build_batch_terms(blocks, deg, weights, delta):
+    tape = Tape()
+    x_hat, z, head = (tape.param(blocks[k], k) for k in ("x_hat", "z", "head"))
+    recon = build_recon_loss(tape, x_hat, blocks["targets"])
+    non = build_non_deg_loss(tape, x_hat, blocks["xbar_c"], ~deg, delta)
+    align = build_align_loss(tape, z, blocks["deltas"], deg, head)
+    ids = (recon, non, align, build_total_loss(tape, recon, non, align, weights))
+    return tape, ids
+
+
+@pytest.mark.parametrize("b", [1, 4])
+def test_batch_loss_builders_match_mean_of_row_oracles(b):
+    blocks, deg = batch_case(b)
+    weights, delta = LossWeights(lambda_non=0.7, lambda_align=0.3), 0.8
+    tape, ids = build_batch_terms(blocks, deg, weights, delta)
+    rows = [
+        (
+            recon_loss(blocks["x_hat"][i], blocks["targets"][i]),
+            non_deg_loss(blocks["x_hat"][i], blocks["xbar_c"], ~deg[i], delta),
+            align_loss(blocks["z"][i], blocks["deltas"][i], deg[i], blocks["head"]),
+        )
+        for i in range(b)
+    ]
+    if b >= 3:
+        assert rows[1][1] == 0.0 and rows[2][2] == 0.0
+    expected = [*np.mean(rows, axis=0), np.mean([total_loss(*row, weights) for row in rows])]
+    for nid, want in zip(ids, expected):
+        assert tape.value(nid)[0, 0] == pytest.approx(want, abs=1e-12)
+
+
+def test_batch_loss_gradients_with_empty_rows_match_finite_differences():
+    blocks, deg = batch_case(4, seed=1)
+    weights = LossWeights(lambda_non=0.7, lambda_align=0.3)
+
+    def fn(values):
+        tape, ids = build_batch_terms({**blocks, **values}, deg, weights, 0.8)
+        tape.backward(ids[-1])
+        return tape.value(ids[-1])[0, 0], tape.grads_by_name()
+
+    params = {k: blocks[k].copy() for k in ("x_hat", "z", "head")}
+    assert grad_check(fn, params, eps=1e-5) < 1e-4
 
 
 def test_loss_weights_validation():

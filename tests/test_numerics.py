@@ -103,6 +103,21 @@ def test_backward_unreachable_param_is_zero():
     assert grads[x][0, 0] != 0.0
 
 
+def test_backward_keeps_only_parameter_gradients():
+    rng = np.random.default_rng(3)
+    t = Tape()
+    w = t.param(rng.uniform(-1, 1, size=(4, 3)), "w")
+    unused = t.param(rng.uniform(-1, 1, size=(2, 2)), "unused")
+    x = t.constant(rng.uniform(-1, 1, size=(5, 4)))
+    h = t.apply("relu", t.apply("add", t.apply("matmul", x, w), t.constant(np.ones((5, 3)))))
+    loss = t.apply("mse", h, t.constant(np.zeros((5, 3))))
+    grads = t.backward(loss)
+    holders = {nid for nid, node in enumerate(t.nodes) if node.grad.nbytes > 0}
+    assert holders == {w, unused}
+    assert np.array_equal(grads[unused], np.zeros((2, 2)))
+    assert np.any(grads[w] != 0.0)
+
+
 def test_backward_requires_scalar_loss():
     t = Tape()
     x = t.param(np.ones((2, 2)), "x")
@@ -160,20 +175,51 @@ OP_CASES = {
     "mean-all": ([(3, 4)], {}),
     "huber": ([(3, 4)], {"delta": 0.5}),
     "cosine-distance": ([(1, 5), (1, 5)], {}),
+    "cosine-distance/rows": ([(3, 5), (3, 5)], {}),
     "mse": ([(2, 5), (2, 5)], {}),
 }
 
 
 def test_all_op_kinds_have_fd_cases():
-    assert set(OP_CASES) == set(OP_KINDS)
+    # a key is an op kind, or "<kind>/<variant>" for a further case of it
+    assert {case.split("/")[0] for case in OP_CASES} == set(OP_KINDS)
 
 
 @pytest.mark.parametrize("kind", sorted(OP_CASES))
 def test_gradients_match_finite_differences(kind):
     shapes, attrs = OP_CASES[kind]
     for seed in range(20):
-        params, fn = make_op_fn(kind, shapes, attrs, seed)
+        params, fn = make_op_fn(kind.split("/")[0], shapes, attrs, seed)
         assert grad_check(fn, params, eps=1e-5) < 1e-4
+
+
+def test_cosine_distance_rows_average_single_rows():
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1, 1, size=(2, 3, 5))
+    b[1] = 0.0
+    rows = [tape_eval("cosine-distance", a[i : i + 1], b[i : i + 1])[0, 0] for i in range(3)]
+    assert rows[1] == 0.0
+    assert tape_eval("cosine-distance", a, b)[0, 0] == pytest.approx(np.mean(rows), abs=1e-15)
+
+
+def test_cosine_distance_zero_row_gradients():
+    # the target's middle row is zero for every head, as an alignment target is
+    # for a perturbation without DEGs: that row adds nothing, value or gradient
+    y = np.random.default_rng(6).uniform(-1, 1, size=(3, 4))
+    y[1] = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        params = {"a": rng.uniform(-1, 1, size=(3, 5)), "head": rng.uniform(-1, 1, size=(4, 5))}
+
+        def fn(p):
+            t = Tape()
+            a, head = t.param(p["a"], "a"), t.param(p["head"], "head")
+            loss = t.apply("cosine-distance", a, t.apply("matmul", t.constant(y), head))
+            t.backward(loss)
+            return t.value(loss)[0, 0], t.grads_by_name()
+
+        assert grad_check(fn, params, eps=1e-5) < 1e-4
+        assert np.array_equal(fn(params)[1]["a"][1], np.zeros(5))
 
 
 def test_three_layer_mlp_gradients():

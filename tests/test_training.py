@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from pertgraph import training
+from pertgraph import model, training
 from pertgraph.data import (
     PerturbationDataset,
     SynthConfig,
+    compute_degs,
     split_by_perturbation,
     synth_generate,
 )
@@ -261,6 +262,49 @@ def test_predict_profiles_allocates_no_gradient_buffers(monkeypatch, toy_problem
     predict_profiles(t.params, t.xbar_c, t.perts, t.graph, t.embeddings)
     assert tapes
     assert all(node.grad.nbytes == 0 for tape in tapes for node in tape.nodes)
+
+
+def test_step_tape_size_does_not_grow_with_batch(monkeypatch):
+    synth, _ = synth_setup(seed=13, n_genes=40, n_perts=16)
+    perts = synth.dataset.pert_names()
+    table = compute_degs(synth.dataset)
+    params = init_params(synth.graph.n_nodes, 40, synth.embeddings.dim, quick_config().model, seed=1)
+    targets = {p: synth.dataset.block(p).mean(axis=0) for p in perts}
+    sizes = []
+    original = Tape.backward
+
+    def backward(tape, loss_id):
+        sizes.append(len(tape.nodes))
+        return original(tape, loss_id)
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    for b in (1, 4, 16):
+        evaluate_batch(
+            params, perts[:b], synth.dataset.control.mean(axis=0), targets, synth.graph, synth.embeddings,
+            table, LossWeights(), huber_delta=1.0, mode="train", gumbel_seeds={p: i for i, p in enumerate(perts)},
+        )
+    assert len(set(sizes)) == 1 and sizes[0] <= 120, sizes
+
+
+def test_aggregation_operator_built_once_per_call(monkeypatch):
+    calls = []
+    original = model.aggregation_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "aggregation_matrix", counted)
+    monkeypatch.setattr(training, "aggregation_matrix", counted)
+    synth, splits = synth_setup(seed=14, n_genes=PREDICT_CHUNK + 8, n_perts=PREDICT_CHUNK + 8)
+    assert splits.val
+    params, history = train(synth.dataset, splits, synth.graph, synth.embeddings, quick_config(batch_size=4))
+    assert len(history.epochs) == 3 and len(calls) == 1
+    calls.clear()
+    perts = synth.dataset.pert_names()
+    assert len(perts) > PREDICT_CHUNK
+    predict_profiles(params, synth.dataset.control.mean(axis=0), perts, synth.graph, synth.embeddings)
+    assert len(calls) == 1
 
 
 def test_history_json_round_trip(tmp_path):
