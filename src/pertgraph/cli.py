@@ -26,7 +26,7 @@ from .data import (
     split_by_perturbation,
     synth_generate,
 )
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, atomic_write, write_json
 from .graph import deg_coverage, degree_stats, load_edge_list, nominations, save_edge_list, topk_filter
 from .metrics import evaluate_predictions, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
@@ -100,12 +100,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_synth(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     synth = synth_generate(cfg.synth_config(), derive_seed(cfg.seed, "synth"))
@@ -120,7 +114,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         "strata": synth.strata,
         "effects": {p: eff.tolist() for p, eff in sorted(synth.effects.items())},
     }
-    _dump_json(manifest, out / "truth.json")
+    write_json(manifest, out / "truth.json")
     write_effective_config(cfg, out)
     print(f"synth: wrote expression/graph/embeddings/truth under {out}")
     return EXIT_OK
@@ -134,7 +128,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     save_checkpoint(params, out / "checkpoint.json", out / "checkpoint.bin")
     history.checkpoint_ref = "checkpoint.json"
     history.save(out / "history.json")
-    _dump_json(
+    write_json(
         {"train": list(splits.train), "val": list(splits.val), "test": list(splits.test), "seed": splits.seed},
         out / "splits.json",
     )
@@ -229,7 +223,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
     if not test_perts:
         raise UsageError("test split is empty")
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "predictions.csv") as fh:
         fh.write(",".join(["perturbation"] + dataset.vocab.names) + "\n")
         for p in sorted(predictions):
             fh.write(",".join([p] + [repr(float(x)) for x in predictions[p]]) + "\n")
@@ -261,7 +255,7 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
             all(len(s) <= cfg.top_k for s in noms)
             and all(v in noms[u] or u in noms[v] for (u, v) in kept)
         )
-    _dump_json(payload, out / "graph_stats.json")
+    write_json(payload, out / "graph_stats.json")
     write_effective_config(cfg, out)
     print(f"graph-stats: {stats.n_nodes} nodes, {stats.n_edges} edges -> {out / 'graph_stats.json'}")
     return EXIT_OK
@@ -271,7 +265,7 @@ def cmd_deg_coverage(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     _require_paths(cfg, ("expression", "graph"))
     dataset = load_expression(cfg.expression)
-    graph, _ = load_edge_list(cfg.graph, dataset.vocab)
+    graph, dropped = load_edge_list(cfg.graph, dataset.vocab)
     if cfg.top_k >= 1:
         graph = topk_filter(graph, cfg.top_k, cfg.topk_mode)
     table = compute_degs(dataset, alpha=cfg.alpha, correction=cfg.deg_correction)
@@ -289,12 +283,13 @@ def cmd_deg_coverage(cfg: RunConfig, args) -> int:
         if per
         else []
     )
-    _dump_json(
+    write_json(
         {
             "max_hops": cfg.coverage_max_hops,
             "per_perturbation": per,
             "mean_coverage": mean_cov,
             "skipped_empty_deg_sets": skipped,
+            "dropped_edges": dropped,
         },
         out / "deg_coverage.json",
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import SynthConfig
-from .errors import UsageError
+from .errors import UsageError, atomic_write
 from .loss import LossWeights
 from .model import ModelConfig
 from .training import TrainConfig
@@ -218,6 +218,6 @@ def write_effective_config(cfg: RunConfig, out_dir) -> Path:
                 continue
             parser[section][key] = _format_value(value)
     path = out_dir / "effective_config.ini"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         parser.write(fh)
     return path

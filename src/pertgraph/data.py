@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
@@ -169,29 +170,42 @@ def save_expression(dataset: PerturbationDataset, path) -> None:
 # --- differential expression ---------------------------------------------------
 
 
-def welch_pvalues(control_block: np.ndarray, pert_block: np.ndarray) -> np.ndarray:
+class GroupStats(NamedTuple):
+    """Per-gene reductions of one sample block, as the Welch test reads them."""
+
+    n: int
+    mean: np.ndarray
+    var: np.ndarray  # ddof=1
+    max: np.ndarray
+    min: np.ndarray
+
+
+def group_stats(block: np.ndarray) -> GroupStats:
+    a = np.asarray(block, dtype=np.float64)
+    if a.shape[0] < 2:
+        raise UsageError("need at least 2 samples per group")
+    return GroupStats(a.shape[0], a.mean(axis=0), a.var(axis=0, ddof=1), a.max(axis=0), a.min(axis=0))
+
+
+def welch_pvalues(control: np.ndarray | GroupStats, pert_block: np.ndarray) -> np.ndarray:
     """Two-sided Welch t-test per gene column (unequal variances).
 
-    Degenerate columns where both groups have zero variance give p = 1 when
-    the means agree and p = 0 when they differ.
+    `control` is the control block, or its `group_stats` when many blocks are
+    tested against it. Degenerate columns where both groups have zero
+    variance give p = 1 when the means agree and p = 0 when they differ.
     """
-    a = np.asarray(control_block, dtype=np.float64)
-    b = np.asarray(pert_block, dtype=np.float64)
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise UsageError("need at least 2 samples per group")
-    na, nb = a.shape[0], b.shape[0]
-    ma, mb = a.mean(axis=0), b.mean(axis=0)
-    va, vb = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
+    a = control if isinstance(control, GroupStats) else group_stats(control)
+    b = group_stats(pert_block)
     # a column constant in both groups has zero pooled variance; detect it from
     # the data, not from the float variance (the mean of n identical values rounds)
-    degenerate = (a.max(axis=0) == a.min(axis=0)) & (b.max(axis=0) == b.min(axis=0))
-    ta, tb = va / na, vb / nb
+    degenerate = (a.max == a.min) & (b.max == b.min)
+    ta, tb = a.var / a.n, b.var / b.n
     se2 = np.where(degenerate, 1.0, ta + tb)
-    t = (mb - ma) / np.sqrt(se2)
+    t = (b.mean - a.mean) / np.sqrt(se2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        df = se2**2 / (ta**2 / (na - 1) + tb**2 / (nb - 1))
+        df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
     p = 2.0 * stdtr(df, -np.abs(t))
-    return np.where(degenerate, np.where(a.max(axis=0) == b.max(axis=0), 1.0, 0.0), p)
+    return np.where(degenerate, np.where(a.max == b.max, 1.0, 0.0), p)
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
@@ -250,15 +264,15 @@ def compute_degs(
         raise UsageError(f"alpha must lie in (0, 1], got {alpha!r}")
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
-    xbar_c = dataset.control.mean(axis=0)
+    control = group_stats(dataset.control)
 
     for name in names:
         block = dataset.block(name)
-        p = welch_pvalues(dataset.control, block)
+        p = welch_pvalues(control, block)
         effective = bh_adjust(p) if correction == "benjamini-hochberg" else p
         table.pvalues[name] = p
         table.masks[name] = effective < alpha
-        table.deltas[name] = block.mean(axis=0) - xbar_c
+        table.deltas[name] = block.mean(axis=0) - control.mean
     return table
 
 

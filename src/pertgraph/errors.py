@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the UTF-8 opener for
-input files that reports undecodable bytes as one of them.
+"""Exception hierarchy shared across the package, the UTF-8 opener for
+input files that reports undecodable bytes as one of them, and the atomic
+writer for output files.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
 data problems exit 2, numerical failures exit 3. Any other exception is a
@@ -8,9 +9,12 @@ defect and exits 4 as an internal error.
 
 from __future__ import annotations
 
+import json
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from typing import TextIO
+from pathlib import Path
+from typing import IO, TextIO
 
 
 class UsageError(ValueError):
@@ -52,3 +56,24 @@ def open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside `path` that replaces `path` only once the
+    block completes, so a write that fails midway leaves the old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(obj, path) -> None:
+    """Indented JSON and a trailing newline, written atomically."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

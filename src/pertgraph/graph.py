@@ -32,6 +32,13 @@ class GeneVocab:
         except KeyError:
             raise UsageError(f"gene {name!r} not in vocabulary") from None
 
+    def indices(self, names: Iterable[str]) -> np.ndarray:
+        """Index of each name, in order, as an int64 array."""
+        try:
+            return np.array([self._index[n] for n in names], dtype=np.int64)
+        except KeyError as exc:
+            raise UsageError(f"gene {exc.args[0]!r} not in vocabulary") from None
+
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -199,18 +206,31 @@ def degree_stats(graph: KnowledgeGraph) -> GraphStats:
     return GraphStats(n, graph.n_edges, mean, median)
 
 
-def hop_distances(graph: KnowledgeGraph, source: str) -> np.ndarray:
-    """Breadth-first hop counts from `source`; unreachable nodes get inf."""
-    dist = np.full(graph.n_nodes, np.inf)
-    frontier = np.zeros(graph.n_nodes, dtype=bool)
-    frontier[graph.vocab.index(source)] = True
-    rows, hops = graph.rows(), 0.0
-    while frontier.any():
+def hop_distances(graph: KnowledgeGraph, source: str, max_hops: int | None = None) -> np.ndarray:
+    """Breadth-first hop counts from `source`; unreachable nodes get inf.
+
+    The search stops after level `max_hops`, so nodes farther away get inf
+    too; None searches the whole component.
+    """
+    if max_hops is not None and max_hops < 0:
+        raise UsageError("max_hops must be >= 0")
+    n, indptr = graph.n_nodes, graph.indptr
+    dist = np.full(n, np.inf)
+    frontier = np.array([graph.vocab.index(source)])
+    hops = 0.0
+    while frontier.size:
         dist[frontier] = hops
+        if hops == max_hops:
+            break
         hops += 1.0
-        reached = np.zeros_like(frontier)
-        reached[graph.indices[frontier[rows]]] = True
-        frontier = reached & np.isinf(dist)
+        # gather only the frontier's CSR rows, so a level costs its own edges, not nnz
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        entries = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+        reached = np.zeros(n, dtype=bool)
+        reached[graph.indices[entries]] = True
+        frontier = np.flatnonzero(reached & np.isinf(dist))
     return dist
 
 
@@ -226,6 +246,6 @@ def deg_coverage(
         raise UsageError("deg_set must be nonempty")
     if max_hops < 1:
         raise UsageError("max_hops must be >= 1")
-    dist = hop_distances(graph, pert_gene)
-    dvals = np.array([dist[graph.vocab.index(g)] for g in genes])
+    dist = hop_distances(graph, pert_gene, max_hops)
+    dvals = dist[graph.vocab.indices(genes)]
     return [float(np.mean(dvals <= h)) for h in range(1, max_hops + 1)]

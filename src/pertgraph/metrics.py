@@ -10,13 +10,12 @@ stratified mean/std reporting.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import bh_adjust, welch_pvalues
-from .errors import DegenerateError, ShapeError, UsageError
+from .data import GroupStats, bh_adjust, group_stats, welch_pvalues
+from .errors import DegenerateError, ShapeError, UsageError, write_json
 
 METRIC_NAMES = (
     "pearson_delta",
@@ -137,15 +136,18 @@ def predicted_deg_set(
     pred_delta: np.ndarray,
     alpha: float = 0.05,
     correction: str = "none",
+    control_stats: GroupStats | None = None,
 ) -> set[int]:
     """Significant genes of a predicted profile, by Welch against control.
 
     The predicted condition is materialized as the control samples shifted by
     the predicted delta, so a single predicted profile is testable against the
     control variance with the same settings used for the ground truth.
+    `control_stats`, when given, is `group_stats(control_block)`, computed
+    once for many predictions.
     """
     shifted = control_block + np.asarray(pred_delta, dtype=np.float64).reshape(1, -1)
-    p = welch_pvalues(control_block, shifted)
+    p = welch_pvalues(control_block if control_stats is None else control_stats, shifted)
     if correction == "benjamini-hochberg":
         p = bh_adjust(p)
     elif correction != "none":
@@ -188,9 +190,7 @@ class MetricsReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def _aggregate(values: list[float]) -> dict[str, float]:
@@ -267,7 +267,8 @@ def evaluate_predictions(
     if missing:
         raise UsageError(f"missing predictions for {missing}")
     truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
-    xbar_c = dataset.control.mean(axis=0)
+    control = group_stats(dataset.control)
+    xbar_c = control.mean
     pred_deltas = {p: np.asarray(predictions[p], dtype=np.float64).reshape(-1) - xbar_c for p in perts}
     true_deltas = {p: truth.deltas[p] for p in perts}
     pds_scores, _ = pds(pred_deltas, true_deltas)
@@ -283,7 +284,7 @@ def evaluate_predictions(
             row["pearson_delta"] = None
         if deg_idx.size:
             g_true = set(deg_idx.tolist())
-            row["des_fdr"] = des_fdr(g_true, predicted_deg_set(dataset.control, dp, alpha, correction))
+            row["des_fdr"] = des_fdr(g_true, predicted_deg_set(dataset.control, dp, alpha, correction, control))
             for k in des_k:
                 row[f"des_at_{k}"] = des_at_k(dp, g_true, k)
         else:

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse
 
 from .data import SemanticEmbeddings
-from .errors import DataError, NumericalError, ShapeError, UsageError
+from .errors import DataError, NumericalError, ShapeError, UsageError, atomic_write, write_json
 from .graph import KnowledgeGraph
 from .numerics import Tape, _softmax_rows
 
@@ -457,12 +457,11 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
         "pert_index": params.pert_index,
         "params": [{"name": k, "shape": list(v.shape)} for k, v in params.values.items()],
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(bin_path, "wb") as fh:
+    # blob first: a manifest on disk never names a blob that is not written yet
+    with atomic_write(bin_path, "wb") as fh:
         for v in params.values.values():
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    write_json(manifest, json_path)
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:

@@ -11,13 +11,12 @@ returned.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import DegTable, PerturbationDataset, SemanticEmbeddings, SplitSpec, compute_degs
-from .errors import DegenerateError, NumericalError, UsageError
+from .errors import DegenerateError, NumericalError, UsageError, write_json
 from .graph import KnowledgeGraph
 from .loss import (
     LossWeights,
@@ -173,9 +172,7 @@ class TrainHistory:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(self.to_json_dict(), path)
 
 
 def predict_profiles(

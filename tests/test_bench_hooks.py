@@ -54,3 +54,36 @@ def test_tape_stats_reads_a_backward_tape(monkeypatch):
     assert nodes == len(tape.nodes)
     assert flops > 0
     assert nbytes > sum(node.value.nbytes for node in tape.nodes)
+
+
+
+def test_traced_counts_one_bfs_per_coverage_and_one_welch_per_tested_block():
+    # graph.bfs_calls and data.welch_calls are read per sweep; they keep their
+    # meaning while each coverage runs one BFS and each tested block, true or
+    # predicted, makes one Welch call
+    from pertgraph import data, graph, metrics
+
+    synth = data.synth_generate(data.SynthConfig(n_genes=60, n_perturbations=6, cells_per_condition=6), seed=2)
+    ds, names, perts = synth.dataset, synth.dataset.vocab.names, synth.dataset.pert_names()
+    preds = {p: ds.block(p).mean(axis=0) + 0.01 for p in perts}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        counts = tracer.counts
+        table = data.compute_degs(ds, perturbations=perts[:4])
+        assert counts[("", "data.welch_calls")] == 4
+        deg_sets = {p: [names[i] for i in table.deg_indices(p) if names[i] != p] for p in table.pert_names()}
+        deg_sets = {p: genes for p, genes in deg_sets.items() if genes}
+        assert deg_sets
+        for p, genes in deg_sets.items():
+            graph.deg_coverage(synth.graph, p, genes, 4)
+        assert counts[("", "graph.bfs_calls")] == len(deg_sets)
+
+        metrics.predicted_deg_set(ds.control, preds[perts[0]] - ds.control.mean(axis=0))
+        assert counts[("", "data.welch_calls")] == 5
+        _, truth = metrics.evaluate_predictions(ds, preds, perts)
+        with_degs = sum(truth.deg_indices(p).size > 0 for p in perts)
+        assert with_degs
+        assert counts[("", "data.welch_calls")] == 5 + len(perts) + with_degs
+    finally:
+        tracer.uninstall()

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 from pathlib import Path
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 
 from pertgraph.cli import main
+from pertgraph.config import RunConfig, write_effective_config
 from pertgraph.data import compute_degs, load_expression
+from pertgraph.errors import atomic_write, write_json
 from pertgraph.graph import load_edge_list
-from pertgraph.model import load_checkpoint
+from pertgraph.metrics import report
+from pertgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from pertgraph.training import TrainHistory
 
 
 def write_config(path: Path, synth_dir: Path, out_dir: Path, **training):
@@ -438,3 +443,84 @@ def test_deg_coverage_monotone_and_nonempty(synth_run):
         assert 0.0 <= cov[0] and cov[-1] <= 1.0
     # planted DEG sets live in the perturbed gene's module, so hop-1 sees most of them
     assert payload["mean_coverage"][0] > 0.5
+
+
+def test_deg_coverage_records_dropped_edges(synth_run):
+    cfg, synth_dir, tmp = synth_run
+    assert main(["deg-coverage", "--config", str(cfg), "--out", str(tmp / "before")]) == 0
+    gene = load_expression(synth_dir / "expression.csv").vocab.names[0]
+    with open(synth_dir / "graph.tsv", "a", encoding="utf-8") as fh:
+        fh.write(f"NOT_A_GENE\t{gene}\t0.5\n{gene}\tALSO_NOT\t1.0\n{gene}\t{gene}\t0.3\n")
+    assert main(["deg-coverage", "--config", str(cfg), "--out", str(tmp / "after")]) == 0
+    before = json.loads((tmp / "before" / "deg_coverage.json").read_text())
+    after = json.loads((tmp / "after" / "deg_coverage.json").read_text())
+    assert before["dropped_edges"] == 0 and after["dropped_edges"] == 3
+    assert after["per_perturbation"] == before["per_perturbation"]
+
+
+# --- artifacts are replaced atomically --------------------------------------------------
+
+
+def failing_json_dump(obj, fh, **kwargs):
+    fh.write('{"half": ')
+    raise RuntimeError("serializer failed")
+
+
+def failing_config_write(self, fh, *args, **kwargs):
+    fh.write("[half\n")
+    raise RuntimeError("serializer failed")
+
+
+def write_history(path):
+    TrainHistory(epochs=[], best_epoch=0, huber_delta=1.0, config={}).save(path)
+
+
+def write_metrics(path):
+    report({"P": {"pearson_delta": 0.5}}).save(path)
+
+
+@pytest.mark.parametrize(
+    "name, write, target, replacement",
+    [
+        ("out.json", lambda p: write_json({"new": 1}, p), json, failing_json_dump),
+        ("history.json", write_history, json, failing_json_dump),
+        ("metrics.json", write_metrics, json, failing_json_dump),
+        (
+            "effective_config.ini",
+            lambda p: write_effective_config(RunConfig(), p.parent),
+            configparser.ConfigParser,
+            failing_config_write,
+        ),
+    ],
+)
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, monkeypatch, name, write, target, replacement):
+    path = tmp_path / name
+    path.write_text("old contents\n")
+    attr = "dump" if target is json else "write"
+    monkeypatch.setattr(target, attr, replacement)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write(path)
+    assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_checkpoint_manifest_is_written_after_its_blob(tmp_path, monkeypatch):
+    params = init_params(6, 6, 4, ModelConfig(n_layers=1, d_struct=4, d_latent=4, d_score=4), seed=0)
+    monkeypatch.setattr(json, "dump", failing_json_dump)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        save_checkpoint(params, tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin")
+    # the blob is complete; no manifest names it yet and no temporary file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+    monkeypatch.undo()
+    save_checkpoint(params, tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin")
+    loaded = load_checkpoint(tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin")
+    assert all(np.array_equal(loaded.values[k], v) for k, v in params.values.items())
+
+
+def test_atomic_write_failing_midway_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "predictions.csv"
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("perturbation,G0\n")
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []

@@ -13,6 +13,7 @@ from pertgraph.data import (
     bh_adjust,
     compute_degs,
     effect_size_strata,
+    group_stats,
     hash_embedding,
     load_embeddings,
     load_expression,
@@ -24,6 +25,7 @@ from pertgraph.data import (
 )
 from pertgraph.errors import DataError, ParseError, UsageError
 from pertgraph.graph import GeneVocab
+from pertgraph.metrics import predicted_deg_set
 
 
 def tiny_dataset(n_genes=4, perts=("PA", "PB"), seed=0):
@@ -249,6 +251,54 @@ def test_deg_mask_partitions_genes():
     for name in ds.pert_names():
         assert np.array_equal(table.deg_mask(name) | table.non_deg_mask(name), np.ones(4, dtype=bool))
         assert not np.any(table.deg_mask(name) & table.non_deg_mask(name))
+
+
+def planted_degenerate_dataset():
+    """2,000-gene synth data with planted zero-variance columns: gene 0 is the
+    same constant in every condition, gene 1 a constant that differs between
+    control and perturbations, gene 2 constant in control only and gene 3
+    constant in the perturbations only."""
+    cfg = SynthConfig(n_genes=2000, n_perturbations=6, cells_per_condition=8, noise_sigma=0.2)
+    ds = synth_generate(cfg, seed=4).dataset
+    control = ds.control.copy()
+    control[:, [0, 1, 2]] = 1.5
+    blocks = {}
+    for p in ds.pert_names():
+        block = ds.block(p).copy()
+        block[:, 0], block[:, 1], block[:, 3] = 1.5, 2.5, 0.75
+        blocks[p] = block
+    return PerturbationDataset(ds.vocab, control, blocks)
+
+
+@pytest.mark.parametrize("correction", ["none", "benjamini-hochberg"])
+def test_compute_degs_bit_identical_to_per_block_welch(correction):
+    ds = planted_degenerate_dataset()
+    table = compute_degs(ds, alpha=0.05, correction=correction)
+    xbar_c = ds.control.mean(axis=0)
+    for p in ds.pert_names():
+        ref = welch_pvalues(ds.control, ds.block(p))
+        assert ref[0] == 1.0 and ref[1] == 0.0 and 0.0 < ref[2] < 1.0 and 0.0 < ref[3] < 1.0
+        effective = bh_adjust(ref) if correction == "benjamini-hochberg" else ref
+        assert table.pvalues[p].tobytes() == ref.tobytes()
+        assert table.masks[p].tobytes() == (effective < 0.05).tobytes()
+        assert table.deltas[p].tobytes() == (ds.block(p).mean(axis=0) - xbar_c).tobytes()
+
+
+@pytest.mark.parametrize("correction", ["none", "benjamini-hochberg"])
+def test_predicted_deg_set_with_control_stats_bit_identical(correction):
+    ds = planted_degenerate_dataset()
+    control = ds.control
+    stats = group_stats(control)
+    rng = np.random.default_rng(6)
+    for p in ds.pert_names():
+        delta = ds.block(p).mean(axis=0) - control.mean(axis=0) + rng.normal(0.0, 0.02, ds.n_genes)
+        delta[0], delta[1] = 0.0, 1.0  # gene 0 stays equal to control, gene 1 moves
+        ref = welch_pvalues(control, control + delta)
+        effective = bh_adjust(ref) if correction == "benjamini-hochberg" else ref
+        expected = set(np.flatnonzero(effective < 0.05).tolist())
+        assert 1 in expected and 0 not in expected
+        assert predicted_deg_set(control, delta, 0.05, correction) == expected
+        assert predicted_deg_set(control, delta, 0.05, correction, stats) == expected
 
 
 def test_bh_adjust_monotone_and_bounded():

@@ -207,6 +207,12 @@ def test_hop_distance_unknown_source():
         hop_distances(g, "ZZ")
 
 
+def test_deg_coverage_unknown_deg_gene():
+    g = build(["P", "A"], [(0, 1, 1.0)])
+    with pytest.raises(UsageError, match="'ZZ'"):
+        deg_coverage(g, "P", ["A", "ZZ"], max_hops=2)
+
+
 def test_deg_coverage_direct_neighbors():
     g = build(["P", "A", "B", "C"], [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
     cov = deg_coverage(g, "P", ["A", "B"], max_hops=2)
@@ -324,10 +330,33 @@ def test_hop_distances_match_boolean_matrix_powers(seed):
     g = build([f"G{i}" for i in range(n)], edges)
     adj = ~np.isnan(dense_weights(n, edges))
     for s in range(n):
-        expected = np.full(n, np.inf)
-        reach = np.zeros(n, dtype=bool)
-        reach[s] = True
-        for h in range(n):  # reach = nodes within h hops: row s of (I + A)^h
-            expected[reach & np.isinf(expected)] = h
-            reach = reach | (reach.astype(int) @ adj.astype(int) > 0)
-        assert hop_distances(g, f"G{s}").tobytes() == expected.tobytes()
+        for max_hops in (0, 1, 2, 3, 6, None):
+            expected = np.full(n, np.inf)
+            reach = np.zeros(n, dtype=bool)
+            reach[s] = True
+            for h in range(n if max_hops is None else max_hops + 1):
+                # reach = nodes within h hops: row s of (I + A)^h
+                expected[reach & np.isinf(expected)] = h
+                reach = reach | (reach.astype(int) @ adj.astype(int) > 0)
+            assert hop_distances(g, f"G{s}", max_hops).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_deg_coverage_matches_unbounded_distances(seed):
+    n, edges = messy_edges(seed)
+    g = build([f"G{i}" for i in range(n)], edges)
+    rng = np.random.default_rng(seed + 1000)
+    for s in range(n):
+        genes = [f"G{i}" for i in rng.choice(n, size=int(rng.integers(1, n + 1)))]
+        full = hop_distances(g, f"G{s}")
+        dvals = [full[int(name[1:])] for name in genes]
+        expected = [sum(d <= h for d in dvals) / len(genes) for h in range(1, 7)]
+        assert deg_coverage(g, f"G{s}", genes, max_hops=6) == expected
+
+
+def test_negative_max_hops_rejected():
+    g = build(["A", "B"], [(0, 1, 1.0)])
+    with pytest.raises(UsageError):
+        hop_distances(g, "A", max_hops=-1)
+    with pytest.raises(UsageError):
+        deg_coverage(g, "A", ["B"], max_hops=-1)
