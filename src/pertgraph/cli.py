@@ -68,10 +68,10 @@ def build_parser() -> _Parser:
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for flag in ("seed", "out", "ablation"):
-        value = getattr(args, flag, None)
+    for obj, flag in ((cfg, "seed"), (cfg, "out"), (cfg.train, "ablation")):
+        value = getattr(args, flag)
         if value is not None:
-            setattr(cfg, flag, value)
+            setattr(obj, flag, value)
     return cfg
 
 
@@ -84,12 +84,18 @@ def _require_paths(cfg: RunConfig, names: tuple[str, ...]) -> None:
             raise DataError(f"missing {name} file: {path}")
 
 
-def _load_inputs(cfg: RunConfig):
-    _require_paths(cfg, ("expression", "graph", "embeddings"))
+def _load_graph(cfg: RunConfig, paths: tuple[str, ...] = ("expression", "graph")):
+    """Check `paths`, then load the expression data and the top-k filtered graph."""
+    _require_paths(cfg, paths)
     dataset = load_expression(cfg.expression)
     graph, dropped = load_edge_list(cfg.graph, dataset.vocab)
     if cfg.top_k >= 1:
         graph = topk_filter(graph, cfg.top_k, cfg.topk_mode)
+    return dataset, graph, dropped
+
+
+def _load_inputs(cfg: RunConfig):
+    dataset, graph, dropped = _load_graph(cfg, ("expression", "graph", "embeddings"))
     embeddings = load_embeddings(cfg.embeddings, dataset.vocab)
     return dataset, graph, embeddings, dropped
 
@@ -102,14 +108,14 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_synth(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    synth = synth_generate(cfg.synth_config(), derive_seed(cfg.seed, "synth"))
+    synth = synth_generate(cfg.synth, derive_seed(cfg.seed, "synth"))
     save_expression(synth.dataset, out / "expression.csv")
     save_edge_list(synth.graph, out / "graph.tsv")
     save_embeddings(synth.embeddings, out / "embeddings.csv", genes=synth.dataset.vocab.names)
     manifest = {
         "seed": cfg.seed,
-        "n_genes": cfg.n_genes,
-        "n_perturbations": cfg.n_perturbations,
+        "n_genes": cfg.synth.n_genes,
+        "n_perturbations": cfg.synth.n_perturbations,
         "deg_sets": synth.truth_degs,
         "strata": synth.strata,
         "effects": {p: eff.tolist() for p, eff in sorted(synth.effects.items())},
@@ -200,7 +206,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise UsageError("test split is empty")
     rep, truth = evaluate_predictions(
         dataset, predictions, test_perts,
-        alpha=cfg.alpha, correction=cfg.deg_correction, des_k=cfg.des_k,
+        alpha=cfg.train.alpha, correction=cfg.train.deg_correction, des_k=cfg.des_k,
     )
     rep.save(out / "metrics.json")
     for p in sorted(test_perts):
@@ -263,12 +269,8 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
 
 def cmd_deg_coverage(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    _require_paths(cfg, ("expression", "graph"))
-    dataset = load_expression(cfg.expression)
-    graph, dropped = load_edge_list(cfg.graph, dataset.vocab)
-    if cfg.top_k >= 1:
-        graph = topk_filter(graph, cfg.top_k, cfg.topk_mode)
-    table = compute_degs(dataset, alpha=cfg.alpha, correction=cfg.deg_correction)
+    dataset, graph, dropped = _load_graph(cfg)
+    table = compute_degs(dataset, alpha=cfg.train.alpha, correction=cfg.train.deg_correction)
     per: dict[str, list[float]] = {}
     skipped = 0
     for pert in table.pert_names():

@@ -1,170 +1,103 @@
 """Run configuration: sectioned INI file, overridden by CLI flags, on top of
 defaults. Every command writes the fully resolved config into its run
-directory so outputs are self-describing."""
+directory so outputs are self-describing.
+
+Each setting is declared once, as a field of the dataclass that uses it.
+`KEYS` maps every INI `[section] key` to that field's path from `RunConfig`,
+and the field's annotation decides how the value is parsed and written."""
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import SynthConfig
 from .errors import UsageError, atomic_write
-from .loss import LossWeights
-from .model import ModelConfig
 from .training import TrainConfig
-
-_SECTIONS = {
-    "paths": ("expression", "graph", "embeddings", "out"),
-    "data": ("alpha", "deg_correction", "split_fractions"),
-    "graph": ("top_k", "topk_mode", "weighted_aggregation", "coverage_max_hops"),
-    "model": (
-        "layers", "d_struct", "d_latent", "d_score", "tau",
-        "threshold", "selection_mode", "select_top_m",
-    ),
-    "loss": ("lambda_non", "lambda_align", "huber_delta", "huber_scale"),
-    "training": (
-        "max_epochs", "batch_size", "learning_rate", "weight_decay",
-        "patience", "optimizer", "ablation",
-    ),
-    "metrics": ("des_k",),
-    "synth": (
-        "n_genes", "n_perturbations", "cells_per_condition", "deg_fracs",
-        "effect_magnitude", "noise_sigma", "embed_dim", "modules",
-    ),
-    "run": ("seed",),
-}
 
 
 @dataclass
 class RunConfig:
-    # paths
+    """The settings the CLI reads itself, plus the training and synth configs."""
+
     expression: str | None = None
     graph: str | None = None
     embeddings: str | None = None
     out: str = "run"
-    # data
-    alpha: float = 0.05
-    deg_correction: str = "none"
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    # graph
     top_k: int = 0              # 0 disables confidence filtering
     topk_mode: str = "union"
-    weighted_aggregation: bool = False
     coverage_max_hops: int = 4
-    # model
-    layers: int = 2
-    d_struct: int = 64
-    d_latent: int = 128
-    d_score: int = 64
-    tau: float = 1.0
-    threshold: float | None = None      # None: 1 / n_nodes
-    selection_mode: str = "threshold"
-    select_top_m: int = 10
-    # loss
-    lambda_non: float = 0.01
-    lambda_align: float = 0.1
-    huber_delta: float | None = None    # None: estimated from training data
-    huber_scale: float = 1.0
-    # training
-    max_epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-    patience: int = 30
-    optimizer: str = "adam"
-    ablation: str = "full"
-    # metrics
     des_k: tuple[int, ...] = (10, 50, 100)
-    # synth
-    n_genes: int = 200
-    n_perturbations: int = 40
-    cells_per_condition: int = 20
-    deg_fracs: tuple[float, float, float] = (0.03, 0.07, 0.12)
-    effect_magnitude: float = 1.0
-    noise_sigma: float = 0.1
-    embed_dim: int = 16
-    modules: int | None = None
-    # run ([run] seed; --seed overrides it)
-    seed: int = 0
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.layers,
-            d_struct=self.d_struct,
-            d_latent=self.d_latent,
-            d_score=self.d_score,
-            tau=self.tau,
-            threshold=self.threshold,
-            selection_mode=self.selection_mode,
-            select_top_m=self.select_top_m,
-            weighted_aggregation=self.weighted_aggregation,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_non=self.lambda_non,
-            lambda_align=self.lambda_align,
-            huber_delta=self.huber_delta,
-            huber_scale=self.huber_scale,
-        )
+    seed: int = 0               # [run] seed; --seed overrides it
+    train: TrainConfig = field(default_factory=TrainConfig)
+    synth: SynthConfig = field(default_factory=SynthConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            patience=self.patience,
-            seed=self.seed,
-            weights=self.loss_weights(),
-            ablation=self.ablation,
-            model=self.model_config(),
-            optimizer=self.optimizer,
-            alpha=self.alpha,
-            deg_correction=self.deg_correction,
-        )
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_genes=self.n_genes,
-            n_perturbations=self.n_perturbations,
-            cells_per_condition=self.cells_per_condition,
-            deg_fracs=self.deg_fracs,
-            effect_magnitude=self.effect_magnitude,
-            noise_sigma=self.noise_sigma,
-            embed_dim=self.embed_dim,
-            n_modules=self.modules,
-        )
+        return replace(self.train, seed=self.seed)
 
 
-def _parse_value(key: str, raw: str):
+def _under(prefix: str, *names: str) -> dict[str, str]:
+    return {name: prefix + name for name in names}
+
+
+# [section] -> key -> field path; the order is the effective config's order
+KEYS: dict[str, dict[str, str]] = {
+    "paths": _under("", "expression", "graph", "embeddings", "out"),
+    "data": {**_under("train.", "alpha", "deg_correction"), "split_fractions": "split_fractions"},
+    "graph": {
+        **_under("", "top_k", "topk_mode"),
+        "weighted_aggregation": "train.model.weighted_aggregation",
+        "coverage_max_hops": "coverage_max_hops",
+    },
+    "model": {
+        "layers": "train.model.n_layers",
+        **_under("train.model.", "d_struct", "d_latent", "d_score", "tau",
+                 "threshold", "selection_mode", "select_top_m"),
+    },
+    "loss": _under("train.weights.", "lambda_non", "lambda_align", "huber_delta", "huber_scale"),
+    "training": _under("train.", "max_epochs", "batch_size", "learning_rate", "weight_decay",
+                       "patience", "optimizer", "ablation"),
+    "metrics": _under("", "des_k"),
+    "synth": {
+        **_under("synth.", "n_genes", "n_perturbations", "cells_per_condition", "deg_fracs",
+                 "effect_magnitude", "noise_sigma", "embed_dim"),
+        "modules": "synth.n_modules",
+    },
+    "run": _under("", "seed"),
+}
+
+
+def owner(cfg: RunConfig, path: str) -> tuple[object, str]:
+    """The dataclass holding the field at `path`, and the field's name."""
+    *parents, name = path.split(".")
+    for parent in parents:
+        cfg = getattr(cfg, parent)
+    return cfg, name
+
+
+def _parse(tp, raw: str):
+    """Parse `raw` as a value of type `tp`; a bad value is a plain ValueError."""
     raw = raw.strip()
-    if key in ("expression", "graph", "embeddings", "out", "deg_correction",
-               "topk_mode", "selection_mode", "optimizer", "ablation"):
-        return raw
-    if key in ("weighted_aggregation",):
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        inner = next(a for a in args if a is not type(None))
+        return None if raw.lower() in ("auto", "none") else _parse(inner, raw)
+    if typing.get_origin(tp) is tuple:
+        parts = raw.split(",")
+        if args[-1] is Ellipsis:
+            return tuple(_parse(args[0], part) for part in parts)
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated values")
+        return tuple(_parse(a, part) for a, part in zip(args, parts))
+    if tp is bool:
         low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in ("threshold", "huber_delta"):
-        return None if raw.lower() in ("auto", "none") else float(raw)
-    if key == "modules":
-        return None if raw.lower() in ("auto", "none") else int(raw)
-    if key in ("split_fractions", "deg_fracs"):
-        parts = [float(x) for x in raw.split(",")]
-        if len(parts) != 3:
-            raise UsageError(f"config key {key}: expected 3 comma-separated values")
-        return tuple(parts)
-    if key == "des_k":
-        return tuple(int(x) for x in raw.split(","))
-    if key in ("alpha", "tau", "lambda_non", "lambda_align", "huber_scale",
-               "learning_rate", "weight_decay", "effect_magnitude", "noise_sigma"):
-        return float(raw)
-    return int(raw)
+        if low not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return low in ("true", "1", "yes")
+    return tp(raw)  # int, float or str
 
 
 def load_config(path) -> RunConfig:
@@ -181,13 +114,14 @@ def load_config(path) -> RunConfig:
         raise UsageError(f"config file not found: {path}")
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in KEYS:
             raise UsageError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if key not in KEYS[section]:
                 raise UsageError(f"unknown config key {key!r} in [{section}]")
+            obj, name = owner(cfg, KEYS[section][key])
             try:
-                setattr(cfg, key, _parse_value(key, raw))
+                setattr(obj, name, _parse(typing.get_type_hints(type(obj))[name], raw))
             except ValueError as exc:
                 raise UsageError(f"config key {key}: {exc}") from None
     return cfg
@@ -210,10 +144,10 @@ def write_effective_config(cfg: RunConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SECTIONS.items():
+    for section, keys in KEYS.items():
         parser[section] = {}
-        for key in keys:
-            value = getattr(cfg, key)
+        for key, path in keys.items():
+            value = getattr(*owner(cfg, path))
             if section == "paths" and value is None:
                 continue
             parser[section][key] = _format_value(value)

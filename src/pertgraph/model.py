@@ -22,6 +22,7 @@ which is how the gradient checks run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -457,16 +458,22 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
         "pert_index": params.pert_index,
         "params": [{"name": k, "shape": list(v.shape)} for k, v in params.values.items()],
     }
-    # blob first: a manifest on disk never names a blob that is not written yet
+    # blob first: a manifest on disk never names a blob that is not written yet,
+    # and its hash catches a manifest left from an earlier save beside this blob
+    digest = hashlib.sha256()
     with atomic_write(bin_path, "wb") as fh:
         for v in params.values.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            chunk = np.ascontiguousarray(v, dtype="<f8").tobytes()
+            digest.update(chunk)
+            fh.write(chunk)
+    manifest["blob_sha256"] = digest.hexdigest()
     write_json(manifest, json_path)
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:
-    """Read a checkpoint; a malformed manifest, a blob whose size does not
-    match the manifest's shapes, or a NaN or inf in the blob is a DataError."""
+    """Read a checkpoint; a malformed manifest, a blob whose size or sha256
+    does not match the manifest, or a NaN or inf in the blob is a DataError.
+    A manifest without `blob_sha256` (written before it was recorded) loads."""
     try:
         with open(json_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -489,6 +496,8 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
     counts = [int(np.prod(shape)) for _, shape in shapes]
     if 8 * sum(counts) != len(blob):
         raise DataError(f"checkpoint blob {bin_path} holds {len(blob)} bytes, its manifest needs {8 * sum(counts)}")
+    if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise DataError(f"checkpoint blob {bin_path} does not match the blob_sha256 of its manifest {json_path}")
     if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
         raise DataError(f"checkpoint blob {bin_path} holds non-finite values")
     values: dict[str, np.ndarray] = {}

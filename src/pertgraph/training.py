@@ -11,7 +11,7 @@ returned.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -86,12 +86,11 @@ class TrainConfig:
 
 def apply_ablation(config: TrainConfig) -> tuple[ModelConfig, LossWeights]:
     """Resolve the ablation mode into an effective model config and loss weights."""
-    model_cfg = ModelConfig(**asdict(config.model))
-    weights = LossWeights(**asdict(config.weights))
+    model_cfg, weights = config.model, config.weights
     if config.ablation == "no_context":
-        model_cfg.no_context = True
+        model_cfg = replace(model_cfg, no_context=True)
     elif config.ablation == "no_non_deg":
-        weights.lambda_non = 0.0
+        weights = replace(weights, lambda_non=0.0)
     return model_cfg, weights
 
 

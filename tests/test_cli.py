@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from pertgraph.cli import main
 from pertgraph.config import RunConfig, write_effective_config
 from pertgraph.data import compute_degs, load_expression
-from pertgraph.errors import atomic_write, write_json
+from pertgraph.errors import DataError, atomic_write, write_json
 from pertgraph.graph import load_edge_list
 from pertgraph.metrics import report
 from pertgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -205,6 +206,8 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
         ("model", "d_latent", "-1"), ("model", "d_score", "0"), ("model", "d_struct", "0"),
         ("model", "layers", "-1"), ("training", "learning_rate", "nan"), ("training", "weight_decay", "nan"),
         ("loss", "huber_scale", "nan"), ("loss", "lambda_non", "nan"), ("data", "alpha", "2.0"), ("data", "alpha", "0"),
+        ("graph", "weighted_aggregation", "maybe"), ("data", "split_fractions", "0.5,0.5"),
+        ("synth", "deg_fracs", "0.1,0.2,0.3,0.4"), ("model", "layers", "2.5"), ("metrics", "des_k", "5,x"),
     ],
 )
 def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
@@ -220,6 +223,7 @@ def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
     err = capsys.readouterr().err
     assert_one_line(err, "error: ")
     assert key in err and "malformed" not in err
+    assert err.count("config key") <= 1
 
 
 def test_unexpected_exception_exits_4_with_one_line(monkeypatch, tmp_path, capsys):
@@ -334,7 +338,16 @@ def _drop_manifest_key(ckpt: Path, key: str):
     ckpt.write_text(json.dumps(manifest))
 
 
+def _blob_from_another_checkpoint(ckpt: Path):
+    params = load_checkpoint(ckpt, ckpt.with_suffix(".bin"))
+    other = ckpt.with_name("other.json")
+    values = {k: v + 1.0 for k, v in params.values.items()}
+    save_checkpoint(dataclasses.replace(params, values=values), other, other.with_suffix(".bin"))
+    ckpt.with_suffix(".bin").write_bytes(other.with_suffix(".bin").read_bytes())
+
+
 CHECKPOINT_DEFECTS = {
+    "blob-from-another-checkpoint": _blob_from_another_checkpoint,
     "truncated-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes()[:-12]),
     "oversized-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes() + bytes(8)),
     "malformed-manifest": lambda c: c.write_text(c.read_text()[:-30]),
@@ -514,6 +527,28 @@ def test_checkpoint_manifest_is_written_after_its_blob(tmp_path, monkeypatch):
     monkeypatch.undo()
     save_checkpoint(params, tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin")
     loaded = load_checkpoint(tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin")
+    assert all(np.array_equal(loaded.values[k], v) for k, v in params.values.items())
+
+
+def test_manifest_left_beside_a_newer_blob_is_a_data_error(tmp_path, monkeypatch):
+    config = ModelConfig(n_layers=1, d_struct=4, d_latent=4, d_score=4)
+    paths = tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin"
+    save_checkpoint(init_params(6, 6, 4, config, seed=0), *paths)
+    # the seed-1 blob replaces the seed-0 one, then its manifest write fails
+    monkeypatch.setattr(json, "dump", failing_json_dump)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        save_checkpoint(init_params(6, 6, 4, config, seed=1), *paths)
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="blob_sha256"):
+        load_checkpoint(*paths)
+
+
+def test_manifest_without_blob_hash_still_loads(tmp_path):
+    params = init_params(6, 6, 4, ModelConfig(n_layers=1, d_struct=4, d_latent=4, d_score=4), seed=0)
+    paths = tmp_path / "checkpoint.json", tmp_path / "checkpoint.bin"
+    save_checkpoint(params, *paths)
+    _drop_manifest_key(paths[0], "blob_sha256")
+    loaded = load_checkpoint(*paths)
     assert all(np.array_equal(loaded.values[k], v) for k, v in params.values.items())
 
 
