@@ -72,6 +72,8 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, flag)
         if value is not None:
             setattr(obj, flag, value)
+    if cfg.top_k < 0:
+        raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {cfg.top_k}")
     return cfg
 
 

@@ -314,7 +314,8 @@ def split_by_perturbation(
     """Seeded shuffle, then floor-sized splits with the remainder going to the
     largest fractional parts. Control cells are shared by every split."""
     fr = np.asarray(fractions, dtype=np.float64)
-    if fr.size != 3 or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
+    # written so that a NaN fraction fails it
+    if fr.size != 3 or not (np.all(fr >= 0) and abs(fr.sum() - 1.0) <= 1e-9):
         raise UsageError("fractions must be three nonnegative values summing to 1")
     names = sorted(dataset.pert_names())
     n = len(names)

@@ -208,6 +208,7 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
         ("loss", "huber_scale", "nan"), ("loss", "lambda_non", "nan"), ("data", "alpha", "2.0"), ("data", "alpha", "0"),
         ("graph", "weighted_aggregation", "maybe"), ("data", "split_fractions", "0.5,0.5"),
         ("synth", "deg_fracs", "0.1,0.2,0.3,0.4"), ("model", "layers", "2.5"), ("metrics", "des_k", "5,x"),
+        ("graph", "top_k", "-3"),
     ],
 )
 def test_bad_setting_exits_1(synth_run, capsys, section, key, value):

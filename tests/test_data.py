@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,14 @@ def test_split_deterministic_and_seed_sensitive():
         split_by_perturbation(ds, (0.8, 0.1, 0.1), seed=s) != a for s in range(6, 16)
     )
     assert different
+
+
+@pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (0.8, 0.1, 0.2)])
+def test_split_rejects_nan_or_unbalanced_fractions_without_warnings(fractions):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="fractions must be three nonnegative values"):
+            split_by_perturbation(ten_pert_dataset(), fractions, seed=0)
 
 
 def test_split_rejects_too_few_perturbations():

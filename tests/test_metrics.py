@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pertgraph.errors import DegenerateError, UsageError
+from pertgraph import metrics
+from pertgraph.data import SynthConfig, synth_generate
+from pertgraph.errors import DegenerateError, NumericalError, ShapeError, UsageError
 from pertgraph.metrics import (
     de_spearman_lfc,
     de_spearman_sig,
     des_at_k,
     des_fdr,
     direction_match,
+    evaluate_predictions,
     pds,
     pearson_delta,
     predicted_deg_set,
@@ -208,6 +211,63 @@ def test_pds_invariant_to_relabeling():
         assert s1[k] == pytest.approx(s2[relabel[k]], abs=1e-15)
 
 
+def pds_loop(pred_deltas, true_deltas):
+    """Reference: every pairwise distance in its own Python-level sum."""
+    names = sorted(pred_deltas)
+    scores = {}
+    for p in names:
+        d = {t: float(np.abs(pred_deltas[p] - true_deltas[t]).sum()) for t in names}
+        rank = 1 + sum(1 for t in names if t != p and d[t] < d[p])
+        scores[p] = 1.0 - (rank - 1) / len(names)
+    return scores, float(np.mean(list(scores.values())))
+
+
+def test_pds_matches_pairwise_loop_on_random_sets():
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        n_perts, n_genes = int(rng.integers(1, 51)), int(rng.integers(1, 301))
+        truths = {f"P{i}": rng.normal(size=n_genes) for i in range(n_perts)}
+        preds = {p: 0.5 * v + rng.normal(size=n_genes) for p, v in truths.items()}
+        assert pds(preds, truths) == pds_loop(preds, truths)
+
+
+def test_pds_matches_pairwise_loop_with_exact_ties():
+    # small integers: every distance is exact, and many foreign distances equal
+    # the own one, which is not strictly closer
+    rng = np.random.default_rng(11)
+    tied = 0
+    for _ in range(60):
+        n_perts, n_genes = int(rng.integers(2, 20)), int(rng.integers(1, 12))
+        truths = {f"P{i}": rng.integers(-2, 3, size=n_genes).astype(float) for i in range(n_perts)}
+        preds = {f"P{i}": rng.integers(-2, 3, size=n_genes).astype(float) for i in range(n_perts)}
+        assert pds(preds, truths) == pds_loop(preds, truths)
+        tied += sum(
+            np.abs(preds[p] - truths[t]).sum() == np.abs(preds[p] - truths[p]).sum()
+            for p in preds for t in truths if t != p
+        )
+    assert tied > 100
+
+
+def test_pds_sums_again_where_distances_differ_in_the_last_bits():
+    # every truth is a permutation of one vector and every prediction is zero,
+    # so all distances are the same sum added in another order; the matrix
+    # and the pairwise sums round differently, and only the pairwise sums decide
+    rng = np.random.default_rng(12)
+    v = rng.lognormal(0.0, 3.0, size=300)
+    truths = {f"P{i:02d}": rng.permutation(v) for i in range(30)}
+    preds = {p: np.zeros(300) for p in truths}
+    names = sorted(truths)
+    dist = metrics._l1_distances(np.stack([preds[p] for p in names]), np.stack([truths[p] for p in names]))
+    loop = np.array([[float(np.abs(preds[p] - truths[t]).sum()) for t in names] for p in names])
+    off = ~np.eye(len(names), dtype=bool)
+    own = np.diag(loop)[:, None]
+    assert len(np.unique(loop)) > 1
+    assert np.any(((dist < own) != (loop < own))[off])
+    scores, mean = pds(preds, truths)
+    assert (scores, mean) == pds_loop(preds, truths)
+    assert min(scores.values()) < 1.0
+
+
 # --- DES ------------------------------------------------------------------------------
 
 
@@ -240,6 +300,34 @@ def test_des_at_k_monotone_beyond_true_set_size():
     g_true = set(rng.choice(30, size=5, replace=False).tolist())
     values = [des_at_k(delta, g_true, k) for k in range(5, 31)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def des_at_k_lexsort(pred_delta, g_true, k):
+    """Reference: a full sort by (-|x|, index), then the first k."""
+    x = np.asarray(pred_delta, dtype=np.float64)
+    order = np.lexsort((np.arange(x.size), -np.abs(x)))
+    return len(set(order[:k].tolist()) & set(g_true)) / min(k, len(g_true))
+
+
+def test_des_at_k_matches_lexsort_with_ties_and_non_finite_values():
+    rng = np.random.default_rng(13)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        x = np.round(rng.normal(size=n), int(rng.integers(0, 2)))  # heavy magnitude ties
+        hit = rng.random(n) < 0.2
+        x[hit] = rng.choice(specials, size=int(hit.sum()))
+        g_true = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        for k in range(1, n + 3):
+            assert des_at_k(x, g_true, k) == des_at_k_lexsort(x, g_true, k)
+
+
+def test_des_at_k_ranks_nan_last():
+    x = np.array([np.nan, 0.0, np.nan, -np.inf])
+    assert des_at_k(x, {3}, k=1) == 1.0
+    assert des_at_k(x, {1}, k=2) == 1.0
+    assert des_at_k(x, {0}, k=3) == 1.0
+    assert des_at_k(x, {2}, k=3) == 0.0
 
 
 def test_predicted_deg_set_recovers_strong_shifts():
@@ -310,3 +398,51 @@ def test_metrics_invariant_to_common_profile_shift():
     base = pearson_delta(x_hat - xbar_c, xbar_p - xbar_c)
     shifted = pearson_delta((x_hat + c) - (xbar_c + c), (xbar_p + c) - (xbar_c + c))
     assert shifted == pytest.approx(base, abs=1e-12)
+
+
+# --- evaluate_predictions --------------------------------------------------------------
+
+
+def test_evaluate_predictions_matches_loop_and_lexsort_oracles(monkeypatch):
+    cfg = SynthConfig(
+        n_genes=200, n_perturbations=40, cells_per_condition=20,
+        effect_magnitude=1.0, noise_sigma=0.2, embed_dim=16,
+    )
+    synth = synth_generate(cfg, seed=1)
+    ds = synth.dataset
+    xbar_c = ds.control.mean(axis=0)
+    rng = np.random.default_rng(14)
+    perts = ds.pert_names()
+    # informative deltas rounded to 0.1, so |delta| ties reach the top-k cut
+    preds = {
+        p: xbar_c + np.round(ds.block(p).mean(axis=0) - xbar_c + rng.normal(0, 0.3, ds.n_genes), 1)
+        for p in perts
+    }
+    fast, _ = evaluate_predictions(ds, preds, perts)
+    monkeypatch.setattr(metrics, "pds", pds_loop)
+    monkeypatch.setattr(metrics, "des_at_k", des_at_k_lexsort)
+    slow, _ = evaluate_predictions(ds, preds, perts)
+    assert fast.to_json_dict() == slow.to_json_dict()
+    assert fast.overall["pds"]["mean"] < 1.0
+
+
+def small_eval_inputs():
+    synth = synth_generate(SynthConfig(n_genes=60, n_perturbations=6, cells_per_condition=6), seed=2)
+    ds = synth.dataset
+    return ds, {p: ds.block(p).mean(axis=0) for p in ds.pert_names()}
+
+
+def test_evaluate_predictions_rejects_non_finite_prediction():
+    ds, preds = small_eval_inputs()
+    bad = sorted(preds)[2]
+    preds[bad][7] = np.nan
+    with pytest.raises(NumericalError, match=bad):
+        evaluate_predictions(ds, preds, sorted(preds))
+
+
+def test_evaluate_predictions_rejects_wrong_width_prediction():
+    ds, preds = small_eval_inputs()
+    bad = sorted(preds)[1]
+    preds[bad] = preds[bad][:59]
+    with pytest.raises(ShapeError, match=f"{bad} has 59 genes, the dataset has 60"):
+        evaluate_predictions(ds, preds, sorted(preds))
