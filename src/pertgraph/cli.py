@@ -72,8 +72,7 @@ def resolve_config(args) -> RunConfig:
         value = getattr(args, flag)
         if value is not None:
             setattr(obj, flag, value)
-    if cfg.top_k < 0:
-        raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {cfg.top_k}")
+    cfg.validate()
     return cfg
 
 
@@ -87,29 +86,21 @@ def _require_paths(cfg: RunConfig, names: tuple[str, ...]) -> None:
 
 
 def _load_graph(cfg: RunConfig, paths: tuple[str, ...] = ("expression", "graph")):
-    """Check `paths`, then load the expression data and the top-k filtered graph."""
+    """Check `paths`, then load the expression data and the edge list, both as
+    read and top-k filtered (the same graph when top_k is 0)."""
     _require_paths(cfg, paths)
     dataset = load_expression(cfg.expression)
-    graph, dropped = load_edge_list(cfg.graph, dataset.vocab)
-    if cfg.top_k >= 1:
-        graph = topk_filter(graph, cfg.top_k, cfg.topk_mode)
-    return dataset, graph, dropped
+    raw, dropped = load_edge_list(cfg.graph, dataset.vocab)
+    graph = topk_filter(raw, cfg.top_k, cfg.topk_mode) if cfg.top_k >= 1 else raw
+    return dataset, raw, graph, dropped
 
 
 def _load_inputs(cfg: RunConfig):
-    dataset, graph, dropped = _load_graph(cfg, ("expression", "graph", "embeddings"))
-    embeddings = load_embeddings(cfg.embeddings, dataset.vocab)
-    return dataset, graph, embeddings, dropped
+    dataset, _, graph, _ = _load_graph(cfg, ("expression", "graph", "embeddings"))
+    return dataset, graph, load_embeddings(cfg.embeddings, dataset.vocab)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_synth(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
+def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
     synth = synth_generate(cfg.synth, derive_seed(cfg.seed, "synth"))
     save_expression(synth.dataset, out / "expression.csv")
     save_edge_list(synth.graph, out / "graph.tsv")
@@ -123,14 +114,11 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         "effects": {p: eff.tolist() for p, eff in sorted(synth.effects.items())},
     }
     write_json(manifest, out / "truth.json")
-    write_effective_config(cfg, out)
-    print(f"synth: wrote expression/graph/embeddings/truth under {out}")
-    return EXIT_OK
+    return f"synth: wrote expression/graph/embeddings/truth under {out}"
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    dataset, graph, embeddings, _ = _load_inputs(cfg)
+def cmd_train(cfg: RunConfig, args, out: Path) -> str:
+    dataset, graph, embeddings = _load_inputs(cfg)
     splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split"))
     params, history = train(dataset, splits, graph, embeddings, cfg.train_config())
     save_checkpoint(params, out / "checkpoint.json", out / "checkpoint.bin")
@@ -140,13 +128,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
         {"train": list(splits.train), "val": list(splits.val), "test": list(splits.test), "seed": splits.seed},
         out / "splits.json",
     )
-    write_effective_config(cfg, out)
     best = history.epochs[history.best_epoch]
-    print(
+    return (
         f"train: {len(history.epochs)} epochs, best epoch {history.best_epoch} "
         f"(val_pearson_delta={best['val_pearson_delta']})"
     )
-    return EXIT_OK
 
 
 def _resolve_checkpoint_paths(cfg: RunConfig, args) -> tuple[Path, Path]:
@@ -167,7 +153,9 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
             raise DataError(f"missing splits file: {split_path}")
     elif manifest is not None and (manifest.parent / "splits.json").exists():
         split_path = manifest.parent / "splits.json"
-    if split_path is not None:
+    if split_path is None:
+        test = list(split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split")).test)
+    else:
         try:
             with open(split_path, "r", encoding="utf-8") as fh:
                 test = json.load(fh)["test"]
@@ -175,9 +163,9 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
             raise DataError(f"splits file {split_path} is malformed: {exc!r}") from None
         if not isinstance(test, list) or not all(isinstance(p, str) and p in dataset.perturbations for p in test):
             raise DataError(f"splits file {split_path}: 'test' must list perturbations of the expression file")
-        return test
-    splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split"))
-    return list(splits.test)
+    if not test:
+        raise UsageError("test split is empty")
+    return test
 
 
 def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) -> tuple[list[str], dict]:
@@ -188,24 +176,21 @@ def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) ->
         raise DataError(f"checkpoint has {params.n_genes} genes, the expression data has {dataset.n_genes}")
     if params.n_nodes != graph.n_nodes:
         raise DataError(f"checkpoint has {params.n_nodes} graph nodes, the graph has {graph.n_nodes}")
+    if not params.config.no_context and params.d_embed != embeddings.dim:
+        raise DataError(f"embeddings in {cfg.embeddings} are {embeddings.dim} wide, the checkpoint's are {params.d_embed}")
     test_perts = _resolve_test_split(cfg, args, dataset, manifest)
-    graph_arg = None if params.config.no_context else graph
-    emb_arg = None if params.config.no_context else embeddings
     xbar_c = dataset.control.mean(axis=0)
-    return test_perts, predict_profiles(params, xbar_c, test_perts, graph_arg, emb_arg)
+    return test_perts, predict_profiles(params, xbar_c, test_perts, graph, embeddings)
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    dataset, graph, embeddings, _ = _load_inputs(cfg)
+def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
+    dataset, graph, embeddings = _load_inputs(cfg)
     xbar_c = dataset.control.mean(axis=0)
     if args.oracle:
         test_perts = _resolve_test_split(cfg, args, dataset, None)
         predictions = {p: dataset.block(p).mean(axis=0) for p in test_perts}
     else:
         test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
-    if not test_perts:
-        raise UsageError("test split is empty")
     rep, truth = evaluate_predictions(
         dataset, predictions, test_perts,
         alpha=cfg.train.alpha, correction=cfg.train.deg_correction, des_k=cfg.des_k,
@@ -219,33 +204,22 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             predictions[p] - xbar_c,
             truth.deg_mask(p),
         )
-    write_effective_config(cfg, out)
     pd = rep.overall.get("pearson_delta", {})
-    print(f"eval: {len(test_perts)} test perturbations, pearson_delta mean={pd.get('mean')}")
-    return EXIT_OK
+    return f"eval: {len(test_perts)} test perturbations, pearson_delta mean={pd.get('mean')}"
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    dataset, graph, embeddings, _ = _load_inputs(cfg)
-    test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
-    if not test_perts:
-        raise UsageError("test split is empty")
+def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
+    dataset, graph, embeddings = _load_inputs(cfg)
+    _, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
     with atomic_write(out / "predictions.csv") as fh:
         fh.write(",".join(["perturbation"] + dataset.vocab.names) + "\n")
         for p in sorted(predictions):
             fh.write(",".join([p] + [repr(float(x)) for x in predictions[p]]) + "\n")
-    write_effective_config(cfg, out)
-    print(f"predict: wrote {len(predictions)} profiles to {out / 'predictions.csv'}")
-    return EXIT_OK
+    return f"predict: wrote {len(predictions)} profiles to {out / 'predictions.csv'}"
 
 
-def cmd_graph_stats(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    _require_paths(cfg, ("expression", "graph"))
-    dataset = load_expression(cfg.expression)
-    raw, dropped = load_edge_list(cfg.graph, dataset.vocab)
-    filtered = topk_filter(raw, cfg.top_k, cfg.topk_mode) if cfg.top_k >= 1 else raw
+def cmd_graph_stats(cfg: RunConfig, args, out: Path) -> str:
+    _, raw, filtered, dropped = _load_graph(cfg)
     stats = degree_stats(filtered)
     payload = {
         "nodes": stats.n_nodes,
@@ -264,14 +238,11 @@ def cmd_graph_stats(cfg: RunConfig, args) -> int:
             and all(v in noms[u] or u in noms[v] for (u, v) in kept)
         )
     write_json(payload, out / "graph_stats.json")
-    write_effective_config(cfg, out)
-    print(f"graph-stats: {stats.n_nodes} nodes, {stats.n_edges} edges -> {out / 'graph_stats.json'}")
-    return EXIT_OK
+    return f"graph-stats: {stats.n_nodes} nodes, {stats.n_edges} edges -> {out / 'graph_stats.json'}"
 
 
-def cmd_deg_coverage(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    dataset, graph, dropped = _load_graph(cfg)
+def cmd_deg_coverage(cfg: RunConfig, args, out: Path) -> str:
+    dataset, _, graph, dropped = _load_graph(cfg)
     table = compute_degs(dataset, alpha=cfg.train.alpha, correction=cfg.train.deg_correction)
     per: dict[str, list[float]] = {}
     skipped = 0
@@ -297,11 +268,10 @@ def cmd_deg_coverage(cfg: RunConfig, args) -> int:
         },
         out / "deg_coverage.json",
     )
-    write_effective_config(cfg, out)
-    print(f"deg-coverage: {len(per)} perturbations -> {out / 'deg_coverage.json'}")
-    return EXIT_OK
+    return f"deg-coverage: {len(per)} perturbations -> {out / 'deg_coverage.json'}"
 
 
+# each command writes its artifacts under `out` and returns its summary line
 COMMANDS = {
     "synth": cmd_synth,
     "train": cmd_train,
@@ -316,7 +286,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg, args)
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        summary = COMMANDS[args.command](cfg, args, out)
+        write_effective_config(cfg, out)  # only once the command's own artifacts are written
+        print(summary)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,6 +38,15 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         return replace(self.train, seed=self.seed)
 
+    def validate(self) -> None:
+        """Check the CLI's own settings, so a bad one fails before any command runs."""
+        if self.top_k < 0:
+            raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {self.top_k}")
+        if any(k < 1 for k in self.des_k):
+            raise UsageError(f"[metrics] des_k values must be >= 1, got {_format_value(self.des_k)}")
+        if self.coverage_max_hops < 1:
+            raise UsageError(f"[graph] coverage_max_hops must be >= 1, got {self.coverage_max_hops}")
+
 
 def _under(prefix: str, *names: str) -> dict[str, str]:
     return {name: prefix + name for name in names}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupStats, bh_adjust, group_stats, welch_pvalues
+from .data import GroupStats, bh_adjust, compute_degs, effect_size_strata, group_stats, welch_pvalues
 from .errors import DegenerateError, NumericalError, ShapeError, UsageError, write_json
 
 METRIC_NAMES = (
@@ -301,8 +301,6 @@ def evaluate_predictions(
     perturbation (no true DEGs, fewer than 2 DEGs, constant delta) come back
     as None and are excluded from the aggregates with their counts.
     """
-    from .data import compute_degs, effect_size_strata  # local import avoids a cycle at module load
-
     perts = sorted(perts)
     if not perts:
         raise UsageError("no perturbations to evaluate")

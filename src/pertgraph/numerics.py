@@ -286,17 +286,6 @@ class Tape:
         node = TapeNode(kind, tuple(parents), out, attrs, aux)
         return self._push(node)
 
-    def _reachable(self, root: int) -> list[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            nid = stack.pop()
-            for p in self.nodes[nid].parents:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return sorted(seen, reverse=True)
-
     def backward(self, loss_id: int) -> dict[int, np.ndarray]:
         """Reverse accumulation from a scalar loss node.
 
@@ -312,14 +301,14 @@ class Tape:
         loss = self.nodes[loss_id]
         if loss.value.shape != (1, 1):
             raise UsageError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-        order = self._reachable(loss_id)
         for node in self.nodes:
             node.grad = _NO_GRAD
         params = set(self.param_ids)
         loss.grad = np.ones((1, 1))
-        for nid in order:
-            node = self.nodes[nid]
-            if node.kind == "leaf":
+        # parents precede children, so one reverse sweep reaches every node
+        # after all of its children; a node no gradient reached is skipped
+        for node in reversed(self.nodes[: loss_id + 1]):
+            if node.kind == "leaf" or node.grad is _NO_GRAD:
                 continue
             _, _, bw = _OPS[node.kind]
             parents = [self.nodes[p] for p in node.parents]

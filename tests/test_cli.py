@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pertgraph.cli import main
-from pertgraph.config import RunConfig, write_effective_config
+from pertgraph.config import RunConfig, load_config, write_effective_config
 from pertgraph.data import compute_degs, load_expression
 from pertgraph.errors import DataError, atomic_write, write_json
 from pertgraph.graph import load_edge_list
@@ -208,7 +208,7 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
         ("loss", "huber_scale", "nan"), ("loss", "lambda_non", "nan"), ("data", "alpha", "2.0"), ("data", "alpha", "0"),
         ("graph", "weighted_aggregation", "maybe"), ("data", "split_fractions", "0.5,0.5"),
         ("synth", "deg_fracs", "0.1,0.2,0.3,0.4"), ("model", "layers", "2.5"), ("metrics", "des_k", "5,x"),
-        ("graph", "top_k", "-3"),
+        ("graph", "top_k", "-3"), ("metrics", "des_k", "0,5"), ("graph", "coverage_max_hops", "0"),
     ],
 )
 def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
@@ -230,7 +230,7 @@ def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
 def test_unexpected_exception_exits_4_with_one_line(monkeypatch, tmp_path, capsys):
     from pertgraph import cli
 
-    def broken(cfg, args):
+    def broken(cfg, args, out):
         raise KeyError("boom")
 
     monkeypatch.setitem(cli.COMMANDS, "graph-stats", broken)
@@ -392,6 +392,66 @@ def test_bad_splits_file_is_a_one_line_data_error(synth_run, capsys, content):
     for command in ("eval", "predict"):
         assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", ckpt]) == 2
         assert_one_line(capsys.readouterr().err, "data error: splits file ")
+
+
+def _narrow_embeddings(src: Path, dst: Path, width: int) -> Path:
+    dst.write_text("".join(",".join(line.split(",")[: width + 1]) + "\n" for line in src.read_text().splitlines()))
+    return dst
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_context"])
+def test_embeddings_of_another_width(synth_run, capsys, ablation):
+    # the synth embeddings are 8 wide; a 4-wide file fails unless the model ignores it
+    cfg, synth_dir, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3", "--ablation", ablation]) == 0
+    narrow = _narrow_embeddings(synth_dir / "embeddings.csv", tmp / "narrow.csv", 4)
+    cfg.write_text(cfg.read_text().replace(str(synth_dir / "embeddings.csv"), str(narrow)))
+    ckpt = str(tmp / "out" / "checkpoint.json")
+    capsys.readouterr()
+    for command in ("eval", "predict"):
+        code = main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", ckpt])
+        if ablation == "no_context":
+            assert code == 0
+            continue
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_line(err, "data error: embeddings in ")
+        assert "narrow.csv" in err and " 4 wide" in err and " 8" in err
+
+
+def _empty_test_split_args(cfg: Path, tmp: Path, command: str) -> list[str]:
+    if command == "oracle":  # no checkpoint: the split comes from split_fractions
+        cfg.write_text(cfg.read_text().replace("split_fractions = 0.5,0.25,0.25", "split_fractions = 0.5,0.5,0"))
+        return ["eval", "--oracle"]
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    (tmp / "out" / "splits.json").write_text('{"test": []}\n')
+    return [command, "--checkpoint", str(tmp / "out" / "checkpoint.json")]
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "predict"])
+def test_empty_test_split_exits_1_without_effective_config(synth_run, capsys, command):
+    cfg, _, tmp = synth_run
+    argv = _empty_test_split_args(cfg, tmp, command)
+    out = tmp / "fresh"
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: test split is empty\n"
+    assert not (out / "effective_config.ini").exists()
+
+
+def test_effective_config_chains_through_every_command(tmp_path):
+    # each command's effective config, passed as the next one's --config, loads
+    # to the settings that command ran with
+    data = tmp_path / "data"
+    previous = write_config(tmp_path / "run.ini", data, tmp_path / "unused")
+    expected = dataclasses.replace(load_config(previous), seed=3)
+    ckpt = str(tmp_path / "train" / "checkpoint.json")
+    for command in ("synth", "train", "eval", "predict", "graph-stats", "deg-coverage"):
+        out = data if command == "synth" else tmp_path / command
+        extra = {"synth": ["--seed", "3"], "eval": ["--checkpoint", ckpt], "predict": ["--checkpoint", ckpt]}
+        assert main([command, "--config", str(previous), "--out", str(out), *extra.get(command, [])]) == 0
+        previous = out / "effective_config.ini"
+        assert load_config(previous) == dataclasses.replace(expected, out=str(out))
 
 
 # --- predict --------------------------------------------------------------------
