@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +125,7 @@ def cmd_train(cfg: RunConfig, args, out: Path) -> str:
     save_checkpoint(params, out / "checkpoint.json", out / "checkpoint.bin")
     history.checkpoint_ref = "checkpoint.json"
     history.save(out / "history.json")
-    write_json(
-        {"train": list(splits.train), "val": list(splits.val), "test": list(splits.test), "seed": splits.seed},
-        out / "splits.json",
-    )
+    write_json(asdict(splits), out / "splits.json")
     best = history.epochs[history.best_epoch]
     return (
         f"train: {len(history.epochs)} epochs, best epoch {history.best_epoch} "

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, ParseError, UsageError, open_utf8
+from .errors import DataError, ParseError, UsageError, atomic_write, open_utf8
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -157,7 +157,7 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) ->
 
 def save_expression(dataset: PerturbationDataset, path) -> None:
     """Write the dataset back out; floats use repr so a reload is bit-exact."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "perturbation"] + dataset.vocab.names)
         for i, row in enumerate(dataset.control):
@@ -220,6 +220,17 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     return out
 
 
+def deg_rule(alpha: float, correction: str) -> Callable[[np.ndarray], np.ndarray]:
+    """p-values -> DEG mask, its settings checked before any test runs: a gene is a
+    DEG when its p-value, BH-adjusted under "benjamini-hochberg", is strictly below alpha."""
+    if correction not in ("none", "benjamini-hochberg"):
+        raise UsageError(f"unknown correction {correction!r}")
+    if not 0 < alpha <= 1:
+        raise UsageError(f"alpha must lie in (0, 1], got {alpha!r}")
+    adjust = bh_adjust if correction == "benjamini-hochberg" else np.asarray
+    return lambda p: adjust(p) < alpha
+
+
 @dataclass
 class DegTable:
     """Per-perturbation p-values, DEG masks, and signed pseudobulk deltas."""
@@ -258,10 +269,7 @@ def compute_degs(
     Masks threshold the (optionally BH-adjusted) p-values strictly below alpha;
     deltas are pseudobulk differences against the control mean.
     """
-    if correction not in ("none", "benjamini-hochberg"):
-        raise UsageError(f"unknown correction {correction!r}")
-    if not 0 < alpha <= 1:
-        raise UsageError(f"alpha must lie in (0, 1], got {alpha!r}")
+    is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
     control = group_stats(dataset.control)
@@ -269,9 +277,8 @@ def compute_degs(
     for name in names:
         block = dataset.block(name)
         p = welch_pvalues(control, block)
-        effective = bh_adjust(p) if correction == "benjamini-hochberg" else p
         table.pvalues[name] = p
-        table.masks[name] = effective < alpha
+        table.masks[name] = is_deg(p)
         table.deltas[name] = block.mean(axis=0) - control.mean
     return table
 
@@ -404,7 +411,7 @@ def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
 
 def save_embeddings(embeddings: SemanticEmbeddings, path, genes: list[str] | None = None) -> None:
     names = genes if genes is not None else sorted(embeddings.vectors)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["gene"] + [f"v{i}" for i in range(embeddings.dim)])
         for g in names:

@@ -61,11 +61,13 @@ def open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
 @contextmanager
 def atomic_write(path, mode: str = "w") -> Iterator[IO]:
     """Open a temporary file beside `path` that replaces `path` only once the
-    block completes, so a write that fails midway leaves the old file intact."""
+    block completes, so a write that fails midway leaves the old file intact.
+    Text is UTF-8 and line ends are written as given (csv's are \\r\\n)."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = "b" not in mode
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding="utf-8" if text else None, newline="" if text else None) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

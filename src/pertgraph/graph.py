@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, UsageError, open_utf8
+from .errors import DataError, ParseError, UsageError, atomic_write, open_utf8
 
 
 class GeneVocab:
@@ -143,7 +143,7 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
 def save_edge_list(graph: KnowledgeGraph, path) -> None:
     """Write one undirected edge per line (u < v order), tab-separated."""
     names = graph.vocab.names
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("# geneA\tgeneB\tweight\n")
         for (u, v), w in sorted(graph.edge_weight_map().items()):
             fh.write(f"{names[u]}\t{names[v]}\t{w!r}\n")

@@ -10,12 +10,12 @@ stratified mean/std reporting.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import GroupStats, bh_adjust, compute_degs, effect_size_strata, group_stats, welch_pvalues
-from .errors import DegenerateError, NumericalError, ShapeError, UsageError, write_json
+from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, welch_pvalues
+from .errors import DegenerateError, NumericalError, ShapeError, UsageError, atomic_write, write_json
 
 METRIC_NAMES = (
     "pearson_delta",
@@ -182,13 +182,10 @@ def predicted_deg_set(
     `control_stats`, when given, is `group_stats(control_block)`, computed
     once for many predictions.
     """
+    is_deg = deg_rule(alpha, correction)
     shifted = control_block + np.asarray(pred_delta, dtype=np.float64).reshape(1, -1)
     p = welch_pvalues(control_block if control_stats is None else control_stats, shifted)
-    if correction == "benjamini-hochberg":
-        p = bh_adjust(p)
-    elif correction != "none":
-        raise UsageError(f"unknown correction {correction!r}")
-    return set(np.flatnonzero(p < alpha).tolist())
+    return set(np.flatnonzero(is_deg(p)).tolist())
 
 
 def des_at_k(pred_delta: np.ndarray, g_true: set[int], k: int) -> float:
@@ -221,16 +218,12 @@ def des_at_k(pred_delta: np.ndarray, g_true: set[int], k: int) -> float:
 class MetricsReport:
     """Per-perturbation metric values plus overall and stratum aggregates."""
 
-    per_perturbation: dict[str, dict[str, float | None]]
     overall: dict[str, dict[str, float]]
     strata: dict[str, dict[str, dict[str, float]]]
+    per_perturbation: dict[str, dict[str, float | None]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "strata": self.strata,
-            "per_perturbation": self.per_perturbation,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         write_json(self.to_json_dict(), path)
@@ -272,15 +265,15 @@ def report(
         members = sorted(p for p, s in strata.items() if s == stratum)
         by_stratum[stratum] = collect(members)
     return MetricsReport(
-        per_perturbation={p: dict(per_perturbation[p]) for p in sorted(per_perturbation)},
         overall=overall,
         strata=by_stratum,
+        per_perturbation={p: dict(per_perturbation[p]) for p in sorted(per_perturbation)},
     )
 
 
 def write_scatter_csv(path, genes: list[str], delta_true: np.ndarray, delta_pred: np.ndarray, deg_mask: np.ndarray) -> None:
     """Per-gene true/predicted delta pairs with the DEG flag, for scatter plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["gene", "delta_true", "delta_pred", "is_deg"])
         for g, dt, dp, m in zip(genes, delta_true, delta_pred, deg_mask):

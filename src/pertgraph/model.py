@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -86,15 +86,36 @@ class ModelParams:
     pert_index: dict[str, int] = field(default_factory=dict)  # no_context row map
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            n_nodes=self.n_nodes,
-            n_genes=self.n_genes,
-            d_embed=self.d_embed,
-            seed=self.seed,
-            values={k: v.copy() for k, v in self.values.items()},
-            pert_index=dict(self.pert_index),
-        )
+        return replace(self, values={k: v.copy() for k, v in self.values.items()}, pert_index=dict(self.pert_index))
+
+
+def param_layout(n_nodes: int, n_genes: int, d_embed: int, config: ModelConfig, n_perts: int = 0) -> dict:
+    """name -> (shape, init fan-in) of every parameter, in checkpoint order; fan-in 0
+    starts at zero. The scorer's W is stored as its two row blocks W_h and W_s, each
+    drawn with the fan-in of the whole W. `n_perts` sizes the no_context row table."""
+    ds, d, m = config.d_struct, config.d_latent, config.d_score
+    layout = {"gnn.table": ((n_nodes, ds), ds)}
+    for layer in range(config.n_layers):
+        layout[f"gnn.w{layer}"] = ((ds, ds), ds)
+    layout.update({
+        "sem.proj": ((d_embed, ds), d_embed),
+        "score.wh": ((ds, m), 2 * ds),
+        "score.ws": ((ds, m), 2 * ds),
+        "score.v": ((m, 1), m),
+        "enc.w1": ((n_genes, d), n_genes),
+        "enc.b1": ((1, d), 0),
+        "enc.w2": ((d, d), d),
+        "enc.b2": ((1, d), 0),
+        "ctx.proj": ((ds, d), ds),
+        "dec.w1": ((2 * d, d), 2 * d),
+        "dec.b1": ((1, d), 0),
+        "dec.w2": ((d, n_genes), d),
+        "dec.b2": ((1, n_genes), 0),
+        "align.proj": ((n_genes, d), n_genes),
+    })
+    if config.no_context:
+        layout["pert.table"] = ((n_perts, d), d)
+    return layout
 
 
 def init_params(
@@ -105,36 +126,18 @@ def init_params(
     seed: int,
     train_perts: list[str] | None = None,
 ) -> ModelParams:
-    """Seeded Gaussian init, std 1/sqrt(fan_in); biases start at zero."""
-    rng = np.random.default_rng(seed)
-    ds, d, m = config.d_struct, config.d_latent, config.d_score
-
-    def w(fan_in, shape):
-        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-
-    values: dict[str, np.ndarray] = {}
-    values["gnn.table"] = w(ds, (n_nodes, ds))
-    for layer in range(config.n_layers):
-        values[f"gnn.w{layer}"] = w(ds, (ds, ds))
-    values["sem.proj"] = w(d_embed, (d_embed, ds))
-    values["score.w"] = w(2 * ds, (2 * ds, m))
-    values["score.v"] = w(m, (m, 1))
-    values["enc.w1"] = w(n_genes, (n_genes, d))
-    values["enc.b1"] = np.zeros((1, d))
-    values["enc.w2"] = w(d, (d, d))
-    values["enc.b2"] = np.zeros((1, d))
-    values["ctx.proj"] = w(ds, (ds, d))
-    values["dec.w1"] = w(2 * d, (2 * d, d))
-    values["dec.b1"] = np.zeros((1, d))
-    values["dec.w2"] = w(d, (d, n_genes))
-    values["dec.b2"] = np.zeros((1, n_genes))
-    values["align.proj"] = w(n_genes, (n_genes, d))
+    """Seeded Gaussian init in `param_layout` order, std 1/sqrt(fan_in); biases start at zero."""
     pert_index: dict[str, int] = {}
     if config.no_context:
         if not train_perts:
             raise UsageError("no_context mode needs the training perturbation list")
         pert_index = {p: i for i, p in enumerate(sorted(train_perts))}
-        values["pert.table"] = w(d, (len(pert_index), d))
+    rng = np.random.default_rng(seed)
+    layout = param_layout(n_nodes, n_genes, d_embed, config, len(pert_index))
+    values = {
+        name: rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape) if fan_in else np.zeros(shape)
+        for name, (shape, fan_in) in layout.items()
+    }
     return ModelParams(
         config=config,
         n_nodes=n_nodes,
@@ -262,11 +265,8 @@ def build_scores(tape: Tape, pids: dict[str, int], h_id: int, s_tilde_id: int) -
 
     W [h_v || s~_p] = W_h h_v + W_s s~_p, so the node half runs once for all rows.
     """
-    half = tape.value(pids["score.w"]).shape[0] // 2
-    w_h = tape.apply("slice-rows", pids["score.w"], start=0, stop=half)
-    w_s = tape.apply("slice-rows", pids["score.w"], start=half, stop=2 * half)
-    node_part = tape.apply("matmul", h_id, w_h)
-    pert_part = tape.apply("matmul", s_tilde_id, w_s)
+    node_part = tape.apply("matmul", h_id, pids["score.wh"])
+    pert_part = tape.apply("matmul", s_tilde_id, pids["score.ws"])
     hidden = tape.apply("relu", tape.apply("broadcast-add", node_part, pert_part))
     scores = tape.apply("matmul", hidden, pids["score.v"])
     n_rows, n_nodes = tape.value(pert_part).shape[0], tape.value(node_part).shape[0]
@@ -471,9 +471,11 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:
-    """Read a checkpoint; a malformed manifest, a blob whose size or sha256
-    does not match the manifest, or a NaN or inf in the blob is a DataError.
-    A manifest without `blob_sha256` (written before it was recorded) loads."""
+    """Read a checkpoint; a malformed manifest, parameters other than the
+    `param_layout` of its sizes and config, a blob whose size or sha256 does
+    not match the manifest, or a NaN or inf in the blob is a DataError. A
+    manifest without `blob_sha256`, or with the scorer's W as one `score.w`
+    (both written by earlier versions), loads."""
     try:
         with open(json_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -489,8 +491,22 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
         if any(d < 0 for _, shape in shapes for d in shape):
             raise ValueError("negative dimension")
         pert_index = dict(manifest.get("pert_index") or {})
+        names = [name for name, _ in shapes]
+        if "score.w" in names:  # written before the scorer's W was stored as its two row blocks
+            at = names.index("score.w")
+            rows, cols = shapes[at][1]
+            shapes[at : at + 1] = [("score.wh", (rows // 2, cols)), ("score.ws", (rows - rows // 2, cols))]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint manifest {json_path} has missing or malformed fields: {exc!r}") from None
+    layout = param_layout(sizes["n_nodes"], sizes["n_genes"], sizes["d_embed"], config, len(pert_index))
+    found = dict(shapes)
+    if len(found) != len(shapes):
+        raise DataError(f"checkpoint manifest {json_path} lists a parameter twice")
+    for name in [*layout, *found]:
+        need, got = layout.get(name, (None,))[0], found.get(name)
+        if got != need:
+            got, need = ("missing" if got is None else got), ("none" if need is None else need)
+            raise DataError(f"checkpoint manifest {json_path}: parameter {name} is {got}, its sizes and config need {need}")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     counts = [int(np.prod(shape)) for _, shape in shapes]

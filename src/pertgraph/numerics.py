@@ -103,19 +103,6 @@ def _bw_spmm(g, vals, out, aux, attrs, needs):
     return [np.asarray(attrs["op"].T @ g)]
 
 
-def _fw_slice_rows(vals, attrs):
-    a, start, stop = vals[0], attrs["start"], attrs["stop"]
-    if not 0 <= start < stop <= a.shape[0]:
-        raise ShapeError(f"slice-rows: [{start}:{stop}] of {a.shape}")
-    return a[start:stop], None
-
-
-def _bw_slice_rows(g, vals, out, aux, attrs, needs):
-    full = np.zeros_like(vals[0])
-    full[attrs["start"] : attrs["stop"]] = g
-    return [full]
-
-
 def _fw_broadcast_add(vals, attrs):
     # (n, m) + (B, m) -> (B*n, m); row k*n + v holds a[v] + b[k]
     a, b = vals
@@ -219,7 +206,6 @@ _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "scale": (1, _fw_scale, lambda g, v, o, x, attrs, needs: [g * attrs["c"]]),
     "spmm": (1, _fw_spmm, _bw_spmm),
     "concat-cols": (2, _fw_concat_cols, _bw_concat_cols),
-    "slice-rows": (1, _fw_slice_rows, _bw_slice_rows),
     "broadcast-add": (2, _fw_broadcast_add, _bw_broadcast_add),
     "reshape": (1, _fw_reshape, lambda g, vals, o, x, attrs, needs: [g.reshape(vals[0].shape)]),
     "relu": (1, _fw_relu, _bw_relu),

@@ -162,13 +162,7 @@ class TrainHistory:
     checkpoint_ref: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "huber_delta": self.huber_delta,
-            "config": self.config,
-            "checkpoint_ref": self.checkpoint_ref,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         write_json(self.to_json_dict(), path)

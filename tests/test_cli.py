@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pertgraph import errors
 from pertgraph.cli import main
 from pertgraph.config import RunConfig, load_config, write_effective_config
-from pertgraph.data import compute_degs, load_expression
+from pertgraph.data import compute_degs, load_expression, save_embeddings, save_expression
 from pertgraph.errors import DataError, atomic_write, write_json
-from pertgraph.graph import load_edge_list
-from pertgraph.metrics import report
+from pertgraph.graph import load_edge_list, save_edge_list
+from pertgraph.metrics import report, write_scatter_csv
 from pertgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from pertgraph.training import TrainHistory
 
@@ -347,6 +349,30 @@ def _blob_from_another_checkpoint(ckpt: Path):
     ckpt.with_suffix(".bin").write_bytes(other.with_suffix(".bin").read_bytes())
 
 
+def _drop_param(ckpt: Path, name: str):
+    """Remove one parameter from the manifest and its bytes from the blob, keeping the pair consistent."""
+    manifest = json.loads(ckpt.read_text())
+    blob = ckpt.with_suffix(".bin").read_bytes()
+    offset, kept = 0, b""
+    for entry in manifest["params"]:
+        size = 8 * math.prod(entry["shape"])
+        if entry["name"] != name:
+            kept += blob[offset : offset + size]
+        offset += size
+    manifest["params"] = [entry for entry in manifest["params"] if entry["name"] != name]
+    manifest["blob_sha256"] = hashlib.sha256(kept).hexdigest()
+    ckpt.with_suffix(".bin").write_bytes(kept)
+    ckpt.write_text(json.dumps(manifest))
+
+
+def _transpose_param(ckpt: Path, name: str):
+    manifest = json.loads(ckpt.read_text())
+    for entry in manifest["params"]:
+        if entry["name"] == name:
+            entry["shape"] = entry["shape"][::-1]
+    ckpt.write_text(json.dumps(manifest))
+
+
 CHECKPOINT_DEFECTS = {
     "blob-from-another-checkpoint": _blob_from_another_checkpoint,
     "truncated-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes()[:-12]),
@@ -360,10 +386,17 @@ CHECKPOINT_DEFECTS = {
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
     "config-top-m-zero": lambda c: _rewrite_model_config(c, select_top_m=0),
     "not-a-checkpoint": lambda c: c.write_text('{"epochs": [], "best_epoch": 0}\n'),
+    "manifest-missing-enc-b2": lambda c: _drop_param(c, "enc.b2"),
+    # the config's ctx.proj is square (d_struct = d_latent = 8), so transpose a
+    # parameter that is not; test_model covers a transposed ctx.proj
+    "transposed-dec-w1": lambda c: _transpose_param(c, "dec.w1"),
     "non-finite-blob": lambda c: c.with_suffix(".bin").write_bytes(
         np.full(c.with_suffix(".bin").stat().st_size // 8, np.nan).tobytes()
     ),
 }
+
+# defects the message must name the parameter of
+NAMED_PARAMETER = {"manifest-missing-enc-b2": "enc.b2", "transposed-dec-w1": "dec.w1"}
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
@@ -375,7 +408,38 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
     capsys.readouterr()
     for command in ("eval", "predict"):
         assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", str(ckpt)]) == 2
-        assert_one_line(capsys.readouterr().err, "data error: ")
+        err = capsys.readouterr().err
+        assert_one_line(err, "data error: ")
+        if defect in NAMED_PARAMETER:
+            assert f"parameter {NAMED_PARAMETER[defect]} is " in err
+
+
+def _to_single_score_w(ckpt: Path):
+    """Rewrite a manifest in the layout that stored the scorer's W as one
+    (2 d_struct, d_score) `score.w`; the blob's bytes are the same."""
+    manifest = json.loads(ckpt.read_text())
+    params = manifest["params"]
+    at = [entry["name"] for entry in params].index("score.wh")
+    (rows, cols), (rows_s, _) = params[at]["shape"], params[at + 1]["shape"]
+    params[at : at + 2] = [{"name": "score.w", "shape": [rows + rows_s, cols]}]
+    ckpt.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def test_checkpoint_with_one_score_w_predicts_the_same_bytes(synth_run):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    old = tmp / "old" / "checkpoint.json"
+    old.parent.mkdir()
+    for name in ("checkpoint.json", "checkpoint.bin", "splits.json"):
+        (old.parent / name).write_bytes((tmp / "out" / name).read_bytes())
+    _to_single_score_w(old)
+    assert "score.w" in old.read_text() and "score.wh" not in old.read_text()
+    for ckpt, side in ((tmp / "out" / "checkpoint.json", "new"), (old, "old")):
+        for command in ("eval", "predict"):
+            argv = [command, "--config", str(cfg), "--out", str(tmp / f"{command}-{side}"), "--checkpoint", str(ckpt)]
+            assert main(argv) == 0
+    assert (tmp / "eval-old" / "metrics.json").read_bytes() == (tmp / "eval-new" / "metrics.json").read_bytes()
+    assert (tmp / "predict-old" / "predictions.csv").read_bytes() == (tmp / "predict-new" / "predictions.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -575,6 +639,49 @@ def test_failed_artifact_write_keeps_the_old_file(tmp_path, monkeypatch, name, w
     with pytest.raises(RuntimeError, match="serializer failed"):
         write(path)
     assert path.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class DiskFullAfterOneWrite:
+    """A text file whose second write fails, as on a full disk."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+DATA_WRITERS = {
+    "expression.csv": lambda t, p: save_expression(t.dataset, p),
+    "embeddings.csv": lambda t, p: save_embeddings(t.embeddings, p),
+    "graph.tsv": lambda t, p: save_edge_list(t.graph, p),
+    "scatter_G1.csv": lambda t, p: write_scatter_csv(p, t.vocab.names, np.ones(10), np.zeros(10), np.ones(10, bool)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_WRITERS))
+def test_data_file_write_failing_midway_keeps_the_old_file(tmp_path, monkeypatch, toy_problem, name):
+    path = tmp_path / name
+    DATA_WRITERS[name](toy_problem, path)
+    written = path.read_bytes()
+    # csv writes \r\n line ends, the edge list \n
+    assert written.count(b"\n") > 2
+    assert written.count(b"\r\n") == (written.count(b"\n") if name.endswith(".csv") else 0)
+    monkeypatch.setattr(errors, "open", DiskFullAfterOneWrite, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        DATA_WRITERS[name](toy_problem, path)
+    assert path.read_bytes() == written
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 

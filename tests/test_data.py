@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pertgraph import data, metrics
 from pertgraph.data import (
     LOAD_CHUNK_ROWS,
     DegTable,
@@ -300,6 +301,18 @@ def test_predicted_deg_set_with_control_stats_bit_identical(correction):
         assert 1 in expected and 0 not in expected
         assert predicted_deg_set(control, delta, 0.05, correction) == expected
         assert predicted_deg_set(control, delta, 0.05, correction, stats) == expected
+
+
+def test_unknown_correction_is_rejected_before_any_welch_test(monkeypatch):
+    calls = []
+    for module in (data, metrics):
+        monkeypatch.setattr(module, "welch_pvalues", lambda *args: calls.append(args))
+    ds = tiny_dataset()
+    with pytest.raises(UsageError, match="unknown correction"):
+        predicted_deg_set(ds.control, np.zeros(ds.n_genes), 0.05, "bonferroni")
+    with pytest.raises(UsageError, match="unknown correction"):
+        compute_degs(ds, correction="bonferroni")
+    assert calls == []
 
 
 def test_bh_adjust_monotone_and_bounded():

@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from pertgraph import model
-from pertgraph.errors import ShapeError, UsageError
+from pertgraph.errors import DataError, ShapeError, UsageError
 from pertgraph.graph import GeneVocab, KnowledgeGraph
 from pertgraph.model import (
     ModelConfig,
@@ -496,3 +499,43 @@ def test_checkpoint_round_trip(tmp_path, toy_problem):
     save_checkpoint(loaded, jp2, bp2)
     assert jp.read_bytes() == jp2.read_bytes()
     assert bp.read_bytes() == bp2.read_bytes()
+
+
+def test_init_params_draws_the_scorer_blocks_as_one_w():
+    # W_h over W_s is the (2 d_struct, d_score) block one draw of the whole W
+    # gives, so a seed keeps every initial value
+    t = build_toy_problem().params
+    cfg = t.config
+    rng = np.random.default_rng(t.seed)
+    ds, m = cfg.d_struct, cfg.d_score
+    for shape in [(t.n_nodes, ds)] + [(ds, ds)] * cfg.n_layers + [(t.d_embed, ds)]:
+        rng.normal(size=shape)
+    w = rng.normal(0.0, 1.0 / np.sqrt(2 * ds), size=(2 * ds, m))
+    assert np.array_equal(np.vstack([t.values["score.wh"], t.values["score.ws"]]), w)
+    assert np.array_equal(t.values["score.v"], rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, 1)))
+
+
+def _rewrite_params(jp, edit):
+    manifest = json.loads(jp.read_text())
+    manifest["params"] = edit(manifest["params"])
+    jp.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ps: [{**p, "shape": p["shape"][::-1]} if p["name"] == "ctx.proj" else p for p in ps],
+         "parameter ctx.proj is (5, 4), its sizes and config need (4, 5)"),
+        (lambda ps: [{**p, "name": "enc.b9"} if p["name"] == "enc.b2" else p for p in ps],
+         "parameter enc.b2 is missing, its sizes and config need (1, 5)"),
+        (lambda ps: ps + [{"name": "extra", "shape": [1, 1]}], "parameter extra is (1, 1), its sizes and config need none"),
+        (lambda ps: ps + [ps[-1]], "lists a parameter twice"),
+    ],
+    ids=["transposed", "renamed", "extra", "listed-twice"],
+)
+def test_checkpoint_parameter_layout_is_checked(tmp_path, toy_problem, edit, message):
+    jp, bp = tmp_path / "ckpt.json", tmp_path / "ckpt.bin"
+    save_checkpoint(toy_problem.params, jp, bp)
+    _rewrite_params(jp, edit)
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_checkpoint(jp, bp)

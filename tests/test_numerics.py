@@ -167,7 +167,6 @@ OP_CASES = {
     "scale": ([(3, 4)], {"c": -1.7}),
     "concat-cols": ([(3, 2), (3, 4)], {}),
     "spmm": ([(3, 2)], {"op": scipy.sparse.csr_array(np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.2, 0.3, 0.0], [0.0, 0.0, 0.0]]))}),
-    "slice-rows": ([(4, 3)], {"start": 1, "stop": 3}),
     "broadcast-add": ([(3, 2), (4, 2)], {}),
     "reshape": ([(3, 4)], {"shape": (2, 6)}),
     "relu": ([(3, 4)], {}),

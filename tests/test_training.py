@@ -14,7 +14,7 @@ from pertgraph.data import (
 from pertgraph.errors import NumericalError, UsageError
 from pertgraph.loss import LossWeights
 from pertgraph.model import ModelConfig, forward, init_params, save_checkpoint
-from pertgraph.numerics import Tape
+from pertgraph.numerics import OP_KINDS, Tape
 from pertgraph.training import (
     PREDICT_CHUNK,
     TrainConfig,
@@ -24,6 +24,8 @@ from pertgraph.training import (
     predict_profiles,
     train,
 )
+
+from conftest import build_toy_problem
 
 
 def synth_setup(seed=0, n_genes=60, n_perts=12, cells=10, effect=1.0, sigma=0.2):
@@ -98,6 +100,29 @@ def test_no_non_deg_zeroes_gradient_contribution(toy_problem):
     assert parts_a.total == parts_b.total
     for name in grads_a:
         assert np.array_equal(grads_a[name], grads_b[name])
+
+
+def test_every_op_kind_runs_in_a_train_step(monkeypatch):
+    # an op only the tests use does not belong on the tape; mean-all is kept
+    # for tests/test_acceptance.py
+    tapes = []
+
+    class RecordedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(training, "Tape", RecordedTape)
+    options = [{}, {"selection_mode": "top_m", "select_top_m": 3, "weighted_aggregation": True}, {"no_context": True}]
+    for option in options:
+        t = build_toy_problem(**option)
+        evaluate_batch(
+            t.params, t.perts, t.xbar_c, t.targets, t.graph, t.embeddings,
+            t.deg_table, t.weights, huber_delta=0.5, gumbel_seeds={p: 7 for p in t.perts},
+        )
+    assert len(tapes) == len(options)
+    used = {node.kind for tape in tapes for node in tape.nodes}
+    assert set(OP_KINDS) - used == {"mean-all"}
 
 
 # --- training loop -----------------------------------------------------------------
