@@ -39,7 +39,10 @@ class RunConfig:
         return replace(self.train, seed=self.seed)
 
     def validate(self) -> None:
-        """Check the CLI's own settings, so a bad one fails before any command runs."""
+        """Check the CLI's own settings and the training and synth configs, so a
+        bad one fails before any command runs, whether the command reads it or not."""
+        self.train.validate()
+        self.synth.validate()
         if self.top_k < 0:
             raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {self.top_k}")
         if any(k < 1 for k in self.des_k):

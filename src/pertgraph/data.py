@@ -76,26 +76,42 @@ LOAD_CHUNK_ROWS = 256  # data lines parsed per np.loadtxt call; bounds the line 
 
 
 def load_expression(path) -> PerturbationDataset:
-    """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block.
+    """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block."""
+    genes, lead, values = _read_numeric_csv(path, ("sample_id", "perturbation"))
+    rows_by_label: dict[str, list[int]] = {}
+    for i, (_, label) in enumerate(lead):
+        rows_by_label.setdefault(label, []).append(i)
+    if CONTROL_LABEL not in rows_by_label:
+        raise DataError("no control rows in expression file")
+    blocks = {label: values[rows] for label, rows in rows_by_label.items()}
+    control = blocks.pop(CONTROL_LABEL)
+    return PerturbationDataset(GeneVocab(genes), control, blocks)
+
+
+def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """Read a CSV whose header starts with the `labels` columns, then names the
+    numeric columns; return those names, each data line's label fields and a
+    float64 array of its numbers, one row per data line.
 
     Data lines are streamed and their numbers parsed by numpy, LOAD_CHUNK_ROWS
     lines at a time, so no Python float or per-cell list is made. A line that
-    holds a double quote is split by the csv module, so quoted ids and labels
-    work (a quoted field may not span lines). Blank lines are skipped.
+    holds a double quote is split by the csv module, so quoted labels work (a
+    quoted field may not span lines). Blank lines are skipped. A malformed
+    line is a ParseError, and a NaN or inf a DataError, naming its line.
     """
-    labels: list[str] = []
+    k = len(labels)
+    lead: list[list[str]] = []
     chunks: list[np.ndarray] = []
     with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError("empty file", 1) from None
-        if len(header) < 3 or header[0] != "sample_id" or header[1] != "perturbation":
-            raise ParseError("header must start with sample_id,perturbation,<genes>", 1)
-        genes = header[2:]
-        if len(set(genes)) != len(genes):
-            raise ParseError("duplicate gene column in header", 1)
+        if len(header) <= k or tuple(header[:k]) != labels:
+            raise ParseError(f"header must start with {','.join(labels)},<columns>", 1)
+        names = header[k:]
+        if len(set(names)) != len(names):
+            raise ParseError("duplicate column in header", 1)
         texts: list[str] = []
         linenos: list[int] = []
         for lineno, line in enumerate(fh, start=2):  # the csv reader holds no line back
@@ -104,31 +120,24 @@ def load_expression(path) -> PerturbationDataset:
                 continue
             if '"' in line:
                 row = next(csv.reader([line]))
-                n_fields, text = len(row), ",".join(row[2:])
+                n_fields, text = len(row), ",".join(row[k:])
             else:
-                row = line.split(",", 2)
+                row = line.split(",", k)
                 text = row[-1]
                 n_fields = len(row) + text.count(",")
             if n_fields != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {n_fields}", lineno)
-            labels.append(row[1])
+            lead.append(row[:k])
             texts.append(text)
             linenos.append(lineno)
             if len(texts) == LOAD_CHUNK_ROWS:
-                chunks.append(_parse_numeric_lines(texts, linenos, len(genes)))
+                chunks.append(_parse_numeric_lines(texts, linenos, len(names)))
                 texts, linenos = [], []
         if texts:
-            chunks.append(_parse_numeric_lines(texts, linenos, len(genes)))
-    rows_by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        rows_by_label.setdefault(label, []).append(i)
-    if CONTROL_LABEL not in rows_by_label:
-        raise DataError("no control rows in expression file")
-    values = np.concatenate(chunks)
-    del chunks  # before the blocks are copied out, so at most two copies are alive
-    blocks = {label: values[rows] for label, rows in rows_by_label.items()}
-    control = blocks.pop(CONTROL_LABEL)
-    return PerturbationDataset(GeneVocab(genes), control, blocks)
+            chunks.append(_parse_numeric_lines(texts, linenos, len(names)))
+    # the chunks are freed on return, before the caller copies blocks out of
+    # the array, so at most two copies are alive
+    return names, lead, np.concatenate(chunks) if chunks else np.empty((0, len(names)))
 
 
 def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) -> np.ndarray:
@@ -136,23 +145,27 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) ->
 
     numpy's parser is stricter than `float()`: `1_0` and non-ASCII digits are
     errors. A text that fails, or does not give exactly `n_values` numbers,
-    is a ParseError naming its line.
+    is a ParseError naming its line; a NaN or inf is a DataError naming it.
     """
+    values = None
     if "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
         try:
             values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-            if values.shape == (len(texts), n_values):
-                return values
         except ValueError:
             pass
-    for text, lineno in zip(texts, linenos):  # error path: find the first bad line
-        try:
-            row = np.loadtxt([text], delimiter=",", comments=None) if text else np.empty(0)
-        except ValueError as exc:
-            raise ParseError(str(exc).split(" at row ")[0], lineno) from None
-        if row.size != n_values:  # an empty cell, or a quoted cell holding a comma
-            raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
-    raise AssertionError("a chunk failed to parse but each of its lines parses")
+    if values is None or values.shape != (len(texts), n_values):
+        for text, lineno in zip(texts, linenos):  # error path: find the first bad line
+            try:
+                row = np.loadtxt([text], delimiter=",", comments=None) if text else np.empty(0)
+            except ValueError as exc:
+                raise ParseError(str(exc).split(" at row ")[0], lineno) from None
+            if row.size != n_values:  # an empty cell, or a quoted cell holding a comma
+                raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
+        raise AssertionError("a chunk failed to parse but each of its lines parses")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"line {linenos[int(finite.argmin())]}: non-finite value")
+    return values
 
 
 def save_expression(dataset: PerturbationDataset, path) -> None:
@@ -380,33 +393,10 @@ def hash_embedding(name: str, dim: int) -> np.ndarray:
 def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
     """Read `gene,v0,...,v{d-1}` CSV; vocabulary genes absent from the file get
     the deterministic hash fallback at the same dimension."""
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty embeddings file", 1) from None
-        if len(header) < 2 or header[0] != "gene":
-            raise ParseError("header must be gene,v0,...", 1)
-        dim = len(header) - 1
-        vectors: dict[str, np.ndarray] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise DataError(f"line {lineno}: inconsistent vector length {len(row) - 1} != {dim}")
-            try:
-                vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"line {lineno}: non-finite embedding value")
-            vectors[row[0]] = vec
-    complete = {g: vectors.get(g, None) for g in vocab.names}
-    for g, v in complete.items():
-        if v is None:
-            complete[g] = hash_embedding(g, dim)
-    return SemanticEmbeddings(dim=dim, vectors=complete)
+    columns, lead, values = _read_numeric_csv(path, ("gene",))
+    dim = len(columns)
+    vectors = {gene: row for (gene,), row in zip(lead, values)}
+    return SemanticEmbeddings(dim, {g: vectors[g] if g in vectors else hash_embedding(g, dim) for g in vocab.names})
 
 
 def save_embeddings(embeddings: SemanticEmbeddings, path, genes: list[str] | None = None) -> None:
@@ -439,12 +429,16 @@ class SynthConfig:
             raise UsageError("need at least 4 perturbations")
         if self.cells_per_condition < 4:
             raise UsageError("need at least 4 cells per condition")
-        if len(self.deg_fracs) != 3 or any(f <= 0 or f >= 1 for f in self.deg_fracs):
-            raise UsageError("deg_fracs must be three values in (0, 1)")
-        if self.effect_magnitude < 0 or self.noise_sigma < 0:
-            raise UsageError("effect magnitude and noise sigma must be nonnegative")
+        # written so that NaN fails every check
+        if len(self.deg_fracs) != 3 or not all(0 < f < 1 for f in self.deg_fracs):
+            raise UsageError(f"deg_fracs must be three values in (0, 1), got {self.deg_fracs!r}")
+        for name in ("effect_magnitude", "noise_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise UsageError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if self.embed_dim < 2:
             raise UsageError("embed_dim must be >= 2")
+        if self.n_modules is not None and self.n_modules < 2:
+            raise UsageError(f"n_modules must be >= 2, got {self.n_modules}")
 
 
 @dataclass
@@ -478,7 +472,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthData:
 
     max_count = max(2, round(max(config.deg_fracs) * n))
     n_modules = config.n_modules or max(2, min(p_count, n // (2 * max_count)))
-    n_modules = max(2, min(n_modules, n // 4))
+    n_modules = min(n_modules, n // 4)  # n_genes >= 20, so at least 5
     member_order = rng.permutation(n)
     modules = np.array_split(member_order, n_modules)
     module_of = np.empty(n, dtype=np.int64)

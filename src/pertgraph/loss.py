@@ -2,9 +2,11 @@
 of predicted changes on non-DEG genes, and alignment of the graph context
 with the masked response signature.
 
-Each term has a plain numpy evaluator (the public contract) and a tape
-builder used by training; the builders compose only ops whose gradients are
-verified against finite differences.
+Each term is a tape builder over the whole batch, one row per perturbation,
+that returns the mean of the per-perturbation term over the rows. The
+builders compose only ops whose gradients are verified against finite
+differences; tests/test_loss.py holds per-perturbation numpy references
+that they are checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DegTable
-from .errors import DegenerateError, ShapeError, UsageError
-from .numerics import NORM_EPS, Tape, huber_value
+from .errors import DegenerateError, UsageError
+from .numerics import Tape
 
 
 @dataclass
@@ -36,16 +38,6 @@ class LossWeights:
             raise UsageError("huber_delta must be positive and finite")
         if not 0 < self.huber_scale < np.inf:
             raise UsageError(f"huber_scale must be positive and finite, got {self.huber_scale!r}")
-
-
-def recon_loss(x_hat: np.ndarray, xbar_p: np.ndarray) -> float:
-    """Mean squared error over genes between prediction and perturbed pseudobulk."""
-    a = np.asarray(x_hat, dtype=np.float64).reshape(-1)
-    b = np.asarray(xbar_p, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
-        raise ShapeError(f"profile lengths differ: {a.size} vs {b.size}")
-    d = a - b
-    return float((d * d).mean())
 
 
 def estimate_huber_delta(table: DegTable, train_perts: list[str] | None = None, scale: float = 1.0) -> float:
@@ -70,50 +62,9 @@ def estimate_huber_delta(table: DegTable, train_perts: list[str] | None = None, 
     return scale * std
 
 
-def non_deg_loss(x_hat: np.ndarray, xbar_c: np.ndarray, non_deg_mask: np.ndarray, delta: float) -> float:
-    """Mean Huber penalty of the predicted change on non-DEG genes (0 when the set is empty)."""
-    if delta <= 0:
-        raise UsageError("huber delta must be positive")
-    mask = np.asarray(non_deg_mask, dtype=bool).reshape(-1)
-    if not mask.any():
-        return 0.0
-    r = (np.asarray(x_hat, dtype=np.float64) - np.asarray(xbar_c, dtype=np.float64)).reshape(-1)
-    return float(huber_value(r[mask], delta).mean())
-
-
 def masked_response(delta: np.ndarray, deg_mask: np.ndarray) -> np.ndarray:
     """Signed effect sizes on DEGs, zero elsewhere (same shape as delta)."""
     return np.where(np.asarray(deg_mask, dtype=bool), np.asarray(delta, dtype=np.float64), 0.0)
-
-
-def align_loss(
-    z_context: np.ndarray,
-    delta: np.ndarray,
-    deg_mask: np.ndarray,
-    head: np.ndarray,
-) -> float:
-    """Squared distance between the unit context vector and the unit projected
-    response target; 0 when either vector is (numerically) zero."""
-    z = np.asarray(z_context, dtype=np.float64).reshape(-1)
-    y = masked_response(delta, deg_mask).reshape(-1)
-    if head.shape[0] != y.size or head.shape[1] != z.size:
-        raise ShapeError(f"alignment head {head.shape} does not map {y.size} -> {z.size}")
-    t = y @ head
-    nz, nt = np.linalg.norm(z), np.linalg.norm(t)
-    if nz <= NORM_EPS or nt <= NORM_EPS:
-        return 0.0
-    u = z / nz - t / nt
-    return float(u @ u)
-
-
-def total_loss(recon: float, non: float, align: float, weights: LossWeights) -> float:
-    weights.validate()
-    return recon + weights.lambda_non * non + weights.lambda_align * align
-
-
-# --- tape builders -----------------------------------------------------------------
-# Each builder takes the whole batch, one row per perturbation, and returns the
-# mean of the per-perturbation term over the rows.
 
 
 def build_recon_loss(tape: Tape, x_hat_id: int, xbar_p: np.ndarray) -> int:

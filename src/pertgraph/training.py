@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import DegTable, PerturbationDataset, SemanticEmbeddings, SplitSpec, compute_degs
+from .data import DegTable, PerturbationDataset, SemanticEmbeddings, SplitSpec, compute_degs, deg_rule
 from .errors import DegenerateError, NumericalError, UsageError, write_json
 from .graph import KnowledgeGraph
 from .loss import (
@@ -80,6 +80,7 @@ class TrainConfig:
             raise UsageError(f"ablation must be one of {ABLATIONS}")
         if self.optimizer not in ("adam", "sgd"):
             raise UsageError("optimizer must be adam or sgd")
+        deg_rule(self.alpha, self.deg_correction)  # raises on a bad alpha or correction
         self.model.validate()
         self.weights.validate()
 

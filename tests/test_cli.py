@@ -211,6 +211,9 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
         ("graph", "weighted_aggregation", "maybe"), ("data", "split_fractions", "0.5,0.5"),
         ("synth", "deg_fracs", "0.1,0.2,0.3,0.4"), ("model", "layers", "2.5"), ("metrics", "des_k", "5,x"),
         ("graph", "top_k", "-3"), ("metrics", "des_k", "0,5"), ("graph", "coverage_max_hops", "0"),
+        ("synth", "deg_fracs", "nan,0.1,0.1"), ("synth", "deg_fracs", "0.1,inf,0.1"),
+        ("synth", "noise_sigma", "nan"), ("synth", "noise_sigma", "inf"), ("synth", "effect_magnitude", "nan"),
+        ("synth", "modules", "-3"), ("synth", "modules", "1"),
     ],
 )
 def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
@@ -227,6 +230,21 @@ def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
     assert_one_line(err, "error: ")
     assert key in err and "malformed" not in err
     assert err.count("config key") <= 1
+
+
+@pytest.mark.parametrize(
+    "line,bad,message",
+    [("batch_size = 8", "batch_size = 0", "max_epochs and batch_size must be >= 1"),
+     ("[data]", "[data]\nalpha = 2.0", "alpha must")],
+    ids=["batch_size", "alpha"],
+)
+def test_bad_training_setting_fails_synth_without_effective_config(tmp_path, capsys, line, bad, message):
+    # synth reads no training setting, but writes them all into its effective config
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "data", tmp_path / "data")
+    cfg.write_text(cfg.read_text().replace(f"{line}\n", f"{bad}\n"))
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert_one_line(capsys.readouterr().err, f"error: {message}")
+    assert not (tmp_path / "data" / "effective_config.ini").exists()
 
 
 def test_unexpected_exception_exits_4_with_one_line(monkeypatch, tmp_path, capsys):

@@ -517,6 +517,48 @@ def test_load_embeddings_inconsistent_length(tmp_path):
         load_embeddings(path, GeneVocab(["A", "B"]))
 
 
+def write_embeddings(tmp_path, lines: list[str]):
+    path = tmp_path / "emb.csv"
+    path.write_text("\n".join(["gene,v0,v1", *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_load_embeddings_quoted_gene_and_blank_lines(tmp_path):
+    path = write_embeddings(tmp_path, ["", '"A,1",1.0,2.0', "", "B,3.0,4.0", ""])
+    emb = load_embeddings(path, GeneVocab(["A,1", "B"]))
+    assert emb.vector("A,1").tolist() == [1.0, 2.0]
+    assert emb.vector("B").tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "bad_row,cell,error,message",
+    [
+        (0, "1.0,2.0", ParseError, "expected 3 fields, got 4"),  # a wrong field count
+        (LOAD_CHUNK_ROWS + 3, "nan", DataError, "non-finite value"),  # a data row in the second chunk
+        (5, "-inf", DataError, "non-finite value"),
+        (1, "1_0", ParseError, ""),  # float() accepts it, numpy does not
+    ],
+    ids=["field-count", "nan-second-chunk", "inf", "underscore"],
+)
+def test_load_embeddings_bad_line_names_it(tmp_path, bad_row, cell, error, message):
+    lines = [f"G{i},0.5,0.25" for i in range(2 * LOAD_CHUNK_ROWS)]
+    lines[bad_row] = f"G{bad_row},0.5,{cell}"
+    lines.insert(0, "")  # a blank line 2 is skipped but still counted
+    with pytest.raises(error, match=f"^line {bad_row + 3}: {message}") as info:
+        load_embeddings(write_embeddings(tmp_path, lines), GeneVocab(["G0"]))
+    assert type(info.value) is error
+
+
+def test_load_embeddings_values_equal_float_of_each_cell(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-320, 300, size=(300, 2))
+    cells = [[repr(float(x)) for x in row] for row in values]
+    vocab = GeneVocab([f"G{i}" for i in range(300)])
+    emb = load_embeddings(write_embeddings(tmp_path, [f"G{i},{a},{b}" for i, (a, b) in enumerate(cells)]), vocab)
+    for i, row in enumerate(cells):
+        assert emb.vector(f"G{i}").tolist() == [float(c) for c in row]
+
+
 def test_embeddings_round_trip(tmp_path):
     vocab = GeneVocab(["A", "B"])
     emb = SemanticEmbeddings(dim=4, vectors={g: hash_embedding(g, 4) for g in vocab.names})

@@ -5,21 +5,63 @@ from pertgraph.data import DegTable, SynthConfig, compute_degs, synth_generate
 from pertgraph.errors import DegenerateError, ShapeError, UsageError
 from pertgraph.loss import (
     LossWeights,
-    align_loss,
     build_align_loss,
     build_non_deg_loss,
     build_recon_loss,
     build_total_loss,
     estimate_huber_delta,
     masked_response,
-    non_deg_loss,
-    recon_loss,
-    total_loss,
 )
-from pertgraph.numerics import Tape, grad_check, huber_value
+from pertgraph.numerics import NORM_EPS, Tape, grad_check, huber_value
 from pertgraph.training import evaluate_batch
 
 from conftest import build_toy_problem
+
+
+# --- per-perturbation references ---------------------------------------------------
+# Plain numpy evaluators of each term for one perturbation; the batched tape
+# builders must equal the mean of these over the rows.
+
+
+def recon_loss(x_hat: np.ndarray, xbar_p: np.ndarray) -> float:
+    """Mean squared error over genes between prediction and perturbed pseudobulk."""
+    a = np.asarray(x_hat, dtype=np.float64).reshape(-1)
+    b = np.asarray(xbar_p, dtype=np.float64).reshape(-1)
+    if a.size != b.size:
+        raise ShapeError(f"profile lengths differ: {a.size} vs {b.size}")
+    d = a - b
+    return float((d * d).mean())
+
+
+def non_deg_loss(x_hat: np.ndarray, xbar_c: np.ndarray, non_deg_mask: np.ndarray, delta: float) -> float:
+    """Mean Huber penalty of the predicted change on non-DEG genes (0 when the set is empty)."""
+    if delta <= 0:
+        raise UsageError("huber delta must be positive")
+    mask = np.asarray(non_deg_mask, dtype=bool).reshape(-1)
+    if not mask.any():
+        return 0.0
+    r = (np.asarray(x_hat, dtype=np.float64) - np.asarray(xbar_c, dtype=np.float64)).reshape(-1)
+    return float(huber_value(r[mask], delta).mean())
+
+
+def align_loss(z_context: np.ndarray, delta: np.ndarray, deg_mask: np.ndarray, head: np.ndarray) -> float:
+    """Squared distance between the unit context vector and the unit projected
+    response target; 0 when either vector is (numerically) zero."""
+    z = np.asarray(z_context, dtype=np.float64).reshape(-1)
+    y = masked_response(delta, deg_mask).reshape(-1)
+    if head.shape[0] != y.size or head.shape[1] != z.size:
+        raise ShapeError(f"alignment head {head.shape} does not map {y.size} -> {z.size}")
+    t = y @ head
+    nz, nt = np.linalg.norm(z), np.linalg.norm(t)
+    if nz <= NORM_EPS or nt <= NORM_EPS:
+        return 0.0
+    u = z / nz - t / nt
+    return float(u @ u)
+
+
+def total_loss(recon: float, non: float, align: float, weights: LossWeights) -> float:
+    weights.validate()
+    return recon + weights.lambda_non * non + weights.lambda_align * align
 
 
 # --- reconstruction ---------------------------------------------------------------
