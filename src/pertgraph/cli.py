@@ -27,7 +27,7 @@ from .data import (
     split_by_perturbation,
     synth_generate,
 )
-from .errors import DataError, NumericalError, UsageError, atomic_write, write_json
+from .errors import DataError, NumericalError, UsageError, write_csv, write_json
 from .graph import deg_coverage, degree_stats, load_edge_list, nominations, save_edge_list, topk_filter
 from .metrics import evaluate_predictions, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
@@ -195,13 +195,8 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
     )
     rep.save(out / "metrics.json")
     for p in sorted(test_perts):
-        write_scatter_csv(
-            out / f"scatter_{p}.csv",
-            dataset.vocab.names,
-            truth.deltas[p],
-            predictions[p] - xbar_c,
-            truth.deg_mask(p),
-        )
+        scatter = out / f"scatter_{p}.csv"
+        write_scatter_csv(scatter, dataset.vocab.names, truth.deltas[p], predictions[p] - xbar_c, truth.deg_mask(p))
     pd = rep.overall.get("pearson_delta", {})
     return f"eval: {len(test_perts)} test perturbations, pearson_delta mean={pd.get('mean')}"
 
@@ -209,10 +204,8 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
 def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
     dataset, graph, embeddings = _load_inputs(cfg)
     _, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
-    with atomic_write(out / "predictions.csv") as fh:
-        fh.write(",".join(["perturbation"] + dataset.vocab.names) + "\n")
-        for p in sorted(predictions):
-            fh.write(",".join([p] + [repr(float(x)) for x in predictions[p]]) + "\n")
+    rows = ([p, *predictions[p].tolist()] for p in sorted(predictions))
+    write_csv(out / "predictions.csv", ["perturbation"] + dataset.vocab.names, rows)
     return f"predict: wrote {len(predictions)} profiles to {out / 'predictions.csv'}"
 
 

@@ -13,8 +13,9 @@ import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .data import SynthConfig
+from .data import SynthConfig, check_split_fractions
 from .errors import UsageError, atomic_write
+from .graph import check_topk_mode
 from .training import TrainConfig
 
 
@@ -43,6 +44,8 @@ class RunConfig:
         bad one fails before any command runs, whether the command reads it or not."""
         self.train.validate()
         self.synth.validate()
+        check_split_fractions(self.split_fractions)
+        check_topk_mode(self.topk_mode)
         if self.top_k < 0:
             raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {self.top_k}")
         if any(k < 1 for k in self.des_k):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, ParseError, UsageError, atomic_write, open_utf8
+from .errors import DataError, ParseError, UsageError, open_utf8, write_csv
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -164,20 +164,15 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) ->
         raise AssertionError("a chunk failed to parse but each of its lines parses")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise DataError(f"line {linenos[int(finite.argmin())]}: non-finite value")
+        raise DataError("non-finite value", linenos[int(finite.argmin())])
     return values
 
 
 def save_expression(dataset: PerturbationDataset, path) -> None:
-    """Write the dataset back out; floats use repr so a reload is bit-exact."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "perturbation"] + dataset.vocab.names)
-        for i, row in enumerate(dataset.control):
-            writer.writerow([f"{CONTROL_LABEL}_{i:04d}", CONTROL_LABEL] + [repr(float(x)) for x in row])
-        for name in dataset.pert_names():
-            for i, row in enumerate(dataset.block(name)):
-                writer.writerow([f"{name}_{i:04d}", name] + [repr(float(x)) for x in row])
+    """Write the dataset back out, control block first, then each perturbation's."""
+    blocks = [(CONTROL_LABEL, dataset.control)] + [(name, dataset.block(name)) for name in dataset.pert_names()]
+    rows = ([f"{name}_{i:04d}", name, *row.tolist()] for name, block in blocks for i, row in enumerate(block))
+    write_csv(path, ["sample_id", "perturbation"] + dataset.vocab.names, rows)
 
 
 # --- differential expression ---------------------------------------------------
@@ -326,6 +321,15 @@ class SplitSpec:
     seed: int
 
 
+def check_split_fractions(fractions) -> np.ndarray:
+    """The train/val/test fractions as an array: three nonnegative values summing to 1."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    # written so that a NaN fraction fails it
+    if fr.size != 3 or not (np.all(fr >= 0) and abs(fr.sum() - 1.0) <= 1e-9):
+        raise UsageError("split_fractions must be three nonnegative values summing to 1")
+    return fr
+
+
 def split_by_perturbation(
     dataset: PerturbationDataset,
     fractions: tuple[float, float, float],
@@ -333,10 +337,7 @@ def split_by_perturbation(
 ) -> SplitSpec:
     """Seeded shuffle, then floor-sized splits with the remainder going to the
     largest fractional parts. Control cells are shared by every split."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    # written so that a NaN fraction fails it
-    if fr.size != 3 or not (np.all(fr >= 0) and abs(fr.sum() - 1.0) <= 1e-9):
-        raise UsageError("fractions must be three nonnegative values summing to 1")
+    fr = check_split_fractions(fractions)
     names = sorted(dataset.pert_names())
     n = len(names)
     nonzero = int((fr > 0).sum())
@@ -401,11 +402,8 @@ def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
 
 def save_embeddings(embeddings: SemanticEmbeddings, path, genes: list[str] | None = None) -> None:
     names = genes if genes is not None else sorted(embeddings.vectors)
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gene"] + [f"v{i}" for i in range(embeddings.dim)])
-        for g in names:
-            writer.writerow([g] + [repr(float(x)) for x in embeddings.vectors[g]])
+    rows = ([g, *embeddings.vectors[g].tolist()] for g in names)
+    write_csv(path, ["gene"] + [f"v{i}" for i in range(embeddings.dim)], rows)
 
 
 # --- synthetic data ----------------------------------------------------------------

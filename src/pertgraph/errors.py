@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, the UTF-8 opener for
-input files that reports undecodable bytes as one of them, and the atomic
-writer for output files.
+input files that reports undecodable bytes and line-numbered errors with the
+file's path, and the atomic writers for output files.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
 data problems exit 2, numerical failures exit 3. Any other exception is a
@@ -9,9 +9,10 @@ defect and exits 4 as an internal error.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, TextIO
@@ -26,17 +27,18 @@ class ShapeError(UsageError):
 
 
 class DataError(ValueError):
-    """Input data violates the documented file or content contract."""
-
-
-class ParseError(DataError):
-    """Malformed input file; carries the 1-based line number."""
+    """Input data violates the documented file or content contract; `line`,
+    when given, is the 1-based line of the input file that does."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ParseError(DataError):
+    """Malformed input file."""
 
 
 class DegenerateError(DataError):
@@ -50,12 +52,17 @@ class NumericalError(RuntimeError):
 @contextmanager
 def open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
     """Open an input file as UTF-8 text; a byte that does not decode, wherever
-    it is read, raises a DataError naming the file."""
+    it is read, raises a DataError naming the file, and a line-numbered
+    DataError raised while the file is open gets the file's path in front."""
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except DataError as exc:
+        if exc.line is not None:
+            exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @contextmanager
@@ -79,3 +86,13 @@ def write_json(obj, path) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """A header and one line per row by `csv.writer`, written atomically: fields
+    are quoted where needed, lines end in \\r\\n, and a float is written as its
+    repr, so a reload is bit-exact."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -132,7 +132,7 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
             except ValueError:
                 raise ParseError(f"bad weight {wtxt!r}", lineno) from None
             if not (np.isfinite(w) and w >= 0):
-                raise DataError(f"line {lineno}: edge weight must be finite and >= 0, got {wtxt!r}")
+                raise DataError(f"edge weight must be finite and >= 0, got {wtxt!r}", lineno)
             if a not in vocab or b not in vocab or a == b:
                 dropped += 1
                 continue
@@ -169,14 +169,18 @@ def nominations(graph: KnowledgeGraph, k: int) -> list[set[int]]:
     return [set(nominated[a:b]) for a, b in zip(ptr, ptr[1:])]
 
 
+def check_topk_mode(mode: str) -> None:
+    if mode not in ("union", "mutual"):
+        raise UsageError(f"topk_mode must be union or mutual, got {mode!r}")
+
+
 def topk_filter(graph: KnowledgeGraph, k: int, mode: str = "union") -> KnowledgeGraph:
     """Keep an edge iff an endpoint nominates it among its top-k weights.
 
     `union` keeps the edge when either endpoint nominates it; `mutual`
     requires both. The result stays symmetric and is a subgraph of the input.
     """
-    if mode not in ("union", "mutual"):
-        raise UsageError(f"unknown topk mode {mode!r}")
+    check_topk_mode(mode)
     hit = _nominated(graph, k)
     rows = graph.rows()
     # the CSR is symmetric and sorted by (row, col), so sorting by (col, row)

@@ -9,22 +9,12 @@ stratified mean/std reporting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, welch_pvalues
-from .errors import DegenerateError, NumericalError, ShapeError, UsageError, atomic_write, write_json
-
-METRIC_NAMES = (
-    "pearson_delta",
-    "pds",
-    "des_fdr",
-    "de_spearman_sig",
-    "de_spearman_lfc",
-    "direction_match",
-)
+from .errors import DegenerateError, NumericalError, ShapeError, UsageError, write_csv, write_json
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +29,7 @@ def pearson_delta(pred_delta, true_delta) -> float:
     """Pearson correlation of predicted vs true expression deltas."""
     x, y = _pair(pred_delta, true_delta)
     if x.size < 2:
-        raise UsageError("need at least 2 genes")
+        raise DegenerateError("need at least 2 genes")
     xc = x - x.mean()
     yc = y - y.mean()
     nx = np.sqrt((xc * xc).sum())
@@ -76,7 +66,7 @@ def de_spearman_lfc(pred_delta_deg, true_delta_deg, weights=None) -> float:
     weighted by |true delta| unless explicit weights are given."""
     x, y = _pair(pred_delta_deg, true_delta_deg)
     if x.size < 2:
-        raise UsageError("need at least 2 DEGs")
+        raise DegenerateError("need at least 2 DEGs")
     w = np.abs(y) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != x.size:
         raise ShapeError("weights length mismatch")
@@ -97,7 +87,7 @@ def direction_match(pred_delta_deg, true_delta_deg) -> float:
     """Fraction of DEGs whose predicted and true signs agree (sign(0) = 0)."""
     x, y = _pair(pred_delta_deg, true_delta_deg)
     if x.size < 1:
-        raise UsageError("need at least 1 DEG")
+        raise DegenerateError("need at least 1 DEG")
     return float(np.mean(np.sign(x) == np.sign(y)))
 
 
@@ -229,10 +219,11 @@ class MetricsReport:
         write_json(self.to_json_dict(), path)
 
 
-def _aggregate(values: list[float]) -> dict[str, float]:
-    if not values:
+def _aggregate(values: list[float | None]) -> dict[str, float | None]:
+    """Mean, population std and count of the values that are not None."""
+    arr = np.array([v for v in values if v is not None], dtype=np.float64)
+    if not arr.size:
         return {"mean": None, "std": None, "n": 0}
-    arr = np.asarray(values, dtype=np.float64)
     return {"mean": float(arr.mean()), "std": float(arr.std()), "n": int(arr.size)}
 
 
@@ -244,40 +235,24 @@ def report(
     per stratum; None entries (undefined metrics) are excluded from the counts."""
     strata = strata or {}
     missing = set(strata) - set(per_perturbation)
-    metric_names = sorted({m for row in per_perturbation.values() for m in row})
     if missing:
         raise UsageError(f"strata reference unknown perturbations: {sorted(missing)}")
+    metric_names = sorted({m for row in per_perturbation.values() for m in row})
 
     def collect(names):
-        out = {}
-        for metric in metric_names:
-            vals = [
-                per_perturbation[p][metric]
-                for p in names
-                if per_perturbation[p].get(metric) is not None
-            ]
-            out[metric] = _aggregate(vals)
-        return out
+        return {m: _aggregate([per_perturbation[p].get(m) for p in names]) for m in metric_names}
 
-    overall = collect(sorted(per_perturbation))
-    by_stratum: dict[str, dict] = {}
-    for stratum in sorted(set(strata.values())):
-        members = sorted(p for p, s in strata.items() if s == stratum)
-        by_stratum[stratum] = collect(members)
     return MetricsReport(
-        overall=overall,
-        strata=by_stratum,
+        overall=collect(sorted(per_perturbation)),
+        strata={s: collect(sorted(p for p in strata if strata[p] == s)) for s in sorted(set(strata.values()))},
         per_perturbation={p: dict(per_perturbation[p]) for p in sorted(per_perturbation)},
     )
 
 
 def write_scatter_csv(path, genes: list[str], delta_true: np.ndarray, delta_pred: np.ndarray, deg_mask: np.ndarray) -> None:
     """Per-gene true/predicted delta pairs with the DEG flag, for scatter plotting."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gene", "delta_true", "delta_pred", "is_deg"])
-        for g, dt, dp, m in zip(genes, delta_true, delta_pred, deg_mask):
-            writer.writerow([g, repr(float(dt)), repr(float(dp)), int(m)])
+    rows = zip(genes, delta_true.tolist(), delta_pred.tolist(), deg_mask.astype(int).tolist())
+    write_csv(path, ["gene", "delta_true", "delta_pred", "is_deg"], rows)
 
 
 def evaluate_predictions(
@@ -290,9 +265,10 @@ def evaluate_predictions(
 ):
     """Score predicted absolute profiles against the dataset's ground truth.
 
-    Returns (MetricsReport, truth DegTable). Metrics that are undefined for a
-    perturbation (no true DEGs, fewer than 2 DEGs, constant delta) come back
-    as None and are excluded from the aggregates with their counts.
+    Returns (MetricsReport, truth DegTable). A metric that raises
+    DegenerateError for a perturbation (no true DEGs, fewer than 2 DEGs, a
+    constant delta) is undefined there: it comes back as None and is excluded
+    from the aggregates and their counts.
     """
     perts = sorted(perts)
     if not perts:
@@ -317,32 +293,25 @@ def evaluate_predictions(
     for p in perts:
         dp, dt = pred_deltas[p], true_deltas[p]
         deg_idx = truth.deg_indices(p)
-        row: dict[str, float | None] = {"pds": pds_scores[p]}
-        try:
-            row["pearson_delta"] = pearson_delta(dp, dt)
-        except (DegenerateError, UsageError):
-            row["pearson_delta"] = None
-        if deg_idx.size:
-            g_true = set(deg_idx.tolist())
-            row["des_fdr"] = des_fdr(g_true, predicted_deg_set(dataset.control, dp, alpha, correction, control))
-            for k in des_k:
-                row[f"des_at_{k}"] = des_at_k(dp, g_true, k)
-        else:
-            row["des_fdr"] = None
-            for k in des_k:
-                row[f"des_at_{k}"] = None
-        if deg_idx.size >= 2:
-            try:
-                row["de_spearman_sig"] = de_spearman_sig(dp[deg_idx], dt[deg_idx])
-            except DegenerateError:
-                row["de_spearman_sig"] = None
-            try:
-                row["de_spearman_lfc"] = de_spearman_lfc(dp[deg_idx], dt[deg_idx])
-            except DegenerateError:
-                row["de_spearman_lfc"] = None
-        else:
-            row["de_spearman_sig"] = None
-            row["de_spearman_lfc"] = None
-        row["direction_match"] = direction_match(dp[deg_idx], dt[deg_idx]) if deg_idx.size else None
-        per[p] = row
+        dp_deg, dt_deg = dp[deg_idx], dt[deg_idx]
+        g_true = set(deg_idx.tolist())
+        # the Welch test of a prediction runs only where there are DEGs to recover
+        g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if g_true else set()
+        per[p] = {
+            "pds": pds_scores[p],
+            "pearson_delta": _unless_degenerate(pearson_delta, dp, dt),
+            "des_fdr": _unless_degenerate(des_fdr, g_true, g_pred),
+            **{f"des_at_{k}": _unless_degenerate(des_at_k, dp, g_true, k) for k in des_k},
+            "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg),
+            "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg),
+            "direction_match": _unless_degenerate(direction_match, dp_deg, dt_deg),
+        }
     return report(per, effect_size_strata(truth)), truth
+
+
+def _unless_degenerate(metric, *args) -> float | None:
+    """`metric(*args)`, or None where the metric is undefined."""
+    try:
+        return metric(*args)
+    except DegenerateError:
+        return None

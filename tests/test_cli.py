@@ -1,4 +1,5 @@
 import configparser
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,9 +12,17 @@ import pytest
 from pertgraph import errors
 from pertgraph.cli import main
 from pertgraph.config import RunConfig, load_config, write_effective_config
-from pertgraph.data import compute_degs, load_expression, save_embeddings, save_expression
+from pertgraph.data import (
+    PerturbationDataset,
+    SemanticEmbeddings,
+    compute_degs,
+    load_embeddings,
+    load_expression,
+    save_embeddings,
+    save_expression,
+)
 from pertgraph.errors import DataError, atomic_write, write_json
-from pertgraph.graph import load_edge_list, save_edge_list
+from pertgraph.graph import GeneVocab, KnowledgeGraph, load_edge_list, save_edge_list
 from pertgraph.metrics import report, write_scatter_csv
 from pertgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from pertgraph.training import TrainHistory
@@ -214,6 +223,7 @@ def test_bad_model_hyperparameter_exits_1(synth_run, capsys, setting):
         ("synth", "deg_fracs", "nan,0.1,0.1"), ("synth", "deg_fracs", "0.1,inf,0.1"),
         ("synth", "noise_sigma", "nan"), ("synth", "noise_sigma", "inf"), ("synth", "effect_magnitude", "nan"),
         ("synth", "modules", "-3"), ("synth", "modules", "1"),
+        ("data", "split_fractions", "nan,0.5,0.5"), ("graph", "topk_mode", "bogus"),
     ],
 )
 def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
@@ -268,7 +278,20 @@ def test_non_finite_edge_weight_is_a_one_line_data_error(synth_run, capsys, weig
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
     err = capsys.readouterr().err
-    assert_one_line(err, "data error: line 2: ")
+    assert_one_line(err, f"data error: {graph}: line 2: ")
+
+
+@pytest.mark.parametrize("name", ["expression.csv", "embeddings.csv", "graph.tsv"])
+def test_non_finite_value_on_line_3_names_its_file(synth_run, capsys, name):
+    cfg, synth_dir, _ = synth_run
+    path = synth_dir / name
+    sep = "\t" if name.endswith(".tsv") else ","
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(sep, 1)[0] + sep + "nan"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
+    assert_one_line(capsys.readouterr().err, f"data error: {path}: line 3: ")
 
 
 def _append_non_utf8_line(path: Path):
@@ -549,6 +572,31 @@ def test_predict_writes_profiles(synth_run):
     test_perts = json.loads((tmp / "out" / "splits.json").read_text())["test"]
     assert len(lines) == 1 + len(test_perts)
     assert lines[0].split(",")[0] == "perturbation"
+
+
+def test_predict_quotes_names_holding_a_comma_and_a_quote(synth_run):
+    cfg, synth_dir, tmp = synth_run
+    # every gene, the perturbed ones too, gets a name holding a comma and a double quote
+    ds = load_expression(synth_dir / "expression.csv")
+    graph, _ = load_edge_list(synth_dir / "graph.tsv", ds.vocab)
+    embeddings = load_embeddings(synth_dir / "embeddings.csv", ds.vocab)
+    renamed = {g: f'{g},"q"' for g in ds.vocab.names}
+    vocab = GeneVocab([renamed[g] for g in ds.vocab.names])
+    blocks = {renamed[p]: ds.block(p) for p in ds.pert_names()}
+    save_expression(PerturbationDataset(vocab, ds.control, blocks), synth_dir / "expression.csv")
+    save_edge_list(KnowledgeGraph(vocab, graph.indptr, graph.indices, graph.weights), synth_dir / "graph.tsv")
+    vectors = {renamed[g]: v for g, v in embeddings.vectors.items()}
+    save_embeddings(SemanticEmbeddings(embeddings.dim, vectors), synth_dir / "embeddings.csv", genes=vocab.names)
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    out = tmp / "pred_out"
+    ckpt = str(tmp / "out" / "checkpoint.json")
+    assert main(["predict", "--config", str(cfg), "--seed", "3", "--out", str(out), "--checkpoint", ckpt]) == 0
+    with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["perturbation"] + vocab.names
+    assert all(len(row) == 1 + ds.n_genes for row in rows)
+    test_perts = json.loads((tmp / "out" / "splits.json").read_text())["test"]
+    assert [row[0] for row in rows] == sorted(test_perts) and all('"' in p for p in test_perts)
 
 
 # --- graph-stats / deg-coverage ----------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -147,7 +148,7 @@ def test_load_expression_bad_cell_names_its_line(tmp_path, n_genes, bad_row, cel
     p = tmp_path / "expr.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     line = bad_row + 3
-    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: line {line}: ") as info:
         load_expression(p)
     assert info.value.line == line
 
@@ -544,8 +545,9 @@ def test_load_embeddings_bad_line_names_it(tmp_path, bad_row, cell, error, messa
     lines = [f"G{i},0.5,0.25" for i in range(2 * LOAD_CHUNK_ROWS)]
     lines[bad_row] = f"G{bad_row},0.5,{cell}"
     lines.insert(0, "")  # a blank line 2 is skipped but still counted
-    with pytest.raises(error, match=f"^line {bad_row + 3}: {message}") as info:
-        load_embeddings(write_embeddings(tmp_path, lines), GeneVocab(["G0"]))
+    path = write_embeddings(tmp_path, lines)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line {bad_row + 3}: {message}") as info:
+        load_embeddings(path, GeneVocab(["G0"]))
     assert type(info.value) is error
 
 

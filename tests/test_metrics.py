@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from pertgraph import metrics
-from pertgraph.data import SynthConfig, synth_generate
+from pertgraph.data import PerturbationDataset, SynthConfig, synth_generate
 from pertgraph.errors import DegenerateError, NumericalError, ShapeError, UsageError
+from pertgraph.graph import GeneVocab
 from pertgraph.metrics import (
     de_spearman_lfc,
     de_spearman_sig,
@@ -146,7 +147,7 @@ def test_weighted_spearman_oracle_random():
 def test_weighted_spearman_zero_weights_rejected():
     with pytest.raises(DegenerateError):
         de_spearman_lfc([1.0, 2.0], [1.0, 2.0], weights=np.zeros(2))
-    with pytest.raises(UsageError):
+    with pytest.raises(DegenerateError):
         de_spearman_lfc([1.0], [1.0])
 
 
@@ -446,3 +447,42 @@ def test_evaluate_predictions_rejects_wrong_width_prediction():
     preds[bad] = preds[bad][:59]
     with pytest.raises(ShapeError, match=f"{bad} has 59 genes, the dataset has 60"):
         evaluate_predictions(ds, preds, sorted(preds))
+
+
+def test_evaluate_predictions_gives_none_exactly_where_a_metric_is_undefined():
+    # P0 has no DEG, P1 exactly one, P2 five and a constant (zero) predicted delta
+    rng = np.random.default_rng(6)
+    control = rng.uniform(2.0, 4.0, size=(30, 20))
+    ramp = 0.01 * np.arange(20) / 20  # far too small to be a DEG
+    one, five = np.zeros(20), np.zeros(20)
+    one[3], five[:5] = 10.0, 10.0
+    blocks = {"P0": control + ramp, "P1": control + ramp + one, "P2": control + five}
+    ds = PerturbationDataset(GeneVocab([f"G{i}" for i in range(20)]), control, blocks)
+    xbar_c = ds.control.mean(axis=0)
+    preds = {"P0": xbar_c + rng.normal(0, 0.1, 20), "P1": xbar_c + rng.normal(0, 0.1, 20) + one, "P2": xbar_c.copy()}
+    rep, truth = evaluate_predictions(ds, preds, sorted(preds), des_k=(5,))
+    assert [truth.deg_indices(p).tolist() for p in sorted(preds)] == [[], [3], [0, 1, 2, 3, 4]]
+    rows = rep.per_perturbation
+    assert all(
+        list(row) == ["pds", "pearson_delta", "des_fdr", "des_at_5", "de_spearman_sig", "de_spearman_lfc", "direction_match"]
+        for row in rows.values()
+    )
+    assert {p: sorted(m for m, v in row.items() if v is None) for p, row in rows.items()} == {
+        "P0": ["de_spearman_lfc", "de_spearman_sig", "des_at_5", "des_fdr", "direction_match"],
+        "P1": ["de_spearman_lfc", "de_spearman_sig"],
+        "P2": ["de_spearman_lfc", "de_spearman_sig", "pearson_delta"],
+    }
+    pds_scores, _ = pds({p: preds[p] - xbar_c for p in preds}, truth.deltas)
+    for p, row in rows.items():
+        dp, dt, deg = preds[p] - xbar_c, truth.deltas[p], truth.deg_indices(p)
+        g_true = set(deg.tolist())
+        assert row["pds"] == pds_scores[p]
+        if p != "P2":
+            assert row["pearson_delta"] == pearson_delta(dp, dt)
+        if p != "P0":
+            assert row["des_fdr"] == des_fdr(g_true, predicted_deg_set(ds.control, dp))
+            assert row["des_at_5"] == des_at_k(dp, g_true, 5)
+            assert row["direction_match"] == direction_match(dp[deg], dt[deg])
+    assert (rows["P2"]["des_fdr"], rows["P2"]["des_at_5"], rows["P2"]["direction_match"]) == (0.0, 1.0, 0.0)
+    assert rep.overall["de_spearman_sig"] == {"mean": None, "std": None, "n": 0}
+    assert rep.overall["direction_match"]["n"] == 2 and rep.overall["pearson_delta"]["n"] == 2
