@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for obj, flag in ((cfg, "seed"), (cfg, "out"), (cfg.train, "ablation")):
+    for obj, flag in ((cfg.train, "seed"), (cfg, "out"), (cfg.train, "ablation")):
         value = getattr(args, flag)
         if value is not None:
             setattr(obj, flag, value)
@@ -87,10 +87,14 @@ def _require_paths(cfg: RunConfig, names: tuple[str, ...]) -> None:
 
 
 def _load_graph(cfg: RunConfig, paths: tuple[str, ...] = ("expression", "graph")):
-    """Check `paths`, then load the expression data and the edge list, both as
-    read and top-k filtered (the same graph when top_k is 0)."""
+    """Check `paths`, then load the expression data, whose perturbation labels
+    must be gene columns, and the edge list, both as read and top-k filtered
+    (the same graph when top_k is 0)."""
     _require_paths(cfg, paths)
     dataset = load_expression(cfg.expression)
+    stray = next((label for label in dataset.perturbations if label not in dataset.vocab), None)
+    if stray is not None:
+        raise DataError(f"{cfg.expression}: perturbation {stray!r} is not a gene column")
     raw, dropped = load_edge_list(cfg.graph, dataset.vocab)
     graph = topk_filter(raw, cfg.top_k, cfg.topk_mode) if cfg.top_k >= 1 else raw
     return dataset, raw, graph, dropped
@@ -102,12 +106,12 @@ def _load_inputs(cfg: RunConfig):
 
 
 def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
-    synth = synth_generate(cfg.synth, derive_seed(cfg.seed, "synth"))
+    synth = synth_generate(cfg.synth, derive_seed(cfg.train.seed, "synth"))
     save_expression(synth.dataset, out / "expression.csv")
     save_edge_list(synth.graph, out / "graph.tsv")
     save_embeddings(synth.embeddings, out / "embeddings.csv", genes=synth.dataset.vocab.names)
     manifest = {
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
         "n_genes": cfg.synth.n_genes,
         "n_perturbations": cfg.synth.n_perturbations,
         "deg_sets": synth.truth_degs,
@@ -120,8 +124,8 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_train(cfg: RunConfig, args, out: Path) -> str:
     dataset, graph, embeddings = _load_inputs(cfg)
-    splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split"))
-    params, history = train(dataset, splits, graph, embeddings, cfg.train_config())
+    splits = split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.train.seed, "split"))
+    params, history = train(dataset, splits, graph, embeddings, cfg.train)
     save_checkpoint(params, out / "checkpoint.json", out / "checkpoint.bin")
     history.checkpoint_ref = "checkpoint.json"
     history.save(out / "history.json")
@@ -152,7 +156,7 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     elif manifest is not None and (manifest.parent / "splits.json").exists():
         split_path = manifest.parent / "splits.json"
     if split_path is None:
-        test = list(split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.seed, "split")).test)
+        test = list(split_by_perturbation(dataset, cfg.split_fractions, derive_seed(cfg.train.seed, "split")).test)
     else:
         try:
             with open(split_path, "r", encoding="utf-8") as fh:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import SynthConfig, check_split_fractions
-from .errors import UsageError, atomic_write
+from .errors import UsageError, atomic_write, check_range
 from .graph import check_topk_mode
 from .training import TrainConfig
 
@@ -32,12 +32,8 @@ class RunConfig:
     topk_mode: str = "union"
     coverage_max_hops: int = 4
     des_k: tuple[int, ...] = (10, 50, 100)
-    seed: int = 0               # [run] seed; --seed overrides it
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-
-    def train_config(self) -> TrainConfig:
-        return replace(self.train, seed=self.seed)
 
     def validate(self) -> None:
         """Check the CLI's own settings and the training and synth configs, so a
@@ -46,12 +42,10 @@ class RunConfig:
         self.synth.validate()
         check_split_fractions(self.split_fractions)
         check_topk_mode(self.topk_mode)
-        if self.top_k < 0:
-            raise UsageError(f"[graph] top_k must be >= 0 (0 turns filtering off), got {self.top_k}")
-        if any(k < 1 for k in self.des_k):
-            raise UsageError(f"[metrics] des_k values must be >= 1, got {_format_value(self.des_k)}")
-        if self.coverage_max_hops < 1:
-            raise UsageError(f"[graph] coverage_max_hops must be >= 1, got {self.coverage_max_hops}")
+        check_range("top_k", self.top_k, 0)
+        for k in self.des_k:
+            check_range("des_k", k, 1)
+        check_range("coverage_max_hops", self.coverage_max_hops, 1)
 
 
 def _under(prefix: str, *names: str) -> dict[str, str]:
@@ -81,7 +75,7 @@ KEYS: dict[str, dict[str, str]] = {
                  "effect_magnitude", "noise_sigma", "embed_dim"),
         "modules": "synth.n_modules",
     },
-    "run": _under("", "seed"),
+    "run": _under("train.", "seed"),
 }
 
 

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DataError, ParseError, UsageError, open_utf8, write_csv
+from .errors import DataError, ParseError, UsageError, check_range, open_utf8, write_csv
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -233,8 +233,7 @@ def deg_rule(alpha: float, correction: str) -> Callable[[np.ndarray], np.ndarray
     DEG when its p-value, BH-adjusted under "benjamini-hochberg", is strictly below alpha."""
     if correction not in ("none", "benjamini-hochberg"):
         raise UsageError(f"unknown correction {correction!r}")
-    if not 0 < alpha <= 1:
-        raise UsageError(f"alpha must lie in (0, 1], got {alpha!r}")
+    check_range("alpha", alpha, 0, 1, low_open=True, high_open=False)
     adjust = bh_adjust if correction == "benjamini-hochberg" else np.asarray
     return lambda p: adjust(p) < alpha
 
@@ -324,8 +323,9 @@ class SplitSpec:
 def check_split_fractions(fractions) -> np.ndarray:
     """The train/val/test fractions as an array: three nonnegative values summing to 1."""
     fr = np.asarray(fractions, dtype=np.float64)
-    # written so that a NaN fraction fails it
-    if fr.size != 3 or not (np.all(fr >= 0) and abs(fr.sum() - 1.0) <= 1e-9):
+    for f in fr.flat:
+        check_range("split_fractions", f, 0)
+    if fr.size != 3 or abs(fr.sum() - 1.0) > 1e-9:
         raise UsageError("split_fractions must be three nonnegative values summing to 1")
     return fr
 
@@ -421,22 +421,18 @@ class SynthConfig:
     n_modules: int | None = None  # derived from gene count when unset
 
     def validate(self) -> None:
-        if self.n_genes < 20:
-            raise UsageError("need at least 20 genes")
-        if self.n_perturbations < 4:
-            raise UsageError("need at least 4 perturbations")
-        if self.cells_per_condition < 4:
-            raise UsageError("need at least 4 cells per condition")
-        # written so that NaN fails every check
-        if len(self.deg_fracs) != 3 or not all(0 < f < 1 for f in self.deg_fracs):
-            raise UsageError(f"deg_fracs must be three values in (0, 1), got {self.deg_fracs!r}")
-        for name in ("effect_magnitude", "noise_sigma"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise UsageError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
-        if self.embed_dim < 2:
-            raise UsageError("embed_dim must be >= 2")
-        if self.n_modules is not None and self.n_modules < 2:
-            raise UsageError(f"n_modules must be >= 2, got {self.n_modules}")
+        check_range("n_genes", self.n_genes, 20)
+        check_range("n_perturbations", self.n_perturbations, 4)
+        check_range("cells_per_condition", self.cells_per_condition, 4)
+        if len(self.deg_fracs) != 3:
+            raise UsageError(f"deg_fracs must be three values, got {self.deg_fracs!r}")
+        for f in self.deg_fracs:
+            check_range("deg_fracs", f, 0, 1, low_open=True)
+        check_range("effect_magnitude", self.effect_magnitude, 0)
+        check_range("noise_sigma", self.noise_sigma, 0)
+        check_range("embed_dim", self.embed_dim, 2)
+        if self.n_modules is not None:
+            check_range("n_modules", self.n_modules, 2)
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, the UTF-8 opener for
-input files that reports undecodable bytes and line-numbered errors with the
-file's path, and the atomic writers for output files.
+"""Exception hierarchy shared across the package, the range rule for every
+numeric setting and argument, the UTF-8 opener for input files that reports
+undecodable bytes and line-numbered errors with the file's path, and the
+atomic writers for output files.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
 data problems exit 2, numerical failures exit 3. Any other exception is a
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -47,6 +49,19 @@ class DegenerateError(DataError):
 
 class NumericalError(RuntimeError):
     """Computation produced non-finite values (training divergence etc.)."""
+
+
+def check_range(name: str, value, low, high=math.inf, *, low_open: bool = False, high_open: bool = True) -> None:
+    """Raise a UsageError naming `name`, its range and `value` unless `value`
+    lies between `low` and `high`, each bound excluded when open. NaN fails
+    every range and inf fails a range open at infinity."""
+    if (value > low if low_open else value >= low) and (value < high if high_open else value <= high):
+        return
+    if high == math.inf and high_open:
+        rule = f"be {'finite and ' if isinstance(value, float) else ''}{'>' if low_open else '>='} {low}"
+    else:
+        rule = f"lie in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+    raise UsageError(f"{name} must {rule}, got {value}")
 
 
 @contextmanager

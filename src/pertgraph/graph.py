@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError, UsageError, atomic_write, open_utf8
+from .errors import DataError, ParseError, UsageError, atomic_write, check_range, open_utf8
 
 
 class GeneVocab:
@@ -141,18 +141,24 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
 
 
 def save_edge_list(graph: KnowledgeGraph, path) -> None:
-    """Write one undirected edge per line (u < v order), tab-separated."""
+    """Write one undirected edge per line (u < v order), tab-separated. An
+    edge whose first name starts with `#` is written the other way round, so
+    it is not read as a comment; one whose two names do is a DataError."""
     names = graph.vocab.names
     with atomic_write(path) as fh:
         fh.write("# geneA\tgeneB\tweight\n")
         for (u, v), w in sorted(graph.edge_weight_map().items()):
-            fh.write(f"{names[u]}\t{names[v]}\t{w!r}\n")
+            a, b = names[u], names[v]
+            if a.startswith("#"):
+                if b.startswith("#"):
+                    raise DataError(f"edge {a!r}-{b!r} cannot be saved: both gene names start with '#', which marks a comment")
+                a, b = b, a
+            fh.write(f"{a}\t{b}\t{w!r}\n")
 
 
 def _nominated(graph: KnowledgeGraph, k: int) -> np.ndarray:
     """Mask over CSR entries: the entry is among its row's k heaviest (ties: lower index)."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    check_range("k", k, 1)
     rows = graph.rows()
     order = np.lexsort((graph.indices, -graph.weights, rows))
     # rows is sorted, so sorting by row first keeps every row's block in place
@@ -216,8 +222,8 @@ def hop_distances(graph: KnowledgeGraph, source: str, max_hops: int | None = Non
     The search stops after level `max_hops`, so nodes farther away get inf
     too; None searches the whole component.
     """
-    if max_hops is not None and max_hops < 0:
-        raise UsageError("max_hops must be >= 0")
+    if max_hops is not None:
+        check_range("max_hops", max_hops, 0)
     n, indptr = graph.n_nodes, graph.indptr
     dist = np.full(n, np.inf)
     frontier = np.array([graph.vocab.index(source)])
@@ -248,8 +254,7 @@ def deg_coverage(
     genes = list(deg_set)
     if not genes:
         raise UsageError("deg_set must be nonempty")
-    if max_hops < 1:
-        raise UsageError("max_hops must be >= 1")
+    check_range("max_hops", max_hops, 1)
     dist = hop_distances(graph, pert_gene, max_hops)
     dvals = dist[graph.vocab.indices(genes)]
     return [float(np.mean(dvals <= h)) for h in range(1, max_hops + 1)]

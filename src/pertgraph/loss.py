@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DegTable
-from .errors import DegenerateError, UsageError
+from .errors import DegenerateError, UsageError, check_range
 from .numerics import Tape
 
 
@@ -30,14 +30,11 @@ class LossWeights:
     huber_scale: float = 1.0  # delta = scale * std of pooled non-DEG deltas
 
     def validate(self) -> None:
-        # written so that NaN fails every check
-        for name in ("lambda_non", "lambda_align"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise UsageError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
-        if self.huber_delta is not None and not (0 < self.huber_delta < np.inf):
-            raise UsageError("huber_delta must be positive and finite")
-        if not 0 < self.huber_scale < np.inf:
-            raise UsageError(f"huber_scale must be positive and finite, got {self.huber_scale!r}")
+        check_range("lambda_non", self.lambda_non, 0)
+        check_range("lambda_align", self.lambda_align, 0)
+        if self.huber_delta is not None:
+            check_range("huber_delta", self.huber_delta, 0, low_open=True)
+        check_range("huber_scale", self.huber_scale, 0, low_open=True)
 
 
 def estimate_huber_delta(table: DegTable, train_perts: list[str] | None = None, scale: float = 1.0) -> float:

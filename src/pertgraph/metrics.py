@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, welch_pvalues
-from .errors import DegenerateError, NumericalError, ShapeError, UsageError, write_csv, write_json
+from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, write_csv, write_json
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +186,7 @@ def des_at_k(pred_delta: np.ndarray, g_true: set[int], k: int) -> float:
     k < |g_true|. The top k are the magnitudes above the k-th largest, v,
     plus the lowest-index genes at v, found with one partition.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    check_range("k", k, 1)
     if not g_true:
         raise DegenerateError("true DEG set is empty")
     mag = np.abs(np.asarray(pred_delta, dtype=np.float64).reshape(-1))

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from .data import SemanticEmbeddings
-from .errors import DataError, NumericalError, ShapeError, UsageError, atomic_write, write_json
+from .errors import DataError, NumericalError, ShapeError, UsageError, atomic_write, check_range, write_json
 from .graph import KnowledgeGraph
 from .numerics import Tape, _softmax_rows
 
@@ -56,21 +56,14 @@ class ModelConfig:
         return 1.0 / n_nodes if self.threshold is None else self.threshold
 
     def validate(self) -> None:
-        """Widths >= 1, layers >= 0, tau > 0, threshold in (0, 1) or None (1/n),
-        a known selection mode, top_m >= 1."""
-        for name in ("d_struct", "d_latent", "d_score"):
-            if not getattr(self, name) >= 1:
-                raise UsageError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not self.n_layers >= 0:
-            raise UsageError(f"n_layers must be at least 0, got {self.n_layers!r}")
-        if not self.tau > 0:
-            raise UsageError("tau must be positive")
-        if self.threshold is not None and not 0.0 < self.threshold < 1.0:
-            raise UsageError("threshold must lie in (0, 1)")
+        for name in ("d_struct", "d_latent", "d_score", "select_top_m"):
+            check_range(name, getattr(self, name), 1)
+        check_range("n_layers", self.n_layers, 0)
+        check_range("tau", self.tau, 0, low_open=True)
+        if self.threshold is not None:
+            check_range("threshold", self.threshold, 0, 1, low_open=True)
         if self.selection_mode not in ("threshold", "top_m"):
             raise UsageError(f"selection_mode must be 'threshold' or 'top_m', got {self.selection_mode!r}")
-        if not self.select_top_m >= 1:
-            raise UsageError(f"select_top_m must be at least 1, got {self.select_top_m!r}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError, UsageError, check_range
 
 NORM_EPS = 1e-12  # vectors at or below this norm normalize to zero
 
@@ -328,8 +328,7 @@ def grad_check(fn, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
     it is re-evaluated with each scalar entry of `params` nudged by +/- eps.
     Relative error is |analytic - fd| / max(1, |analytic|).
     """
-    if eps <= 0:
-        raise UsageError("eps must be positive")
+    check_range("eps", eps, 0, low_open=True)
     v0, grads = fn(params)
     v1, _ = fn(params)
     if v0 != v1:
@@ -387,8 +386,7 @@ def adam_step(
     The temporaries live in two scratch buffers sized for the largest
     parameter and shared by all of them.
     """
-    if lr <= 0:
-        raise UsageError("learning rate must be positive")
+    check_range("lr", lr, 0, low_open=True)
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
@@ -422,8 +420,7 @@ def sgd_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    if lr <= 0:
-        raise UsageError("learning rate must be positive")
+    check_range("lr", lr, 0, low_open=True)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import DegTable, PerturbationDataset, SemanticEmbeddings, SplitSpec, compute_degs, deg_rule
-from .errors import DegenerateError, NumericalError, UsageError, write_json
+from .errors import DegenerateError, NumericalError, UsageError, check_range, write_json
 from .graph import KnowledgeGraph
 from .loss import (
     LossWeights,
@@ -67,15 +67,11 @@ class TrainConfig:
     deg_correction: str = "none"
 
     def validate(self) -> None:
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise UsageError("max_epochs and batch_size must be >= 1")
-        if self.patience < 1 or self.patience > self.max_epochs:
-            raise UsageError("patience must lie in [1, max_epochs]")
-        # written so that NaN fails every check
-        if not 0 < self.learning_rate < np.inf:
-            raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise UsageError(f"weight_decay must be nonnegative and finite, got {self.weight_decay!r}")
+        check_range("max_epochs", self.max_epochs, 1)
+        check_range("batch_size", self.batch_size, 1)
+        check_range("patience", self.patience, 1, self.max_epochs, high_open=False)
+        check_range("learning_rate", self.learning_rate, 0, low_open=True)
+        check_range("weight_decay", self.weight_decay, 0)
         if self.ablation not in ABLATIONS:
             raise UsageError(f"ablation must be one of {ABLATIONS}")
         if self.optimizer not in ("adam", "sgd"):

@@ -244,8 +244,8 @@ def test_bad_setting_exits_1(synth_run, capsys, section, key, value):
 
 @pytest.mark.parametrize(
     "line,bad,message",
-    [("batch_size = 8", "batch_size = 0", "max_epochs and batch_size must be >= 1"),
-     ("[data]", "[data]\nalpha = 2.0", "alpha must")],
+    [("batch_size = 8", "batch_size = 0", "batch_size must be >= 1, got 0"),
+     ("[data]", "[data]\nalpha = 2.0", "alpha must lie in (0, 1], got 2.0")],
     ids=["batch_size", "alpha"],
 )
 def test_bad_training_setting_fails_synth_without_effective_config(tmp_path, capsys, line, bad, message):
@@ -292,6 +292,21 @@ def test_non_finite_value_on_line_3_names_its_file(synth_run, capsys, name):
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
     assert_one_line(capsys.readouterr().err, f"data error: {path}: line 3: ")
+
+
+@pytest.mark.parametrize("command", ["train", "deg-coverage"])
+def test_perturbation_label_that_is_no_gene_column_is_a_data_error(synth_run, capsys, command):
+    # the first two labels of the file become two that name no gene; the one
+    # met first is named, though the other sorts before it
+    cfg, synth_dir, _ = synth_run
+    path = synth_dir / "expression.csv"
+    rows = [line.split(",", 2) for line in path.read_text().splitlines()]
+    labels = list(dict.fromkeys(label for _, label, _ in rows[1:] if label != "control"))
+    stray = {labels[0]: "non-targeting", labels[1]: "SCRAMBLE"}
+    path.write_text("".join(f"{sid},{stray.get(label, label)},{rest}\n" for sid, label, rest in rows))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--seed", "3"]) == 2
+    assert_one_line(capsys.readouterr().err, f"data error: {path}: perturbation 'non-targeting' is not a gene column\n")
 
 
 def _append_non_utf8_line(path: Path):
@@ -549,7 +564,8 @@ def test_effective_config_chains_through_every_command(tmp_path):
     # to the settings that command ran with
     data = tmp_path / "data"
     previous = write_config(tmp_path / "run.ini", data, tmp_path / "unused")
-    expected = dataclasses.replace(load_config(previous), seed=3)
+    expected = load_config(previous)
+    expected.train.seed = 3
     ckpt = str(tmp_path / "train" / "checkpoint.json")
     for command in ("synth", "train", "eval", "predict", "graph-stats", "deg-coverage"):
         out = data if command == "synth" else tmp_path / command

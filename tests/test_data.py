@@ -380,9 +380,11 @@ def test_split_deterministic_and_seed_sensitive():
 
 @pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5), (0.8, 0.1, 0.2)])
 def test_split_rejects_nan_or_unbalanced_fractions_without_warnings(fractions):
+    # a NaN fails the per-value range before the sum is looked at
+    rule = "must be finite and >= 0, got nan" if np.isnan(fractions).any() else "must be three nonnegative values summing to 1"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UsageError, match="fractions must be three nonnegative values"):
+        with pytest.raises(UsageError, match=f"^split_fractions {re.escape(rule)}$"):
             split_by_perturbation(ten_pert_dataset(), fractions, seed=0)
 
 

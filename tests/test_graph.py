@@ -104,6 +104,24 @@ def test_save_load_round_trip(tmp_path):
     assert g.edge_weight_map() == g2.edge_weight_map()
 
 
+def test_save_load_round_trip_keeps_an_edge_whose_first_name_starts_with_hash(tmp_path):
+    # '#A' sorts first, so the edge '#A'-'B' is written the other way round
+    g = build(["#A", "B", "C"], [(0, 1, 0.5), (1, 2, 0.25)])
+    path = tmp_path / "g.tsv"
+    save_edge_list(g, path)
+    g2, dropped = load_edge_list(path, g.vocab)
+    assert dropped == 0
+    assert g2.edge_weight_map() == {(0, 1): 0.5, (1, 2): 0.25}
+
+
+def test_save_edge_between_two_hash_names_is_a_data_error(tmp_path):
+    g = build(["#A", "#B", "C"], [(0, 1, 0.5), (1, 2, 0.25)])
+    path = tmp_path / "g.tsv"
+    with pytest.raises(DataError, match="^edge '#A'-'#B' cannot be saved: both gene names start with '#'"):
+        save_edge_list(g, path)
+    assert not path.exists()
+
+
 def test_duplicate_vocab_rejected():
     with pytest.raises(DataError):
         GeneVocab(["A", "A"])

@@ -288,6 +288,15 @@ def test_grad_check_rejects_nondeterministic_fn():
         grad_check(fn, {"w": np.zeros((1, 1))}, eps=1e-5)
 
 
+def test_grad_check_rejects_nan_eps():
+    # with eps = nan every difference is nan, and max(0.0, nan) would report 0.0
+    def wrong(p):
+        return float(np.sum(p["w"] ** 2)), {"w": np.zeros((1, 2))}
+
+    with pytest.raises(UsageError, match="^eps must be finite and > 0, got nan$"):
+        grad_check(wrong, {"w": np.ones((1, 2))}, eps=float("nan"))
+
+
 # --- adam ---------------------------------------------------------------------
 
 
@@ -333,6 +342,19 @@ def test_sgd_step_basic():
     params = {"w": np.array([[1.0]])}
     sgd_step(params, {"w": np.array([[0.5]])}, lr=0.2)
     assert params["w"][0, 0] == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_optimizer_step_rejects_a_bad_learning_rate_and_keeps_params(optimizer, lr):
+    params = {"w": np.array([[1.0, -2.0]])}
+    grads = {"w": np.array([[0.5, 0.5]])}
+    with pytest.raises(UsageError, match=f"^lr must be finite and > 0, got {lr}$"):
+        if optimizer == "adam":
+            adam_step(params, grads, AdamState.for_params(params), lr=lr)
+        else:
+            sgd_step(params, grads, lr=lr)
+    assert np.array_equal(params["w"], [[1.0, -2.0]])
 
 
 def test_as_matrix_coercion():
