@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import stdtr, stdtrit
 
 from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, welch_pvalues
 from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, write_csv, write_json
@@ -61,26 +62,29 @@ def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float(cov / np.sqrt(vx * vy))
 
 
-def de_spearman_lfc(pred_delta_deg, true_delta_deg, weights=None) -> float:
+def de_spearman_lfc(pred_delta_deg, true_delta_deg, weights=None, *, ranks=None) -> float:
     """Weighted Spearman over DEGs: weighted Pearson on average-tie ranks,
-    weighted by |true delta| unless explicit weights are given."""
+    weighted by |true delta| unless explicit weights are given. `ranks`, when
+    given, is the pair of `rank_average_ties` of the two deltas."""
     x, y = _pair(pred_delta_deg, true_delta_deg)
     if x.size < 2:
         raise DegenerateError("need at least 2 DEGs")
     w = np.abs(y) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.size != x.size:
         raise ShapeError("weights length mismatch")
-    if np.any(w < 0):
-        raise UsageError("weights must be nonnegative")
+    bad = w[~(np.isfinite(w) & (w >= 0))]
+    if bad.size:
+        raise UsageError(f"weights must be finite and >= 0, got {bad[0]}")
     if not np.any(w > 0):
         raise DegenerateError("all-zero weights")
-    return _weighted_pearson(rank_average_ties(x), rank_average_ties(y), w)
+    rx, ry = (rank_average_ties(x), rank_average_ties(y)) if ranks is None else ranks
+    return _weighted_pearson(rx, ry, w)
 
 
-def de_spearman_sig(pred_delta_deg, true_delta_deg) -> float:
+def de_spearman_sig(pred_delta_deg, true_delta_deg, *, ranks=None) -> float:
     """Plain Spearman over DEGs (the uniform-weight case of the weighted variant)."""
     x, y = _pair(pred_delta_deg, true_delta_deg)
-    return de_spearman_lfc(x, y, weights=np.ones(x.size))
+    return de_spearman_lfc(x, y, weights=np.ones(x.size), ranks=ranks)
 
 
 def direction_match(pred_delta_deg, true_delta_deg) -> float:
@@ -157,6 +161,24 @@ def des_fdr(g_true: set[int], g_pred: set[int]) -> float:
     return len(set(g_true) & set(g_pred)) / len(g_true)
 
 
+TAIL_RTOL = 1e-9  # relative error allowed for stdtr's tail probabilities (they reach 3e-14)
+SPREAD_RTOL = 1e-6  # the largest rounding-to-spread ratio w decided in closed form
+
+
+def _t_thresholds(n: int, alpha: float) -> tuple[float, float]:
+    """(t_lo, t_hi): a Welch |t| below t_lo gives p >= alpha and above t_hi
+    p < alpha, for df from 2(n - 1) down by a relative 8 SPREAD_RTOL^2. stdtr,
+    as the test uses it, confirms each of stdtrit's values; one it does not
+    (far or near-1/2 tails), or one for a subnormal tail, where the TAIL_RTOL
+    margin rounds away, becomes infinite."""
+    df, df_low = 2 * (n - 1), 2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2)
+    q_lo, q_hi = alpha / 2 * (1 + TAIL_RTOL), alpha / 2 * (1 - TAIL_RTOL)
+    t_lo, t_hi = -stdtrit(df, q_lo), -stdtrit(df_low, q_hi)
+    lo_ok = stdtr(df, -t_lo) >= q_lo
+    hi_ok = q_hi >= np.finfo(np.float64).tiny and stdtr(df_low, -t_hi) <= q_hi
+    return (t_lo if lo_ok else -np.inf), (t_hi if hi_ok else np.inf)
+
+
 def predicted_deg_set(
     control_block: np.ndarray,
     pred_delta: np.ndarray,
@@ -166,16 +188,44 @@ def predicted_deg_set(
 ) -> set[int]:
     """Significant genes of a predicted profile, by Welch against control.
 
-    The predicted condition is materialized as the control samples shifted by
-    the predicted delta, so a single predicted profile is testable against the
-    control variance with the same settings used for the ground truth.
+    The predicted condition is the control samples shifted by the predicted
+    delta, so a single predicted profile is testable against the control
+    variance with the same settings used for the ground truth.
     `control_stats`, when given, is `group_stats(control_block)`, computed
     once for many predictions.
+
+    Under correction "none" no shifted copy is built. It has the control's n
+    and, up to rounding, std s, so its t is d / (s sqrt(2/n)) with df 2(n - 1).
+    Its values and sums are within about n eps M of exact, M = max |c| + |d|
+    in the column; with w = (n + 3) eps M / s, |t| is off by less than
+    2 w (sqrt(n) + 2|t|) and df falls by a relative 8 w^2 at most. Genes with
+    w < SPREAD_RTOL and |t| that far clear of the thresholds are decided by
+    |t|; the rest (zero spread, a spread the shift can round away, |t| near a
+    threshold) take the materialised test, in one `welch_pvalues` call made
+    even when there are none.
     """
     is_deg = deg_rule(alpha, correction)
-    shifted = control_block + np.asarray(pred_delta, dtype=np.float64).reshape(1, -1)
-    p = welch_pvalues(control_block if control_stats is None else control_stats, shifted)
-    return set(np.flatnonzero(is_deg(p)).tolist())
+    d = np.asarray(pred_delta, dtype=np.float64).reshape(-1)
+    c = group_stats(control_block) if control_stats is None else control_stats
+    if correction != "none":
+        return set(np.flatnonzero(is_deg(welch_pvalues(c, control_block + d))).tolist())
+    n = c.n
+    t_lo, t_hi = _t_thresholds(n, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(c.var)
+        t = np.abs(d) / (s * np.sqrt(2 / n))
+        w = (n + 3) * np.finfo(np.float64).eps * (np.maximum(np.abs(c.max), np.abs(c.min)) + np.abs(d)) / s
+        tol = 2 * w * (np.sqrt(n) + 2 * t)
+        known = w < SPREAD_RTOL
+        sig = known & (t - tol > t_hi)
+        window = np.flatnonzero(~(sig | known & (t + tol < t_lo)))
+    # numpy sums the columns of a wider block row by row, as in the whole
+    # shifted block, but a lone column pairwise; so a lone column goes twice
+    cols = np.repeat(window, 2) if window.size == 1 < d.size else window
+    shifted = np.take(control_block, cols, axis=1) + d[cols]
+    p = welch_pvalues(GroupStats(n, *(x[cols] for x in c[1:])), shifted)
+    sig[window] = is_deg(p[: window.size])
+    return set(np.flatnonzero(sig).tolist())
 
 
 def des_at_k(pred_delta: np.ndarray, g_true: set[int], k: int) -> float:
@@ -296,21 +346,22 @@ def evaluate_predictions(
         g_true = set(deg_idx.tolist())
         # the Welch test of a prediction runs only where there are DEGs to recover
         g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if g_true else set()
+        ranks = rank_average_ties(dp_deg), rank_average_ties(dt_deg)
         per[p] = {
             "pds": pds_scores[p],
             "pearson_delta": _unless_degenerate(pearson_delta, dp, dt),
             "des_fdr": _unless_degenerate(des_fdr, g_true, g_pred),
             **{f"des_at_{k}": _unless_degenerate(des_at_k, dp, g_true, k) for k in des_k},
-            "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg),
-            "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg),
+            "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg, ranks=ranks),
+            "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg, ranks=ranks),
             "direction_match": _unless_degenerate(direction_match, dp_deg, dt_deg),
         }
     return report(per, effect_size_strata(truth)), truth
 
 
-def _unless_degenerate(metric, *args) -> float | None:
-    """`metric(*args)`, or None where the metric is undefined."""
+def _unless_degenerate(metric, *args, **kwargs) -> float | None:
+    """`metric(*args, **kwargs)`, or None where the metric is undefined."""
     try:
-        return metric(*args)
+        return metric(*args, **kwargs)
     except DegenerateError:
         return None

@@ -206,7 +206,7 @@ def gumbel_select(
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     ModelConfig(tau=tau, threshold=threshold, selection_mode=mode, select_top_m=top_m).validate()
-    if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-6:
+    if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-6):
         raise UsageError("alpha must be a probability vector")
     logits = (np.log(np.maximum(alpha, ALPHA_FLOOR)) + _gumbel_noise([seed], alpha.size)) / tau
     alpha_tilde = _softmax_rows(logits)

@@ -2,10 +2,10 @@ import csv
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from pertgraph import metrics
-from pertgraph.data import PerturbationDataset, SynthConfig, synth_generate
+from pertgraph import data, metrics
+from pertgraph.data import PerturbationDataset, SynthConfig, deg_rule, group_stats, synth_generate, welch_pvalues
 from pertgraph.errors import DegenerateError, NumericalError, ShapeError, UsageError
 from pertgraph.graph import GeneVocab
 from pertgraph.metrics import (
@@ -142,6 +142,21 @@ def test_weighted_spearman_oracle_random():
         assert de_spearman_lfc(x, y, weights=w) == pytest.approx(
             weighted_spearman_bruteforce(x, y, w), abs=1e-10
         )
+
+
+def test_weighted_spearman_rejects_nan_inf_and_negative_weights():
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(UsageError, match=f"weights must be finite and >= 0, got {bad}"):
+            de_spearman_lfc([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], weights=[1, bad, 1])
+
+
+def test_spearman_with_given_ranks_equals_ranking_inside():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x, y = np.round(rng.normal(size=(2, 15)), 1)
+        ranks = rank_average_ties(x), rank_average_ties(y)
+        assert de_spearman_sig(x, y, ranks=ranks) == de_spearman_sig(x, y)
+        assert de_spearman_lfc(x, y, ranks=ranks) == de_spearman_lfc(x, y)
 
 
 def test_weighted_spearman_zero_weights_rejected():
@@ -342,6 +357,80 @@ def test_predicted_deg_set_recovers_strong_shifts():
     assert len(weak) == 0
 
 
+def predicted_deg_set_materialised(control_block, pred_delta, alpha=0.05, correction="none", control_stats=None):
+    """The reference: the control cells shifted by the delta, Welch-tested whole."""
+    p = welch_pvalues(control_block, control_block + np.asarray(pred_delta, dtype=np.float64))
+    return set(np.flatnonzero(deg_rule(alpha, correction)(p)).tolist())
+
+
+def counting_welch(monkeypatch, module):
+    """Replace `module.welch_pvalues` with a wrapper; returns the list of the
+    column counts it was called with."""
+    calls = []
+
+    def welch(control, block):
+        calls.append(np.shape(block)[1])
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(module, "welch_pvalues", welch)
+    return calls
+
+
+def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
+    calls = counting_welch(monkeypatch, metrics)
+    rng = np.random.default_rng(15)
+    eps = np.finfo(np.float64).eps
+    retested = 0
+    for n, g in [(2, 30), (3, 30), (20, 30), (20, 1), (6, 2)]:
+        control = rng.uniform(0.5, 3.0, g) + rng.normal(0.0, 0.2, (n, g))
+        if g > 8:
+            control[:, :4] = [0.0, 1.7, 1e6, -3.0]  # zero variance
+            control[:, 4:8] = 1e6 + 1e-10 * rng.normal(size=(n, 4))  # a spread the shift can round away
+            control[:, 8:16] = 1e6 + 0.01 * rng.normal(size=(n, 8))  # rounding near 1e-8 of the spread
+        c = group_stats(control)
+        for alpha in (0.05, 1.0, 1e-6, 1e-320):
+            se = np.sqrt(2 * c.var / n)
+            t_crit = -special.stdtrit(2 * (n - 1), max(alpha, 1e-100) / 2)  # stdtrit fails in far tails
+            sign = rng.choice([-1.0, 1.0], g)
+            on_crit = se * t_crit * (1 + rng.integers(-8, 9, g) * eps) * sign
+            near_crit = se * t_crit * (1 + rng.integers(-50, 51, g) * 1e-9) * sign
+            one_on_crit = rng.normal(0.0, 0.3, g)
+            one_on_crit[g // 2] = on_crit[g // 2]
+            tiny = se * rng.integers(-3, 4, g) * 1e-16
+            for d in (rng.normal(0.0, 0.3, g), np.zeros(g), on_crit, near_crit, one_on_crit, tiny):
+                if g > 8:
+                    d[:4] = rng.choice([0.0, 1e-17, 1.0, -2.5], 4)
+                    d[4:8] = rng.choice([0.0, 1e9, -1e9, 1e-3], 4)
+                for correction in ("none", "benjamini-hochberg"):
+                    calls.clear()
+                    got = predicted_deg_set(control, d, alpha, correction, c)
+                    assert got == predicted_deg_set_materialised(control, d, alpha, correction)
+                    assert len(calls) == 1
+                    retested += calls[0] if correction == "none" else 0
+    assert retested > 0  # the window and the degenerate columns were exercised
+
+
+def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
+    # a column within eps of t_crit is decided by the last bits of its sums,
+    # which numpy adds in another order for a lone column than for a block
+    rng = np.random.default_rng(17)
+    t_crit = -special.stdtrit(38, 0.025)
+    for _ in range(300):
+        control = rng.uniform(0.5, 3.0, 2) + rng.normal(0.0, 0.2, (20, 2))
+        c = group_stats(control)
+        d = np.array([0.01, np.sqrt(c.var[1] / 10) * t_crit * (1 + rng.integers(-8, 9) * np.finfo(np.float64).eps)])
+        assert predicted_deg_set(control, d, control_stats=c) == predicted_deg_set_materialised(control, d)
+
+
+def test_predicted_deg_set_retests_no_column_of_an_ordinary_prediction(monkeypatch):
+    calls = counting_welch(monkeypatch, metrics)
+    rng = np.random.default_rng(16)
+    control = rng.uniform(0.5, 3.0, 500) + rng.normal(0.0, 0.2, (20, 500))
+    d = rng.normal(0.0, 0.3, 500)
+    assert predicted_deg_set(control, d) == predicted_deg_set_materialised(control, d)
+    assert calls == [0]
+
+
 # --- reporting -----------------------------------------------------------------------
 
 
@@ -422,9 +511,29 @@ def test_evaluate_predictions_matches_loop_and_lexsort_oracles(monkeypatch):
     fast, _ = evaluate_predictions(ds, preds, perts)
     monkeypatch.setattr(metrics, "pds", pds_loop)
     monkeypatch.setattr(metrics, "des_at_k", des_at_k_lexsort)
+    monkeypatch.setattr(metrics, "predicted_deg_set", predicted_deg_set_materialised)
     slow, _ = evaluate_predictions(ds, preds, perts)
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.overall["pds"]["mean"] < 1.0
+
+
+def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delta_once(monkeypatch):
+    cfg = SynthConfig(n_genes=100, n_perturbations=12, cells_per_condition=10, embed_dim=8)
+    synth = synth_generate(cfg, seed=3).dataset
+    blocks = {p: synth.block(p) for p in synth.pert_names()}
+    blocks["NULL"] = synth.control.copy()  # no DEG, so no Welch test of its prediction
+    ds = PerturbationDataset(synth.vocab, synth.control, blocks)
+    rng = np.random.default_rng(18)
+    preds = {p: ds.block(p).mean(axis=0) + rng.normal(0.0, 0.2, ds.n_genes) for p in ds.pert_names()}
+    calls = counting_welch(monkeypatch, data)
+    calls_pred = counting_welch(monkeypatch, metrics)
+    ranked = []
+    monkeypatch.setattr(metrics, "rank_average_ties", lambda x: ranked.append(1) or rank_average_ties(x))
+    _, truth = evaluate_predictions(ds, preds, ds.pert_names())
+    with_degs = sum(truth.deg_indices(p).size > 0 for p in ds.pert_names())
+    assert 0 < with_degs < len(preds)  # both kinds of perturbation occur
+    assert (len(calls), len(calls_pred)) == (len(preds), with_degs)
+    assert len(ranked) == 2 * len(preds)
 
 
 def small_eval_inputs():

@@ -197,6 +197,11 @@ def test_gumbel_top_m_mode():
     assert np.array_equal(sel.selected, [0, 1, 3])
 
 
+def test_gumbel_rejects_nan_probabilities():
+    with pytest.raises(UsageError, match="alpha must be a probability vector"):
+        gumbel_select(np.array([np.nan, 0.5, 0.5]), tau=1.0, threshold=0.3)
+
+
 def test_gumbel_validates_inputs():
     with pytest.raises(UsageError):
         gumbel_select(np.array([0.5, 0.5]), tau=0.0, threshold=0.5)
