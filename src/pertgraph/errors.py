@@ -97,9 +97,10 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
 
 
 def write_json(obj, path) -> None:
-    """Indented JSON and a trailing newline, written atomically."""
+    """Indented JSON and a trailing newline, written atomically. A NaN or inf,
+    which JSON cannot hold, raises ValueError and leaves `path` as it was."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -317,7 +317,9 @@ def evaluate_predictions(
     Returns (MetricsReport, truth DegTable). A metric that raises
     DegenerateError for a perturbation (no true DEGs, fewer than 2 DEGs, a
     constant delta) is undefined there: it comes back as None and is excluded
-    from the aggregates and their counts.
+    from the aggregates and their counts. A prediction holding NaN or inf, or
+    one whose delta is too large for the metrics' sums of squares, is a
+    NumericalError naming its perturbation.
     """
     perts = sorted(perts)
     if not perts:
@@ -325,16 +327,24 @@ def evaluate_predictions(
     missing = [p for p in perts if p not in predictions]
     if missing:
         raise UsageError(f"missing predictions for {missing}")
-    profiles = {p: np.asarray(predictions[p], dtype=np.float64).reshape(-1) for p in perts}
-    for p, x in profiles.items():
+    control = group_stats(dataset.control)
+    xbar_c = control.mean
+    # the metrics square and sum the deltas; past this bound they would overflow
+    bound = np.sqrt(np.finfo(np.float64).max / (4 * dataset.n_genes))
+    pred_deltas = {}
+    for p in perts:
+        x = np.asarray(predictions[p], dtype=np.float64).reshape(-1)
         if x.size != dataset.n_genes:
             raise ShapeError(f"prediction for {p} has {x.size} genes, the dataset has {dataset.n_genes}")
         if not np.isfinite(x).all():
             raise NumericalError(f"prediction for {p} holds non-finite values")
+        pred_deltas[p] = x - xbar_c
+        largest = np.abs(pred_deltas[p]).max()
+        if not largest <= bound:
+            raise NumericalError(
+                f"prediction for {p} is too large to score: |delta| reaches {largest:.3g}, above {bound:.3g}"
+            )
     truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
-    control = group_stats(dataset.control)
-    xbar_c = control.mean
-    pred_deltas = {p: x - xbar_c for p, x in profiles.items()}
     true_deltas = {p: truth.deltas[p] for p in perts}
     pds_scores, _ = pds(pred_deltas, true_deltas)
 

@@ -256,14 +256,12 @@ def build_semantic_projection(tape: Tape, pids: dict[str, int], s_p: np.ndarray)
 def build_scores(tape: Tape, pids: dict[str, int], h_id: int, s_tilde_id: int) -> int:
     """Per-node relevance a_v = v' relu(W [h_v || s~_p]) as a (B, n) block, one row per s~_p.
 
-    W [h_v || s~_p] = W_h h_v + W_s s~_p, so the node half runs once for all rows.
+    W [h_v || s~_p] = W_h h_v + W_s s~_p, so the node half runs once for all
+    rows, and `relu-score` keeps no (B*n, d_score) block on the tape.
     """
     node_part = tape.apply("matmul", h_id, pids["score.wh"])
     pert_part = tape.apply("matmul", s_tilde_id, pids["score.ws"])
-    hidden = tape.apply("relu", tape.apply("broadcast-add", node_part, pert_part))
-    scores = tape.apply("matmul", hidden, pids["score.v"])
-    n_rows, n_nodes = tape.value(pert_part).shape[0], tape.value(node_part).shape[0]
-    return tape.apply("reshape", scores, shape=(n_rows, n_nodes))
+    return tape.apply("relu-score", node_part, pert_part, pids["score.v"])
 
 
 def build_alpha(tape: Tape, scores_row_id: int) -> int:

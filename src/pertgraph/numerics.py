@@ -117,6 +117,36 @@ def _bw_broadcast_add(g, vals, out, aux, attrs, needs):
     return [g3.sum(axis=0), g3.sum(axis=1)]
 
 
+def _fw_relu_score(vals, attrs):
+    # (n, m) node part, (B, m) perturbation part, (m, 1) v -> (B, n); row k is
+    # relu(a + b[k]) @ v, built in one (n, m) scratch block per row
+    a, b, v = vals
+    if a.shape[1] != b.shape[1] or v.shape != (a.shape[1], 1):
+        raise ShapeError(f"relu-score: {a.shape}, {b.shape}, {v.shape}")
+    out = np.empty((b.shape[0], a.shape[0]))
+    block = np.empty_like(a)
+    for k in range(b.shape[0]):
+        np.maximum(np.add(a, b[k], out=block), 0.0, out=block)
+        out[k] = (block @ v)[:, 0]
+    return out, None
+
+
+def _bw_relu_score(g, vals, out, aux, attrs, needs):
+    # rebuilds each row's block instead of keeping B of them on the tape;
+    # the rows accumulate in ascending order
+    a, b, v = vals
+    ga, gb, gv = np.zeros_like(a), np.empty_like(b), np.zeros_like(v)
+    block, gh = np.empty_like(a), np.empty_like(a)
+    for k in range(b.shape[0]):
+        np.add(a, b[k], out=block)
+        np.multiply(g[k][:, None], v.T, out=gh)
+        gh *= block > 0.0
+        ga += gh
+        gb[k] = gh.sum(axis=0)
+        gv += np.maximum(block, 0.0, out=block).T @ g[k][:, None]
+    return [ga, gb, gv]
+
+
 def _fw_reshape(vals, attrs):
     a, shape = vals[0], tuple(attrs["shape"])
     if int(np.prod(shape)) != a.size:
@@ -209,6 +239,7 @@ _OPS: dict[str, tuple[int, Callable, Callable]] = {
     "broadcast-add": (2, _fw_broadcast_add, _bw_broadcast_add),
     "reshape": (1, _fw_reshape, lambda g, vals, o, x, attrs, needs: [g.reshape(vals[0].shape)]),
     "relu": (1, _fw_relu, _bw_relu),
+    "relu-score": (3, _fw_relu_score, _bw_relu_score),
     "row-softmax": (1, _fw_row_softmax, _bw_row_softmax),
     "mean-all": (1, _fw_mean_all, _bw_mean_all),
     "huber": (1, _fw_huber, _bw_huber),

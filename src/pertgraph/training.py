@@ -40,9 +40,6 @@ from .numerics import AdamState, Tape, adam_step, sgd_step
 
 ABLATIONS = ("full", "no_context", "no_non_deg")
 FALLBACK_HUBER_DELTA = 1.0
-# perturbations per prediction tape; bounds the (rows * n_nodes, d_score)
-# scorer intermediate
-PREDICT_CHUNK = 32
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -175,20 +172,16 @@ def predict_profiles(
 ) -> dict[str, np.ndarray]:
     """Deterministic eval-mode predictions, one absolute profile per perturbation.
 
-    Each chunk of up to PREDICT_CHUNK perturbations is one batched forward on
-    its own tape; no backward runs, so the tapes hold no gradient buffers.
-    The aggregation operator is `agg` or, when None, built once per call.
+    All perturbations are one batched forward on one tape; no backward runs,
+    so the tape holds no gradient buffers. The aggregation operator is `agg`
+    or, when None, built once per call.
     """
     if agg is None:
         agg = _aggregation(params.config, graph)
-    out: dict[str, np.ndarray] = {}
-    for start in range(0, len(perts), PREDICT_CHUNK):
-        chunk = perts[start : start + PREDICT_CHUNK]
-        tape = Tape()
-        pids = register_params(tape, params)
-        x_hat = tape.value(build_forward(tape, pids, params, xbar_c, chunk, graph, embeddings, agg=agg).x_hat)
-        out.update((p, x_hat[i].copy()) for i, p in enumerate(chunk))
-    return out
+    tape = Tape()
+    pids = register_params(tape, params)
+    x_hat = tape.value(build_forward(tape, pids, params, xbar_c, perts, graph, embeddings, agg=agg).x_hat)
+    return {p: x_hat[i].copy() for i, p in enumerate(perts)}
 
 
 def _aggregation(config: ModelConfig, graph: KnowledgeGraph | None):

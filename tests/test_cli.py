@@ -375,6 +375,35 @@ def test_eval_deterministic_and_strata_consistent(synth_run):
         assert block["pds"]["n"] == n_in_stratum
 
 
+def test_eval_of_a_prediction_too_large_to_score_exits_3(synth_run, capsys):
+    # finite weights load, but their predictions would overflow the metrics'
+    # sums of squares into NaN; warnings are errors here, so a warning would exit 4
+    cfg, _, tmp = synth_run
+    out = tmp / "out"
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    paths = (out / "checkpoint.json", out / "checkpoint.bin")
+    params = load_checkpoint(*paths)
+    params.values["dec.w2"][:] = 1e306
+    save_checkpoint(params, *paths)
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--seed", "3"]) == 3
+    first = sorted(json.loads((out / "splits.json").read_text())["test"])[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: prediction for {first} is too large to score")
+    assert err.count("\n") == 1
+    assert not (out / "metrics.json").exists()
+
+
+def test_write_json_rejects_nan_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    write_json({"pearson_delta": 0.5}, path)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json({"pearson_delta": bad}, path)
+    assert json.loads(path.read_text()) == {"pearson_delta": 0.5}
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
 def test_eval_missing_checkpoint_exits_2(synth_run):
     cfg, _, tmp = synth_run
     assert main(["eval", "--config", str(cfg), "--out", str(tmp / "nope")]) == 2

@@ -170,6 +170,8 @@ OP_CASES = {
     "broadcast-add": ([(3, 2), (4, 2)], {}),
     "reshape": ([(3, 4)], {"shape": (2, 6)}),
     "relu": ([(3, 4)], {}),
+    "relu-score": ([(5, 3), (4, 3), (3, 1)], {}),
+    "relu-score/one-row": ([(5, 3), (1, 3), (3, 1)], {}),
     "row-softmax": ([(3, 4)], {}),
     "mean-all": ([(3, 4)], {}),
     "huber": ([(3, 4)], {"delta": 0.5}),
@@ -190,6 +192,49 @@ def test_gradients_match_finite_differences(kind):
     for seed in range(20):
         params, fn = make_op_fn(kind.split("/")[0], shapes, attrs, seed)
         assert grad_check(fn, params, eps=1e-5) < 1e-4
+
+
+def _scorer_grads(a, b, v, weights, fused):
+    """Scores and gradients of sum(weights * scores) through `relu-score`, or
+    through the chain it replaces: broadcast-add, relu, matmul and reshape."""
+    t = Tape()
+    ia, ib, iv = t.param(a, "a"), t.param(b, "b"), t.param(v, "v")
+    if fused:
+        scores = t.apply("relu-score", ia, ib, iv)
+    else:
+        hidden = t.apply("relu", t.apply("broadcast-add", ia, ib))
+        scores = t.apply("reshape", t.apply("matmul", hidden, iv), shape=weights.shape)
+    flat = t.apply("reshape", scores, shape=(1, weights.size))
+    t.backward(t.apply("matmul", flat, t.constant(weights.reshape(-1, 1))))
+    return t.nodes[scores], t.grads_by_name()
+
+
+@pytest.mark.parametrize("n_nodes", [200, 2000])
+def test_relu_score_matches_the_unfused_chain(n_nodes):
+    # the scorer's shapes: (n, d_score) node part, (B, d_score) perturbation
+    # part, and the upstream gradient of a mean over the (B, n) scores
+    rng = np.random.default_rng(n_nodes)
+    rows, width = 16, 32
+    a, b = rng.normal(size=(n_nodes, width)), rng.normal(size=(rows, width))
+    v = rng.normal(size=(width, 1)) / np.sqrt(width)
+    weights = rng.normal(size=(rows, n_nodes)) / (rows * n_nodes)
+    node, grads = _scorer_grads(a, b, v, weights, fused=True)
+    ref_node, ref = _scorer_grads(a, b, v, weights, fused=False)
+    assert np.array_equal(node.value, ref_node.value)
+    assert np.array_equal(grads["a"], ref["a"]) and np.array_equal(grads["b"], ref["b"])
+    # only v's sum runs in another order: per row, then over the rows
+    assert np.allclose(grads["v"], ref["v"], rtol=0.0, atol=1e-12)
+    # the tape keeps the (B, n) scores and nothing of the (B*n, d_score) block
+    assert node.value.shape == (rows, n_nodes) and node.aux is None
+
+
+def test_relu_score_shape_errors():
+    t = Tape()
+    a, b = t.constant(np.ones((5, 3))), t.constant(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        t.apply("relu-score", a, t.constant(np.ones((2, 4))), t.constant(np.ones((3, 1))))
+    with pytest.raises(ShapeError):
+        t.apply("relu-score", a, b, t.constant(np.ones((3, 2))))
 
 
 def test_cosine_distance_rows_average_single_rows():

@@ -16,7 +16,6 @@ from pertgraph.loss import LossWeights
 from pertgraph.model import ModelConfig, forward, init_params, save_checkpoint
 from pertgraph.numerics import OP_KINDS, Tape
 from pertgraph.training import (
-    PREDICT_CHUNK,
     TrainConfig,
     apply_ablation,
     derive_seed,
@@ -258,8 +257,8 @@ def test_train_model_options_run_end_to_end(option):
 
 @pytest.mark.parametrize("no_context", [False, True], ids=["context", "no_context"])
 def test_predict_profiles_matches_per_perturbation_forward(no_context):
-    synth, _ = synth_setup(seed=12, n_genes=PREDICT_CHUNK + 8)
-    perts = synth.dataset.vocab.names[: PREDICT_CHUNK + 5]
+    synth, _ = synth_setup(seed=12, n_genes=40)
+    perts = synth.dataset.vocab.names[:37]
     config = ModelConfig(n_layers=2, d_struct=8, d_latent=16, d_score=8, no_context=no_context)
     params = init_params(
         synth.graph.n_nodes, synth.dataset.n_genes, synth.embeddings.dim, config, seed=4,
@@ -308,28 +307,32 @@ def test_step_tape_size_does_not_grow_with_batch(monkeypatch):
             params, perts[:b], synth.dataset.control.mean(axis=0), targets, synth.graph, synth.embeddings,
             table, LossWeights(), huber_delta=1.0, mode="train", gumbel_seeds={p: i for i, p in enumerate(perts)},
         )
-    assert len(set(sizes)) == 1 and sizes[0] <= 120, sizes
+    assert sizes == [64, 64, 64]  # the count for this config: two GNN layers
 
 
 def test_aggregation_operator_built_once_per_call(monkeypatch):
-    calls = []
-    original = model.aggregation_matrix
+    calls = {"agg": 0, "gnn": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(model, "aggregation_matrix", counted)
-    monkeypatch.setattr(training, "aggregation_matrix", counted)
-    synth, splits = synth_setup(seed=14, n_genes=PREDICT_CHUNK + 8, n_perts=PREDICT_CHUNK + 8)
+        return wrapper
+
+    agg = counted("agg", model.aggregation_matrix)
+    monkeypatch.setattr(model, "aggregation_matrix", agg)
+    monkeypatch.setattr(training, "aggregation_matrix", agg)
+    monkeypatch.setattr(model, "build_gnn", counted("gnn", model.build_gnn))
+    synth, splits = synth_setup(seed=14, n_genes=40, n_perts=40)
     assert splits.val
     params, history = train(synth.dataset, splits, synth.graph, synth.embeddings, quick_config(batch_size=4))
-    assert len(history.epochs) == 3 and len(calls) == 1
-    calls.clear()
+    assert len(history.epochs) == 3 and calls["agg"] == 1
+    calls.update(agg=0, gnn=0)
     perts = synth.dataset.pert_names()
-    assert len(perts) > PREDICT_CHUNK
+    assert len(perts) == 40
     predict_profiles(params, synth.dataset.control.mean(axis=0), perts, synth.graph, synth.embeddings)
-    assert len(calls) == 1
+    assert calls == {"agg": 1, "gnn": 1}
 
 
 def test_history_json_round_trip(tmp_path):
