@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import DataError, NumericalError, UsageError, write_csv, write_json
 from .graph import deg_coverage, degree_stats, load_edge_list, nominations, save_edge_list, topk_filter
-from .metrics import evaluate_predictions, write_scatter_csv
+from .metrics import evaluate_predictions, prediction_deltas, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
 from .training import derive_seed, predict_profiles, train
 
@@ -182,7 +182,9 @@ def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) ->
         raise DataError(f"embeddings in {cfg.embeddings} are {embeddings.dim} wide, the checkpoint's are {params.d_embed}")
     test_perts = _resolve_test_split(cfg, args, dataset, manifest)
     xbar_c = dataset.control.mean(axis=0)
-    return test_perts, predict_profiles(params, xbar_c, test_perts, graph, embeddings)
+    predictions = predict_profiles(params, xbar_c, test_perts, graph, embeddings)
+    prediction_deltas(predictions, test_perts, xbar_c)  # refuse profiles no metric could score
+    return test_perts, predictions
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import stdtr
+from scipy.special import stdtr, stdtrit
 
 from .errors import DataError, ParseError, UsageError, check_range, open_utf8, write_csv
 from .graph import GeneVocab, KnowledgeGraph
@@ -189,10 +189,30 @@ class GroupStats(NamedTuple):
 
 
 def group_stats(block: np.ndarray) -> GroupStats:
+    """The block's statistics per column, bit for bit those of `mean(axis=0)` and
+    `var(axis=0, ddof=1)`: the same sums and divisions, with the mean summed once."""
     a = np.asarray(block, dtype=np.float64)
-    if a.shape[0] < 2:
+    n = a.shape[0]
+    if n < 2:
         raise UsageError("need at least 2 samples per group")
-    return GroupStats(a.shape[0], a.mean(axis=0), a.var(axis=0, ddof=1), a.max(axis=0), a.min(axis=0))
+    mean = a.sum(axis=0) / n
+    dev = a - mean
+    np.multiply(dev, dev, out=dev)
+    return GroupStats(n, mean, dev.sum(axis=0) / (n - 1), a.max(axis=0), a.min(axis=0))
+
+
+def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-gene Welch t of b against a, its Welch-Satterthwaite df, and the
+    degenerate columns, constant in both groups, where neither means anything."""
+    # a column constant in both groups has zero pooled variance; detect it from
+    # the data, not from the float variance (the mean of n identical values rounds)
+    degenerate = (a.max == a.min) & (b.max == b.min)
+    ta, tb = a.var / a.n, b.var / b.n
+    se2 = np.where(degenerate, 1.0, ta + tb)
+    t = (b.mean - a.mean) / np.sqrt(se2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
+    return t, df, degenerate
 
 
 def welch_pvalues(control: np.ndarray | GroupStats, pert_block: np.ndarray) -> np.ndarray:
@@ -204,16 +224,45 @@ def welch_pvalues(control: np.ndarray | GroupStats, pert_block: np.ndarray) -> n
     """
     a = control if isinstance(control, GroupStats) else group_stats(control)
     b = group_stats(pert_block)
-    # a column constant in both groups has zero pooled variance; detect it from
-    # the data, not from the float variance (the mean of n identical values rounds)
-    degenerate = (a.max == a.min) & (b.max == b.min)
-    ta, tb = a.var / a.n, b.var / b.n
-    se2 = np.where(degenerate, 1.0, ta + tb)
-    t = (b.mean - a.mean) / np.sqrt(se2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
+    t, df, degenerate = _welch_t(a, b)
     p = 2.0 * stdtr(df, -np.abs(t))
     return np.where(degenerate, np.where(a.max == b.max, 1.0, 0.0), p)
+
+
+TAIL_RTOL = 1e-9  # relative error allowed for stdtr's tail probabilities (they reach 3e-14)
+
+
+def t_thresholds(df_low: float, df_high: float, alpha: float) -> tuple[float, float]:
+    """(t_lo, t_hi): for any df in [df_low, df_high], a Welch |t| below t_lo
+    gives p >= alpha and one above t_hi gives p < alpha, since the p-value of
+    a |t| falls as df rises. t_lo comes from stdtrit at df_high and t_hi at
+    df_low, each a relative TAIL_RTOL in tail probability to its side of
+    alpha, and stdtr, as the test uses it, confirms each; one it does not
+    (far or near-1/2 tails) becomes infinite, and so do both for a subnormal
+    tail, where the TAIL_RTOL margin rounds away."""
+    q_lo, q_hi = alpha / 2 * (1 + TAIL_RTOL), alpha / 2 * (1 - TAIL_RTOL)
+    if q_hi < np.finfo(np.float64).tiny:
+        return -np.inf, np.inf
+    t_lo, t_hi = -stdtrit(df_high, q_lo), -stdtrit(df_low, q_hi)
+    lo_ok = stdtr(df_high, -t_lo) >= q_lo
+    hi_ok = stdtr(df_low, -t_hi) <= q_hi
+    return (t_lo if lo_ok else -np.inf), (t_hi if hi_ok else np.inf)
+
+
+def welch_window(control: GroupStats, block: np.ndarray, window: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """p-values of `welch_pvalues(control, block + shift)` at the `window`
+    columns, bit for bit, from one `welch_pvalues` call on just those columns
+    (made even when there are none).
+
+    The columns are cut with `np.take`, so numpy sums them row by row, in the
+    order the whole block uses; a lone column it would sum pairwise, so a
+    lone column is taken twice.
+    """
+    cols = np.repeat(window, 2) if window.size == 1 < block.shape[1] else window
+    cut = np.take(block, cols, axis=1)
+    if shift is not None:
+        cut += shift[cols]
+    return welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), cut)[: window.size]
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
@@ -240,7 +289,9 @@ def deg_rule(alpha: float, correction: str) -> Callable[[np.ndarray], np.ndarray
 
 @dataclass
 class DegTable:
-    """Per-perturbation p-values, DEG masks, and signed pseudobulk deltas."""
+    """Per-perturbation DEG masks and signed pseudobulk deltas, plus the
+    p-values, which are filled only under "benjamini-hochberg": under "none"
+    the masks are decided without most of them."""
 
     alpha: float
     correction: str            # "none" | "benjamini-hochberg"
@@ -250,7 +301,7 @@ class DegTable:
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
 
     def pert_names(self) -> list[str]:
-        return sorted(self.pvalues)
+        return sorted(self.masks)
 
     def deg_mask(self, pert: str) -> np.ndarray:
         return self.masks[pert]
@@ -275,6 +326,14 @@ def compute_degs(
 
     Masks threshold the (optionally BH-adjusted) p-values strictly below alpha;
     deltas are pseudobulk differences against the control mean.
+
+    Under correction "none" most genes are decided from their Welch t alone:
+    the df of a block of n_b samples against n_a lies in [min(n_a, n_b) - 1,
+    n_a + n_b - 2], so a gene with its df in that bracket is a DEG when |t|
+    is above `t_thresholds`' t_hi and is not one when |t| is below t_lo.
+    The rest (|t| between the two, a df outside the bracket or NaN, a
+    degenerate column) take the test itself, in one `welch_window` call per
+    block.
     """
     is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
@@ -283,10 +342,21 @@ def compute_degs(
 
     for name in names:
         block = dataset.block(name)
-        p = welch_pvalues(control, block)
-        table.pvalues[name] = p
-        table.masks[name] = is_deg(p)
-        table.deltas[name] = block.mean(axis=0) - control.mean
+        b = group_stats(block)
+        if correction == "none":
+            t, df, degenerate = _welch_t(control, b)
+            t = np.abs(t)
+            df_low, df_high = min(control.n, b.n) - 1, control.n + b.n - 2
+            t_lo, t_hi = t_thresholds(df_low, df_high, alpha)
+            known = ~degenerate & (df >= df_low) & (df <= df_high)
+            mask = known & (t > t_hi)
+            window = np.flatnonzero(~(mask | known & (t < t_lo)))
+            mask[window] = is_deg(welch_window(control, block, window))
+        else:
+            table.pvalues[name] = welch_pvalues(control, block)
+            mask = is_deg(table.pvalues[name])
+        table.masks[name] = mask
+        table.deltas[name] = b.mean - control.mean
     return table
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
-from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, welch_pvalues
+from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, t_thresholds, welch_pvalues, welch_window
 from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, write_csv, write_json
 
 
@@ -161,22 +160,7 @@ def des_fdr(g_true: set[int], g_pred: set[int]) -> float:
     return len(set(g_true) & set(g_pred)) / len(g_true)
 
 
-TAIL_RTOL = 1e-9  # relative error allowed for stdtr's tail probabilities (they reach 3e-14)
 SPREAD_RTOL = 1e-6  # the largest rounding-to-spread ratio w decided in closed form
-
-
-def _t_thresholds(n: int, alpha: float) -> tuple[float, float]:
-    """(t_lo, t_hi): a Welch |t| below t_lo gives p >= alpha and above t_hi
-    p < alpha, for df from 2(n - 1) down by a relative 8 SPREAD_RTOL^2. stdtr,
-    as the test uses it, confirms each of stdtrit's values; one it does not
-    (far or near-1/2 tails), or one for a subnormal tail, where the TAIL_RTOL
-    margin rounds away, becomes infinite."""
-    df, df_low = 2 * (n - 1), 2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2)
-    q_lo, q_hi = alpha / 2 * (1 + TAIL_RTOL), alpha / 2 * (1 - TAIL_RTOL)
-    t_lo, t_hi = -stdtrit(df, q_lo), -stdtrit(df_low, q_hi)
-    lo_ok = stdtr(df, -t_lo) >= q_lo
-    hi_ok = q_hi >= np.finfo(np.float64).tiny and stdtr(df_low, -t_hi) <= q_hi
-    return (t_lo if lo_ok else -np.inf), (t_hi if hi_ok else np.inf)
 
 
 def predicted_deg_set(
@@ -201,8 +185,7 @@ def predicted_deg_set(
     2 w (sqrt(n) + 2|t|) and df falls by a relative 8 w^2 at most. Genes with
     w < SPREAD_RTOL and |t| that far clear of the thresholds are decided by
     |t|; the rest (zero spread, a spread the shift can round away, |t| near a
-    threshold) take the materialised test, in one `welch_pvalues` call made
-    even when there are none.
+    threshold) take the materialised test through `welch_window`.
     """
     is_deg = deg_rule(alpha, correction)
     d = np.asarray(pred_delta, dtype=np.float64).reshape(-1)
@@ -210,7 +193,7 @@ def predicted_deg_set(
     if correction != "none":
         return set(np.flatnonzero(is_deg(welch_pvalues(c, control_block + d))).tolist())
     n = c.n
-    t_lo, t_hi = _t_thresholds(n, alpha)
+    t_lo, t_hi = t_thresholds(2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2), 2 * (n - 1), alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(c.var)
         t = np.abs(d) / (s * np.sqrt(2 / n))
@@ -219,12 +202,7 @@ def predicted_deg_set(
         known = w < SPREAD_RTOL
         sig = known & (t - tol > t_hi)
         window = np.flatnonzero(~(sig | known & (t + tol < t_lo)))
-    # numpy sums the columns of a wider block row by row, as in the whole
-    # shifted block, but a lone column pairwise; so a lone column goes twice
-    cols = np.repeat(window, 2) if window.size == 1 < d.size else window
-    shifted = np.take(control_block, cols, axis=1) + d[cols]
-    p = welch_pvalues(GroupStats(n, *(x[cols] for x in c[1:])), shifted)
-    sig[window] = is_deg(p[: window.size])
+    sig[window] = is_deg(welch_window(c, control_block, window, d))
     return set(np.flatnonzero(sig).tolist())
 
 
@@ -304,6 +282,32 @@ def write_scatter_csv(path, genes: list[str], delta_true: np.ndarray, delta_pred
     write_csv(path, ["gene", "delta_true", "delta_pred", "is_deg"], rows)
 
 
+def prediction_deltas(predictions: dict[str, np.ndarray], perts: list[str], xbar_c: np.ndarray) -> dict[str, np.ndarray]:
+    """Each perturbation's predicted profile minus the control mean `xbar_c`.
+
+    A prediction of the wrong width is a ShapeError; one holding NaN or inf,
+    or one whose delta exceeds sqrt(max float / (4 G)) for G genes, where the
+    metrics' sums of squares would overflow, is a NumericalError. Each names
+    its perturbation.
+    """
+    n_genes = xbar_c.size
+    bound = np.sqrt(np.finfo(np.float64).max / (4 * n_genes))
+    deltas = {}
+    for p in perts:
+        x = np.asarray(predictions[p], dtype=np.float64).reshape(-1)
+        if x.size != n_genes:
+            raise ShapeError(f"prediction for {p} has {x.size} genes, the dataset has {n_genes}")
+        if not np.isfinite(x).all():
+            raise NumericalError(f"prediction for {p} holds non-finite values")
+        deltas[p] = x - xbar_c
+        largest = np.abs(deltas[p]).max()
+        if not largest <= bound:
+            raise NumericalError(
+                f"prediction for {p} is too large to score: |delta| reaches {largest:.3g}, above {bound:.3g}"
+            )
+    return deltas
+
+
 def evaluate_predictions(
     dataset,
     predictions: dict[str, np.ndarray],
@@ -317,9 +321,8 @@ def evaluate_predictions(
     Returns (MetricsReport, truth DegTable). A metric that raises
     DegenerateError for a perturbation (no true DEGs, fewer than 2 DEGs, a
     constant delta) is undefined there: it comes back as None and is excluded
-    from the aggregates and their counts. A prediction holding NaN or inf, or
-    one whose delta is too large for the metrics' sums of squares, is a
-    NumericalError naming its perturbation.
+    from the aggregates and their counts. Every prediction must first pass
+    `prediction_deltas`.
     """
     perts = sorted(perts)
     if not perts:
@@ -328,22 +331,7 @@ def evaluate_predictions(
     if missing:
         raise UsageError(f"missing predictions for {missing}")
     control = group_stats(dataset.control)
-    xbar_c = control.mean
-    # the metrics square and sum the deltas; past this bound they would overflow
-    bound = np.sqrt(np.finfo(np.float64).max / (4 * dataset.n_genes))
-    pred_deltas = {}
-    for p in perts:
-        x = np.asarray(predictions[p], dtype=np.float64).reshape(-1)
-        if x.size != dataset.n_genes:
-            raise ShapeError(f"prediction for {p} has {x.size} genes, the dataset has {dataset.n_genes}")
-        if not np.isfinite(x).all():
-            raise NumericalError(f"prediction for {p} holds non-finite values")
-        pred_deltas[p] = x - xbar_c
-        largest = np.abs(pred_deltas[p]).max()
-        if not largest <= bound:
-            raise NumericalError(
-                f"prediction for {p} is too large to score: |delta| reaches {largest:.3g}, above {bound:.3g}"
-            )
+    pred_deltas = prediction_deltas(predictions, perts, control.mean)
     truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
     true_deltas = {p: truth.deltas[p] for p in perts}
     pds_scores, _ = pds(pred_deltas, true_deltas)

@@ -394,6 +394,24 @@ def test_eval_of_a_prediction_too_large_to_score_exits_3(synth_run, capsys):
     assert not (out / "metrics.json").exists()
 
 
+def test_predict_of_a_prediction_too_large_to_score_exits_3(synth_run, capsys):
+    # predict holds its profiles to the rule eval scores them by
+    cfg, _, tmp = synth_run
+    out = tmp / "out"
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    paths = (out / "checkpoint.json", out / "checkpoint.bin")
+    params = load_checkpoint(*paths)
+    params.values["dec.w2"][:] = 1e306
+    save_checkpoint(params, *paths)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg), "--seed", "3"]) == 3
+    first = sorted(json.loads((out / "splits.json").read_text())["test"])[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: prediction for {first} is too large to score")
+    assert err.count("\n") == 1
+    assert not (out / "predictions.csv").exists()
+
+
 def test_write_json_rejects_nan_and_keeps_the_old_file(tmp_path):
     path = tmp_path / "metrics.json"
     write_json({"pearson_delta": 0.5}, path)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from pertgraph import data, metrics
 from pertgraph.data import (
@@ -15,6 +15,7 @@ from pertgraph.data import (
     SynthConfig,
     bh_adjust,
     compute_degs,
+    deg_rule,
     effect_size_strata,
     group_stats,
     hash_embedding,
@@ -234,7 +235,7 @@ def test_compute_degs_alpha_one_sanity():
     ds = tiny_dataset(seed=5)
     table = compute_degs(ds, alpha=1.0)
     for name in ds.pert_names():
-        assert np.array_equal(table.masks[name], table.pvalues[name] < 1.0)
+        assert np.array_equal(table.masks[name], welch_pvalues(ds.control, ds.block(name)) < 1.0)
 
 
 def test_compute_degs_row_permutation_invariant():
@@ -245,7 +246,9 @@ def test_compute_degs_row_permutation_invariant():
     ds2 = PerturbationDataset(ds.vocab, ds.control[rng.permutation(ds.control.shape[0])], perm_blocks)
     table2 = compute_degs(ds2)
     for name in ds.pert_names():
-        assert np.allclose(table1.pvalues[name], table2.pvalues[name], atol=1e-12)
+        p1, p2 = welch_pvalues(ds.control, ds.block(name)), welch_pvalues(ds2.control, ds2.block(name))
+        assert np.allclose(p1, p2, atol=1e-12)
+        assert np.array_equal(table1.masks[name], table2.masks[name])
 
 
 def test_deg_mask_partitions_genes():
@@ -281,10 +284,124 @@ def test_compute_degs_bit_identical_to_per_block_welch(correction):
     for p in ds.pert_names():
         ref = welch_pvalues(ds.control, ds.block(p))
         assert ref[0] == 1.0 and ref[1] == 0.0 and 0.0 < ref[2] < 1.0 and 0.0 < ref[3] < 1.0
-        effective = bh_adjust(ref) if correction == "benjamini-hochberg" else ref
-        assert table.pvalues[p].tobytes() == ref.tobytes()
+        if correction == "benjamini-hochberg":
+            assert table.pvalues[p].tobytes() == ref.tobytes()
+            effective = bh_adjust(ref)
+        else:  # the p-values are kept only where BH needs them all
+            assert p not in table.pvalues
+            effective = ref
         assert table.masks[p].tobytes() == (effective < 0.05).tobytes()
         assert table.deltas[p].tobytes() == (ds.block(p).mean(axis=0) - xbar_c).tobytes()
+
+
+def adversarial_columns(rng, na, nb, alpha):
+    """(control, perturbation) blocks of na and nb samples whose columns probe
+    each way `compute_degs` decides a gene under correction "none"."""
+    eps = np.finfo(np.float64).eps
+    pairs = []
+    # zero variance in one group or in both, with equal or different constants
+    # (constants near 2e16 whose means round, so their float variance is not 0)
+    big = 2.526953887134058e16
+    for ca, cb in [(1.5, 1.5), (1.5, 2.5), (0.0, 0.0), (0.0, 1e-300), (big, big), (big, np.nextafter(big, np.inf))]:
+        pairs.append((np.full(na, ca), np.full(nb, cb)))
+    pairs.append((np.full(na, 1.5), 2.0 + 0.1 * rng.standard_normal(nb)))
+    pairs.append((2.0 + 0.1 * rng.standard_normal(na), np.full(nb, 1.5)))
+    # a spread that the mean rounds away
+    pairs.append((1e6 + 1e-10 * rng.standard_normal(na), 1e6 + 1e-10 * rng.standard_normal(nb)))
+    pairs.append((np.full(na, 1e6), 1e6 + 1e-10 * rng.standard_normal(nb)))
+    # spreads whose squares underflow: a NaN df, and a p-value of NaN
+    pairs.append((1e-85 * np.abs(1 + 0.3 * rng.standard_normal(na)), 1e-85 * (20 + 0.3 * rng.standard_normal(nb))))
+    # squared standard errors over their df within a unit or two of the
+    # subnormal range, which rounding can halve or zero, so that the df lands
+    # off the bracket, with |t| just past the critical value at the near end:
+    # - the smaller group's spread dominates, its term rounds up: a df below;
+    # - both terms round to 0: an infinite df
+    unit = 2.0**-1074
+    ns, nl = min(na, nb), na + nb - 2
+    t_low = -special.stdtrit(ns - 1, max(alpha, 1e-12) / 2)
+    t_high = -special.stdtrit(nl, max(alpha, 1e-12) / 2)
+    for units, factors in [(1.2, (1.01, 1.1)), (1.5, (1.01, 1.03, 1.1, 1.2)), (1.8, (1.01, 1.1)), (0.3, (0.95, 0.99))]:
+        for t in np.array(factors) * (t_low if units > 1 else t_high):
+            a, b = rng.standard_normal(na), rng.standard_normal(nb)
+            a, b = (a - a.mean()) / a.std(ddof=1), (b - b.mean()) / b.std(ddof=1)
+            if units > 1:
+                ta = np.sqrt(units * (ns - 1) * unit)
+                a, b = (np.sqrt(ta * ns) * a, 1e-3 * np.sqrt(ta * ns) * b) if na <= nb else (1e-3 * np.sqrt(ta * ns) * a, np.sqrt(ta * ns) * b)
+                se = np.sqrt(ta)
+            else:
+                ta, tb = np.sqrt(units * (na - 1) * unit), np.sqrt(units * (nb - 1) * unit)
+                a, b = np.sqrt(ta * na) * a, np.sqrt(tb * nb) * b
+                se = np.sqrt(ta + tb)
+            pairs.append((1e-70 + a, 1e-70 + b + t * se))
+    # |t| on the critical value, within a few eps and within 1e-9, at the low
+    # end of the df bracket (the smaller group's spread dominates, or the other
+    # group is constant) and at the high end (var_a / var_b = na (na - 1) / (nb (nb - 1)))
+    rels = [k * eps for k in range(-4, 5)] + [-1e-9, -5e-10, 5e-10, 1e-9]
+    for end, scale in [("low", 1e-4), ("low", 0.0), ("high", None)]:
+        for rel in rels:
+            a, b = rng.standard_normal(na), rng.standard_normal(nb)
+            if end == "low":
+                if na > nb or na == nb and rng.random() < 0.5:
+                    a *= scale
+                else:
+                    b *= scale
+            else:
+                a = (a - a.mean()) / a.std(ddof=1) * np.sqrt(na * (na - 1) / (nb * (nb - 1)))
+                b = (b - b.mean()) / b.std(ddof=1)
+            a, b = 30.0 + a, 30.0 + b
+            ta, tb = a.var(ddof=1) / na, b.var(ddof=1) / nb
+            df = (ta + tb) ** 2 / (ta**2 / (na - 1) + tb**2 / (nb - 1))
+            # below 1e-12 the shift at df = 1 would round the spread away
+            t_crit = -special.stdtrit(df, max(alpha, 1e-12) / 2)
+            gap = rng.choice([-1.0, 1.0]) * t_crit * (1 + rel) * np.sqrt(ta + tb) - (b.mean() - a.mean())
+            if gap >= 0:
+                b += gap
+            else:
+                a -= gap
+            pairs.append((a, b))
+    pairs.extend((rng.uniform(1.0, 3.0) + 0.2 * rng.standard_normal(na), rng.uniform(1.0, 3.0) + 0.2 * rng.standard_normal(nb)) for _ in range(20))
+    return np.column_stack([a for a, _ in pairs]), np.column_stack([b for _, b in pairs])
+
+
+def test_compute_degs_matches_the_materialised_test(monkeypatch):
+    calls = []
+
+    def welch(control, block):
+        calls.append(np.shape(block)[1])
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(data, "welch_pvalues", welch)
+    rng = np.random.default_rng(21)
+    retested = 0
+    for na, nb in [(2, 2), (2, 9), (20, 20), (20, 7), (6, 30)]:
+        for alpha in (0.05, 1.0, 1e-6, 1e-320):
+            control, block = adversarial_columns(rng, na, nb, alpha)
+            other = block[rng.permutation(nb)] + 0.05 * rng.standard_normal(block.shape)
+            ds = PerturbationDataset(GeneVocab([f"G{i}" for i in range(control.shape[1])]), control, {"PA": block, "PB": np.abs(other)})
+            calls.clear()
+            table = compute_degs(ds, alpha=alpha)
+            assert len(calls) == 2  # one per block, even one whose window is empty
+            retested += sum(calls)
+            for name in ("PA", "PB"):
+                expected = deg_rule(alpha, "none")(welch_pvalues(ds.control, ds.block(name)))
+                assert table.masks[name].tobytes() == expected.tobytes(), (na, nb, alpha, name)
+    assert retested > 0
+
+
+def test_compute_degs_retests_a_lone_column_in_the_whole_block_order():
+    # a column within eps of t_crit is decided by the last bits of its sums,
+    # which numpy adds in another order for a lone column than for a block
+    rng = np.random.default_rng(22)
+    t_crit = -special.stdtrit(38, 0.025)
+    vocab = GeneVocab(["G0", "G1"])
+    for _ in range(300):
+        control = rng.uniform(1.0, 3.0, 2) + 0.2 * rng.standard_normal((20, 2))
+        block = control[rng.permutation(20)].copy()
+        block[:, 0] += 1.0  # decided from its t
+        block[:, 1] += np.sqrt(control[:, 1].var(ddof=1) / 10) * t_crit * (1 + rng.integers(-8, 9) * np.finfo(np.float64).eps)
+        ds = PerturbationDataset(vocab, control, {"PA": block})
+        expected = welch_pvalues(control, block) < 0.05
+        assert compute_degs(ds).masks["PA"].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("correction", ["none", "benjamini-hochberg"])
@@ -428,7 +545,9 @@ def test_synth_zero_noise_exact_recovery():
         assert found == set(genes)
         # degenerate rules: planted p = 0, everything else p = 1
         planted = np.isin(np.arange(30), [synth.dataset.vocab.index(g) for g in genes])
-        assert np.array_equal(table.pvalues[pert] == 0.0, planted)
+        p = welch_pvalues(synth.dataset.control, synth.dataset.block(pert))
+        assert np.array_equal(p == 0.0, planted)
+        assert np.array_equal(table.deg_mask(pert), planted)
 
 
 def test_synth_zero_effect_false_positive_rate():

@@ -5,7 +5,7 @@ import pytest
 from scipy import special, stats
 
 from pertgraph import data, metrics
-from pertgraph.data import PerturbationDataset, SynthConfig, deg_rule, group_stats, synth_generate, welch_pvalues
+from pertgraph.data import PerturbationDataset, SynthConfig, compute_degs, deg_rule, group_stats, synth_generate, welch_pvalues
 from pertgraph.errors import DegenerateError, NumericalError, ShapeError, UsageError
 from pertgraph.graph import GeneVocab
 from pertgraph.metrics import (
@@ -363,21 +363,22 @@ def predicted_deg_set_materialised(control_block, pred_delta, alpha=0.05, correc
     return set(np.flatnonzero(deg_rule(alpha, correction)(p)).tolist())
 
 
-def counting_welch(monkeypatch, module):
-    """Replace `module.welch_pvalues` with a wrapper; returns the list of the
-    column counts it was called with."""
+def counting_welch(monkeypatch, *modules):
+    """Replace `welch_pvalues` in each module with one wrapper; returns the
+    list of the column counts it was called with."""
     calls = []
 
     def welch(control, block):
         calls.append(np.shape(block)[1])
         return welch_pvalues(control, block)
 
-    monkeypatch.setattr(module, "welch_pvalues", welch)
+    for module in modules:
+        monkeypatch.setattr(module, "welch_pvalues", welch)
     return calls
 
 
 def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
-    calls = counting_welch(monkeypatch, metrics)
+    calls = counting_welch(monkeypatch, data, metrics)
     rng = np.random.default_rng(15)
     eps = np.finfo(np.float64).eps
     retested = 0
@@ -423,7 +424,7 @@ def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
 
 
 def test_predicted_deg_set_retests_no_column_of_an_ordinary_prediction(monkeypatch):
-    calls = counting_welch(monkeypatch, metrics)
+    calls = counting_welch(monkeypatch, data, metrics)
     rng = np.random.default_rng(16)
     control = rng.uniform(0.5, 3.0, 500) + rng.normal(0.0, 0.2, (20, 500))
     d = rng.normal(0.0, 0.3, 500)
@@ -525,14 +526,22 @@ def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delt
     ds = PerturbationDataset(synth.vocab, synth.control, blocks)
     rng = np.random.default_rng(18)
     preds = {p: ds.block(p).mean(axis=0) + rng.normal(0.0, 0.2, ds.n_genes) for p in ds.pert_names()}
-    calls = counting_welch(monkeypatch, data)
-    calls_pred = counting_welch(monkeypatch, metrics)
+    calls = counting_welch(monkeypatch, data, metrics)
+    calls_true = []
+
+    def degs(*args, **kwargs):  # counts the calls made for the true DEG table
+        start = len(calls)
+        table = compute_degs(*args, **kwargs)
+        calls_true.append(len(calls) - start)
+        return table
+
+    monkeypatch.setattr(metrics, "compute_degs", degs)
     ranked = []
     monkeypatch.setattr(metrics, "rank_average_ties", lambda x: ranked.append(1) or rank_average_ties(x))
     _, truth = evaluate_predictions(ds, preds, ds.pert_names())
     with_degs = sum(truth.deg_indices(p).size > 0 for p in ds.pert_names())
     assert 0 < with_degs < len(preds)  # both kinds of perturbation occur
-    assert (len(calls), len(calls_pred)) == (len(preds), with_degs)
+    assert calls_true == [len(preds)] and len(calls) == len(preds) + with_degs
     assert len(ranked) == 2 * len(preds)
 
 
