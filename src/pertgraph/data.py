@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import pickle
+import signal
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import DataError, ParseError, UsageError, check_range, open_utf8, write_csv
+from .errors import DataError, ParseError, UsageError, check_range, input_errors, write_csv
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -73,6 +79,7 @@ class PerturbationDataset:
 
 
 LOAD_CHUNK_ROWS = 256  # data lines parsed per np.loadtxt call; bounds the line text held at once
+LOAD_RANGE_BYTES = 8 << 20  # least bytes of data lines one process parses; a smaller file is read in one
 
 
 def load_expression(path) -> PerturbationDataset:
@@ -93,59 +100,152 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
     numeric columns; return those names, each data line's label fields and a
     float64 array of its numbers, one row per data line.
 
-    Data lines are streamed and their numbers parsed by numpy, LOAD_CHUNK_ROWS
-    lines at a time, so no Python float or per-cell list is made. A line that
-    holds a double quote is split by the csv module, so quoted labels work (a
-    quoted field may not span lines). Blank lines are skipped. A malformed
-    line is a ParseError, and a NaN or inf a DataError, naming its line.
+    A file with enough data for more than one range (`_range_cuts`) is cut
+    into line-aligned byte ranges: this process parses the first, a forked
+    worker each further one, all at once, and each worker's rows are read
+    from its pipe straight into the result. Lines are split as text mode
+    with newline="" splits them, and parsed as `_parse_range` says; the
+    error raised is that of the first bad line in the file, with its line
+    number, whatever the ranges.
     """
     k = len(labels)
-    lead: list[list[str]] = []
-    chunks: list[np.ndarray] = []
-    with open_utf8(path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
+    with input_errors(path), open(path, "rb") as fh:
+        head = fh.readline()
+        if not head:
+            raise ParseError("empty file", 1)
+        header_line, *rest = _lines([head])  # rest: data lines after a lone \r
+        header = next(csv.reader([header_line.decode("utf-8")]))
         if len(header) <= k or tuple(header[:k]) != labels:
             raise ParseError(f"header must start with {','.join(labels)},<columns>", 1)
         names = header[k:]
         if len(set(names)) != len(names):
             raise ParseError("duplicate column in header", 1)
-        texts: list[str] = []
-        linenos: list[int] = []
-        for lineno, line in enumerate(fh, start=2):  # the csv reader holds no line back
-            line = line.rstrip("\r\n")
+        cuts = _range_cuts(fh.fileno(), len(head))
+        workers: list[_RangeWorker] = []
+        try:
+            for start, end in zip(cuts, cuts[1:] + [None]):
+                workers.append(_RangeWorker(path, start, end, k, len(header)))
+            own = _lines(fh, cuts[0] - len(head) if cuts else None)
+            lead, chunks, n_lines = _parse_range(chain(rest, own), 2, k, len(header))
+            first = 2 + n_lines
+            for worker in workers:  # in file order, so the first bad line wins
+                got_lead, n_lines = worker.receive_head(first)
+                lead += got_lead
+                first += n_lines
+            values = np.empty((len(lead), len(names)))
+            rows = sum(map(len, chunks))
+            if chunks:
+                np.concatenate(chunks, out=values[:rows])
+            del chunks  # freed before the workers' rows arrive
+            for worker in workers:
+                rows = worker.receive_rows(values, rows)
+        finally:
+            for worker in workers:
+                worker.reap()
+    return names, lead, values
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _range_cuts(fd: int, start: int) -> list[int]:
+    """Byte offsets that cut the data lines of the file `fd`, which start at
+    byte `start`, into ranges: one range per usable core, none smaller than
+    LOAD_RANGE_BYTES, each offset just after a \\n (a range starts a line
+    however the file ends its lines). No cuts when this process cannot fork,
+    or runs other threads, whose locks a forked copy could find held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return []
+    size = os.fstat(fd).st_size
+    n = min(_cores(), (size - start) // LOAD_RANGE_BYTES)
+    cuts: list[int] = []
+    for i in range(1, n):
+        least = (cuts[-1] if cuts else start) + LOAD_RANGE_BYTES
+        cut = _line_end(fd, max(start + (size - start) * i // n, least))
+        if cut is None or size - cut < LOAD_RANGE_BYTES:
+            break
+        cuts.append(cut)
+    return cuts
+
+
+def _line_end(fd: int, pos: int) -> int | None:
+    """The offset just after the first \\n at or after byte `pos` of the file `fd`, or None."""
+    while block := os.pread(fd, 1 << 16, pos):
+        if (i := block.find(b"\n")) >= 0:
+            return pos + i + 1
+        pos += len(block)
+    return None
+
+
+def _lines(raw_lines: Iterable[bytes], size: int | None = None) -> Iterator[bytes]:
+    """The lines in `raw_lines`, binary lines that each end at a \\n, with their
+    line ends: like text mode with newline="", a line ends at \\n, \\r\\n or a
+    lone \\r. With `size`, stop after the binary line that reaches `size` bytes."""
+    for raw in raw_lines:
+        yield from raw.splitlines(keepends=True) if b"\r" in raw else (raw,)
+        if size is not None:
+            size -= len(raw)
+            if size <= 0:
+                return
+
+
+def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> tuple[list[list[str]], list[np.ndarray], int]:
+    """Parse data lines, numbered from `first`, of `n_fields` fields each, the
+    first `k` of them labels; return each line's label fields, float64 blocks
+    of its numbers and the number of lines read.
+
+    Numbers are parsed by numpy, LOAD_CHUNK_ROWS lines at a time, so no
+    Python float or per-cell list is made. A line that holds a double quote
+    is split by the csv module, so quoted labels work (a quoted field may not
+    span lines). Blank lines are skipped. A line that does not decode as
+    UTF-8, or that is malformed, raises UnicodeDecodeError or ParseError and
+    a NaN or inf a DataError; the error raised is that of the first bad
+    line, whatever the chunks.
+    """
+    lead: list[list[str]] = []
+    chunks: list[np.ndarray] = []
+    texts: list[str] = []
+    linenos: list[int] = []
+    quoted: list[bool] = []
+    bad = None
+    lineno = first - 1
+    for lineno, raw in enumerate(lines, start=first):
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
             if not line:
                 continue
-            if '"' in line:
-                row = next(csv.reader([line]))
-                n_fields, text = len(row), ",".join(row[k:])
-            else:
-                row = line.split(",", k)
-                text = row[-1]
-                n_fields = len(row) + text.count(",")
-            if n_fields != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {n_fields}", lineno)
-            lead.append(row[:k])
-            texts.append(text)
-            linenos.append(lineno)
-            if len(texts) == LOAD_CHUNK_ROWS:
-                chunks.append(_parse_numeric_lines(texts, linenos, len(names)))
-                texts, linenos = [], []
-        if texts:
-            chunks.append(_parse_numeric_lines(texts, linenos, len(names)))
-    # the chunks are freed on return, before the caller copies blocks out of
-    # the array, so at most two copies are alive
-    return names, lead, np.concatenate(chunks) if chunks else np.empty((0, len(names)))
+            quote = '"' in line
+            row = next(csv.reader([line])) if quote else line.split(",", k)
+            # an unquoted line's commas among its numbers are counted only if its chunk fails
+            if len(row) <= k or quote and len(row) != n_fields:
+                raise ParseError(f"expected {n_fields} fields, got {len(row)}", lineno)
+        except (UnicodeDecodeError, ParseError) as exc:
+            bad = exc  # raised once the lines before it are parsed
+            break
+        lead.append(row[:k])
+        texts.append(",".join(row[k:]) if quote else row[-1])
+        linenos.append(lineno)
+        quoted.append(quote)
+        if len(texts) == LOAD_CHUNK_ROWS:
+            chunks.append(_parse_numeric_lines(texts, linenos, quoted, k, n_fields - k))
+            texts, linenos, quoted = [], [], []
+    if texts:
+        chunks.append(_parse_numeric_lines(texts, linenos, quoted, k, n_fields - k))
+    if bad is not None:
+        raise bad
+    return lead, chunks, lineno - first + 1
 
 
-def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) -> np.ndarray:
+def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool], k: int, n_values: int) -> np.ndarray:
     """Parse comma-separated numbers into one float64 row per text.
 
     numpy's parser is stricter than `float()`: `1_0` and non-ASCII digits are
-    errors. A text that fails, or does not give exactly `n_values` numbers,
-    is a ParseError naming its line; a NaN or inf is a DataError naming it.
+    errors. When the texts fail together, each is checked in turn: the field
+    count of its line (`k` labels, then its commas; a quoted line's was
+    checked on reading), its numbers, then their finiteness. A malformed text
+    is a ParseError naming its line, and a NaN or inf a DataError naming it.
     """
     values = None
     if "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
@@ -153,19 +253,104 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], n_values: int) ->
             values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
-    if values is None or values.shape != (len(texts), n_values):
-        for text, lineno in zip(texts, linenos):  # error path: find the first bad line
+    if values is not None and values.shape == (len(texts), n_values):
+        finite = np.isfinite(values).all(axis=1)
+        if finite.all():
+            return values
+    for text, lineno, was_quoted in zip(texts, linenos, quoted):  # error path: find the first bad line
+        if not was_quoted and text.count(",") != n_values - 1:
+            raise ParseError(f"expected {k + n_values} fields, got {k + 1 + text.count(',')}", lineno)
+        try:
+            row = np.loadtxt([text], delimiter=",", comments=None) if text else np.empty(0)
+        except ValueError as exc:
+            raise ParseError(str(exc).split(" at row ")[0], lineno) from None
+        if row.size != n_values:  # an empty cell, or a quoted cell holding a comma
+            raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
+        if not np.isfinite(row).all():
+            raise DataError("non-finite value", lineno)
+    raise AssertionError("a chunk failed to parse but each of its lines parses")
+
+
+class _RangeWorker:
+    """A forked process that parses the data lines in bytes [start, end) of a
+    CSV (end None: to the end of the file), numbered from 1, and sends back
+    through a pipe a pickle of their label fields, line count and row count,
+    then the rows' float64 bytes; or a pickle of the first bad line's error.
+    A worker that dies before its result is read has its range parsed here."""
+
+    def __init__(self, path, start: int, end: int | None, k: int, n_fields: int):
+        self.path, self.start, self.end, self.k, self.n_fields = path, start, end, k, n_fields
+        self.first = 1
+        self.chunks: list[np.ndarray] | None = None  # the range's rows when parsed here
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no worker: its pipe ends at once, so its range is parsed here
+            self.pid = None
+        if self.pid == 0:  # the worker: it never returns
+            status = 1
             try:
-                row = np.loadtxt([text], delimiter=",", comments=None) if text else np.empty(0)
-            except ValueError as exc:
-                raise ParseError(str(exc).split(" at row ")[0], lineno) from None
-            if row.size != n_values:  # an empty cell, or a quoted cell holding a comma
-                raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
-        raise AssertionError("a chunk failed to parse but each of its lines parses")
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise DataError("non-finite value", linenos[int(finite.argmin())])
-    return values
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    self._send(pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)  # only the worker holds it, so a dead worker's pipe ends
+        self.pipe = open(read, "rb")
+
+    def _parse(self):
+        with open(self.path, "rb") as fh:
+            fh.seek(self.start)
+            return _parse_range(_lines(fh, None if self.end is None else self.end - self.start), self.first, self.k, self.n_fields)
+
+    def _send(self, pipe) -> None:
+        try:
+            lead, chunks, n_lines = self._parse()
+        except (UnicodeDecodeError, DataError) as exc:
+            pickle.dump(exc, pipe)
+            return
+        pickle.dump((lead, n_lines, sum(map(len, chunks))), pipe)
+        for chunk in chunks:
+            pipe.write(chunk)
+
+    def receive_head(self, first: int) -> tuple[list[list[str]], int]:
+        """The range's label fields and line count; `first` is the file's line
+        number of its first line. Its first bad line raises its error,
+        numbered in the file."""
+        self.first = first
+        try:
+            got = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # the worker died, or never ran
+            lead, self.chunks, n_lines = self._parse()
+            return lead, n_lines
+        if isinstance(got, DataError) and got.line is not None:
+            raise type(got)(got.reason, got.line + first - 1)
+        if isinstance(got, BaseException):
+            raise got
+        lead, n_lines, self.n_rows = got
+        return lead, n_lines
+
+    def receive_rows(self, values: np.ndarray, row: int) -> int:
+        """Put the range's rows into `values` from `row` on; return the row after them."""
+        if self.chunks is None:
+            out = memoryview(values[row : row + self.n_rows]).cast("B")
+            while out and (n := self.pipe.readinto(out)):
+                out = out[n:]
+            if not out:
+                return row + self.n_rows
+            self.chunks = self._parse()[1]  # the worker died sending its rows
+        n_rows = sum(map(len, self.chunks))
+        if self.chunks:
+            np.concatenate(self.chunks, out=values[row : row + n_rows])
+        return row + n_rows
+
+    def reap(self) -> None:
+        """Stop the worker, whose result is read or no longer wanted, and wait for it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def save_expression(dataset: PerturbationDataset, path) -> None:
@@ -203,15 +388,24 @@ def group_stats(block: np.ndarray) -> GroupStats:
 
 def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gene Welch t of b against a, its Welch-Satterthwaite df, and the
-    degenerate columns, constant in both groups, where neither means anything."""
+    degenerate columns, constant in both groups, where neither means anything.
+
+    Where the df's squares under- or overflow (variances near 1e-170 or
+    1e170), it is taken again from ta and tb scaled by their maximum, which
+    leaves it unchanged in exact arithmetic; every other df is as computed."""
     # a column constant in both groups has zero pooled variance; detect it from
     # the data, not from the float variance (the mean of n identical values rounds)
     degenerate = (a.max == a.min) & (b.max == b.min)
     ta, tb = a.var / a.n, b.var / b.n
     se2 = np.where(degenerate, 1.0, ta + tb)
     t = (b.mean - a.mean) / np.sqrt(se2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
+        redo = np.flatnonzero(~np.isfinite(df) & ~degenerate)
+        if redo.size:
+            top = np.maximum(ta[redo], tb[redo])
+            ra, rb = ta[redo] / top, tb[redo] / top
+            df[redo] = (ra + rb) ** 2 / (ra**2 / (a.n - 1) + rb**2 / (b.n - 1))
     return t, df, degenerate
 
 

@@ -30,13 +30,16 @@ class ShapeError(UsageError):
 
 class DataError(ValueError):
     """Input data violates the documented file or content contract; `line`,
-    when given, is the 1-based line of the input file that does."""
+    when given, is the 1-based line of the input file that does, and `reason`
+    is the message without it. It pickles with both, so a worker process can
+    send it back."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        self.reason, self.line = message, line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.line)
 
 
 class ParseError(DataError):
@@ -65,19 +68,25 @@ def check_range(name: str, value, low, high=math.inf, *, low_open: bool = False,
 
 
 @contextmanager
-def open_utf8(path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text; a byte that does not decode, wherever
-    it is read, raises a DataError naming the file, and a line-numbered
-    DataError raised while the file is open gets the file's path in front."""
+def input_errors(path) -> Iterator[None]:
+    """Name the input file in errors raised in the block: a byte that does not
+    decode as UTF-8 raises a DataError naming the file, and a line-numbered
+    DataError gets the file's path in front."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        yield
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except DataError as exc:
         if exc.line is not None:
             exc.args = (f"{path}: {exc}",)
         raise
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text, its errors named as `input_errors` names them."""
+    with input_errors(path), open(path, "r", encoding="utf-8") as fh:
+        yield fh
 
 
 @contextmanager

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pertgraph import errors
+from pertgraph import data, errors
 from pertgraph.cli import main
 from pertgraph.config import RunConfig, load_config, write_effective_config
 from pertgraph.data import (
@@ -856,3 +857,30 @@ def test_atomic_write_failing_midway_leaves_no_partial_file(tmp_path):
             fh.write("perturbation,G0\n")
             raise RuntimeError("interrupted")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_and_deg_coverage_read_in_two_ranges_write_the_same_bytes(synth_run, monkeypatch):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    ckpt = str(tmp / "out" / "checkpoint.json")
+    cuts, counts = data._range_cuts, []
+
+    def counted(fd, start):
+        got = cuts(fd, start)
+        counts.append(len(got) + 1)
+        return got
+
+    monkeypatch.setattr(data, "_range_cuts", counted)
+    outputs = {}
+    for n in (1, 2):
+        counts.clear()
+        monkeypatch.setattr(data, "LOAD_RANGE_BYTES", 4096 if n == 2 else 8 << 20)
+        monkeypatch.setattr(data, "_cores", lambda: n)
+        out = tmp / f"ranges{n}"
+        assert main(["eval", "--config", str(cfg), "--seed", "3", "--out", str(out / "eval"), "--checkpoint", ckpt]) == 0
+        assert main(["deg-coverage", "--config", str(cfg), "--seed", "3", "--out", str(out / "cov")]) == 0
+        outputs[n] = ((out / "eval" / "metrics.json").read_bytes(), (out / "cov" / "deg_coverage.json").read_bytes())
+        assert max(counts) == n  # the expression file's ranges
+    assert outputs[2] == outputs[1]
+    with pytest.raises(ChildProcessError):  # no worker is left
+        os.waitpid(-1, os.WNOHANG)

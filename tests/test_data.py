@@ -1,4 +1,7 @@
+import os
+import pickle
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -172,6 +175,225 @@ def test_load_expression_peak_memory_within_three_times_the_arrays(tmp_path):
     assert peak <= 3 * nbytes, f"peak {peak} B for {nbytes} B of arrays"
 
 
+# --- ingest in byte ranges ------------------------------------------------------
+
+EXPRESSION_LABELS, EMBEDDING_LABELS = ("sample_id", "perturbation"), ("gene",)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """`ranges(n)` makes the reader cut any file of a few kB into n ranges
+    (1: read in-process) and returns a list that collects each read's range count."""
+    counts = []
+    cuts = data._range_cuts
+
+    def counted(fd, start):
+        got = cuts(fd, start)
+        counts.append(len(got) + 1)
+        return got
+
+    def set_ranges(n):
+        monkeypatch.setattr(data, "LOAD_RANGE_BYTES", 64 if n > 1 else 8 << 20)
+        monkeypatch.setattr(data, "_cores", lambda: n)
+        return counts
+
+    monkeypatch.setattr(data, "_range_cuts", counted)
+    return set_ranges
+
+
+def read_in_ranges(set_ranges, path, labels, n):
+    counts = set_ranges(n)
+    try:
+        return data._read_numeric_csv(path, labels)
+    finally:
+        assert counts[-1] == n
+        assert_no_child_left()
+
+
+def raised_in_ranges(set_ranges, path, labels, n):
+    with pytest.raises(DataError) as info:
+        read_in_ranges(set_ranges, path, labels, n)
+    return type(info.value), str(info.value), info.value.line
+
+
+def csv_bytes(labels, n_rows, n_values, newline="\n", final=True, blank_every=0, quote_every=0, label="s"):
+    """A CSV of `n_rows` data lines; every `blank_every`-th line is followed
+    by a blank one and every `quote_every`-th label is quoted and holds a comma."""
+    rng = np.random.default_rng(n_rows)
+    lines = [",".join([*labels, *(f"G{j}" for j in range(n_values))])]
+    for i in range(n_rows):
+        names = [f"{label}{i}", ("control", "PA", "PB")[i % 3]][: len(labels)]
+        if quote_every and i % quote_every == 0:
+            names[0] = f'"{names[0]},x"'
+        lines.append(",".join([*names, *(repr(float(x)) for x in rng.uniform(0, 3, n_values))]))
+        if blank_every and i % blank_every == 0:
+            lines.append("")
+    return (newline.join(lines) + (newline if final else "")).encode("utf-8")
+
+
+READER_FILES = {
+    "crlf": dict(newline="\r\n"),
+    "blank-and-quoted-at-cuts": dict(blank_every=1, quote_every=1),
+    "utf8-labels": dict(label="gène-λ-"),
+    "no-final-newline": dict(final=False, blank_every=3, quote_every=4),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(READER_FILES))
+@pytest.mark.parametrize("labels", [EXPRESSION_LABELS, EMBEDDING_LABELS], ids=["expression", "embeddings"])
+def test_reader_in_ranges_equals_one_range(tmp_path, ranges, labels, case, n):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(labels, 60, 5, **READER_FILES[case]))
+    names, lead, values = read_in_ranges(ranges, path, labels, 1)
+    assert values.shape == (60, 5) and len(lead) == 60
+    got_names, got_lead, got = read_in_ranges(ranges, path, labels, n)
+    assert (got_names, got_lead) == (names, lead)
+    assert got.tobytes() == values.tobytes() and got.flags.c_contiguous
+
+
+def test_reader_keeps_a_lone_cr_file_in_one_range(tmp_path, ranges):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5, newline="\r"))
+    counts = ranges(4)
+    got = data._read_numeric_csv(path, EXPRESSION_LABELS)
+    assert counts[-1] == 1
+    assert_no_child_left()
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    names, lead, values = data._read_numeric_csv(path, EXPRESSION_LABELS)
+    assert got[:2] == (names, lead) and got[2].tobytes() == values.tobytes()
+
+
+BAD_LINES = {  # what replaces a data line's last value, and the error it gives
+    "bad-cell": ("abc", ParseError),
+    "nan": ("nan", DataError),
+    "ragged-row": ("1.0,2.0", ParseError),
+    "not-utf8": ("1\udcff", DataError),  # written as the lone byte 0xff
+}
+
+
+def with_bad_lines(content: bytes, bad: dict[int, str]) -> bytes:
+    """`content` with the last value of data line i replaced by bad[i]."""
+    lines = content.split(b"\n")
+    for i, cell in bad.items():
+        head, _, _ = lines[1 + i].rpartition(b",")
+        lines[1 + i] = head + b"," + cell.encode("utf-8", "surrogateescape")
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+@pytest.mark.parametrize("labels", [EXPRESSION_LABELS, EMBEDDING_LABELS], ids=["expression", "embeddings"])
+def test_bad_line_in_a_worker_range_raises_as_in_one_range(tmp_path, ranges, labels, case, n):
+    cell, error = BAD_LINES[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(with_bad_lines(csv_bytes(labels, 60, 5, blank_every=7), {55: cell}))
+    expected = raised_in_ranges(ranges, path, labels, 1)
+    assert expected[0] is error and (expected[2] is None) == (case == "not-utf8")
+    assert raised_in_ranges(ranges, path, labels, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "bad,line,error",
+    [
+        ({1: "nan", 3: "abc"}, 3, DataError),  # a NaN before a bad cell in one chunk
+        ({1: "x", 3: "1.0,2.0"}, 3, ParseError),  # a bad cell before a ragged row
+        ({1: "1.0,2.0", 3: "nan"}, 3, ParseError),
+        ({30: "nan", 31: "\udcff", 58: "x"}, 32, DataError),
+        ({31: "\udcff", 58: "x"}, None, DataError),  # a byte that does not decode is no line's error
+        ({40: "1.0,2.0", 58: "abc"}, 42, ParseError),
+    ],
+    ids=["nan-then-cell", "cell-then-ragged", "ragged-then-nan", "nan-then-utf8", "utf8-then-cell", "ragged-then-cell"],
+)
+def test_first_bad_line_in_the_file_wins(tmp_path, ranges, n, bad, line, error):
+    path = tmp_path / "data.csv"
+    path.write_bytes(with_bad_lines(csv_bytes(EXPRESSION_LABELS, 60, 5), bad))
+    got = raised_in_ranges(ranges, path, EXPRESSION_LABELS, n)
+    assert got[0] is error and got[2] == line
+    if line is not None:
+        assert got[1].startswith(f"{path}: line {line}: ")
+
+
+def test_first_bad_line_wins_whatever_the_chunk_size(tmp_path, ranges, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(with_bad_lines(csv_bytes(EXPRESSION_LABELS, 60, 5), {20: "nan", 21: "1,2"}))
+    for rows in (1, 2, 7, 256):
+        monkeypatch.setattr(data, "LOAD_CHUNK_ROWS", rows)
+        assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 1)[2] == 22
+
+
+def send_nothing(self, pipe):
+    raise RuntimeError("the worker dies")
+
+
+def send_head_only(self, pipe):
+    lead, chunks, n_lines = self._parse()
+    pickle.dump((lead, n_lines, sum(map(len, chunks))), pipe)
+
+
+@pytest.mark.parametrize("send", [send_nothing, send_head_only], ids=["before-its-head", "before-its-rows"])
+def test_range_of_a_worker_that_dies_is_parsed_in_process(tmp_path, ranges, monkeypatch, send):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5, blank_every=4))
+    expected = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    monkeypatch.setattr(data._RangeWorker, "_send", send)
+    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 3)
+    assert (names, lead) == expected[:2] and values.tobytes() == expected[2].tobytes()
+    path.write_bytes(with_bad_lines(path.read_bytes(), {50: "abc"}))  # and its error is numbered in the file
+    assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 3) == raised_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+
+
+def test_range_whose_fork_fails_is_parsed_in_process(tmp_path, ranges, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(with_bad_lines(csv_bytes(EXPRESSION_LABELS, 60, 5), {50: "abc"}))
+    expected = raised_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+
+    def no_fork():
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 3) == expected
+
+
+def test_interrupted_read_reaps_its_workers(tmp_path, ranges, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    parse = data._parse_range
+
+    def interrupted(lines, first, k, n_fields):
+        if first == 2:  # this process's own range
+            raise KeyboardInterrupt
+        return parse(lines, first, k, n_fields)
+
+    monkeypatch.setattr(data, "_parse_range", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        read_in_ranges(ranges, path, EXPRESSION_LABELS, 4)
+
+
+def test_reader_stays_in_one_range_while_other_threads_run(tmp_path, ranges):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    ranges(4)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        data._read_numeric_csv(path, EXPRESSION_LABELS)
+    finally:
+        release.set()
+        thread.join()
+    assert ranges(4)[-1] == 1
+    data._read_numeric_csv(path, EXPRESSION_LABELS)
+    assert ranges(4)[-1] == 4
+    assert_no_child_left()
+
+
 def test_dataset_rejects_negative_values():
     vocab = GeneVocab(["G0", "G1"])
     with pytest.raises(DataError):
@@ -218,6 +440,30 @@ def test_welch_random_blocks_vs_scipy():
 def test_welch_requires_two_samples():
     with pytest.raises(UsageError):
         welch_pvalues(column([1.0]), column([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-85, 1e85], ids=["df-underflow", "df-overflow"])
+def test_welch_df_of_tiny_and_huge_columns_is_finite(scale):
+    # the squares in the Welch-Satterthwaite df under- or overflow at these
+    # scales; the p-value is that of the same samples at scale 1, to rounding
+    a, b = column([1.0, 1.3, 0.8]), column([20.0, 20.4, 19.7])
+    p = welch_pvalues(a * scale, b * scale)
+    assert np.isfinite(p).all()
+    assert abs(p[0] - welch_pvalues(a, b)[0]) < 1e-12 * welch_pvalues(a, b)[0]
+    names = ["G0", "G1"]
+    control, block = np.hstack([a * scale, a]), np.hstack([b * scale, b])
+    ds = PerturbationDataset(GeneVocab(names), control, {"PA": block})
+    table = compute_degs(ds, alpha=0.05)
+    assert table.masks["PA"].tolist() == [True, True]
+    assert table.masks["PA"].tobytes() == deg_rule(0.05, "none")(welch_pvalues(control, block)).tobytes()
+
+
+def test_welch_df_of_ordinary_columns_is_the_plain_formula():
+    rng = np.random.default_rng(5)
+    a, b = group_stats(rng.uniform(0, 3, size=(7, 50))), group_stats(rng.uniform(0, 3, size=(4, 50)))
+    _, df, _ = data._welch_t(a, b)
+    ta, tb = a.var / a.n, b.var / b.n
+    assert df.tobytes() == ((ta + tb) ** 2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))).tobytes()
 
 
 # --- DEG tables --------------------------------------------------------------------
