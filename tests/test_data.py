@@ -269,6 +269,28 @@ def test_reader_keeps_a_lone_cr_file_in_one_range(tmp_path, ranges):
     assert got[:2] == (names, lead) and got[2].tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reader_cuts_lines_longer_than_a_probe(tmp_path, ranges, n):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 6, 5000))  # about 90 kB a line, over one 64 KiB probe
+    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    got_names, got_lead, got = read_in_ranges(ranges, path, EXPRESSION_LABELS, n)
+    assert (got_names, got_lead) == (names, lead) and got.tobytes() == values.tobytes()
+
+
+def test_reader_keeps_data_lines_ending_in_a_lone_cr_in_one_range(tmp_path, ranges):
+    path = tmp_path / "data.csv"
+    twin = csv_bytes(EXPRESSION_LABELS, 60, 5)
+    path.write_bytes(twin.replace(b"\n", b"\r").replace(b"\r", b"\n", 1))  # the header ends in \n
+    counts = ranges(4)
+    got = data._read_numeric_csv(path, EXPRESSION_LABELS)
+    assert counts[-1] == 1
+    assert_no_child_left()
+    path.write_bytes(twin)
+    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    assert got[:2] == (names, lead) and got[2].tobytes() == values.tobytes()
+
+
 BAD_LINES = {  # what replaces a data line's last value, and the error it gives
     "bad-cell": ("abc", ParseError),
     "nan": ("nan", DataError),
