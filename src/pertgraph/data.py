@@ -17,7 +17,6 @@ import signal
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,19 +100,19 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
     float64 array of its numbers, one row per data line.
 
     A file with enough data for more than one range (`_range_cuts`) is cut
-    into line-aligned byte ranges: this process parses the first, a forked
-    worker each further one, all at once, and each worker's rows are read
-    from its pipe straight into the result. Lines are split as text mode
-    with newline="" splits them, and parsed as `_parse_range` says; the
-    error raised is that of the first bad line in the file, with its line
-    number, whatever the ranges.
+    into line-aligned byte ranges, one `_RangeWorker` each: a forked worker
+    parses each range but the first, all at once, while this process parses
+    the first, and each worker's rows are read from its pipe straight into
+    the result. Lines are split as text mode with newline="" splits them, and
+    parsed as `_parse_range` says; the error raised is that of the first bad
+    line in the file, with its line number, whatever the ranges.
     """
     k = len(labels)
     with input_errors(path), open(path, "rb") as fh:
         head = fh.readline()
         if not head:
             raise ParseError("empty file", 1)
-        header_line, *rest = _lines([head])  # rest: data lines after a lone \r
+        header_line = next(_lines([head]))  # data lines may follow it in `head`, after a lone \r
         header = next(csv.reader([header_line.decode("utf-8")]))
         if len(header) <= k or tuple(header[:k]) != labels:
             raise ParseError(f"header must start with {','.join(labels)},<columns>", 1)
@@ -123,20 +122,15 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
         cuts = _range_cuts(fh.fileno(), len(head))
         workers: list[_RangeWorker] = []
         try:
-            for start, end in zip(cuts, cuts[1:] + [None]):
-                workers.append(_RangeWorker(path, start, end, k, len(header)))
-            own = _lines(fh, cuts[0] - len(head) if cuts else None)
-            lead, chunks, n_lines = _parse_range(chain(rest, own), 2, k, len(header))
-            first = 2 + n_lines
+            for start, end in zip([len(header_line), *cuts], [*cuts, None]):
+                workers.append(_RangeWorker(path, start, end, k, len(header), fork=bool(workers)))
+            lead, first = [], 2
             for worker in workers:  # in file order, so the first bad line wins
                 got_lead, n_lines = worker.receive_head(first)
                 lead += got_lead
                 first += n_lines
             values = np.empty((len(lead), len(names)))
-            rows = sum(map(len, chunks))
-            if chunks:
-                np.concatenate(chunks, out=values[:rows])
-            del chunks  # freed before the workers' rows arrive
+            rows = 0
             for worker in workers:
                 rows = worker.receive_rows(values, rows)
         finally:
@@ -272,30 +266,30 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool
 
 
 class _RangeWorker:
-    """A forked process that parses the data lines in bytes [start, end) of a
-    CSV (end None: to the end of the file), numbered from 1, and sends back
+    """The data lines in bytes [start, end) of a CSV (end None: to the end of
+    the file). With `fork`, a forked process parses them and sends back
     through a pipe a pickle of their label fields, line count and row count,
-    then the rows' float64 bytes; or a pickle of the first bad line's error.
-    A worker that dies before its result is read has its range parsed here."""
+    then the rows' float64 bytes; whatever goes wrong, it sends nothing more.
+    A range with no result from a worker (none was forked, or it died or met
+    a bad line) is parsed here, in file order, which raises the first bad
+    line's error with its line number in the file."""
 
-    def __init__(self, path, start: int, end: int | None, k: int, n_fields: int):
+    def __init__(self, path, start: int, end: int | None, k: int, n_fields: int, fork: bool):
         self.path, self.start, self.end, self.k, self.n_fields = path, start, end, k, n_fields
-        self.first = 1
+        self.first = 1  # the file's line number of the range's first line, once known
         self.chunks: list[np.ndarray] | None = None  # the range's rows when parsed here
         read, write = os.pipe()
         try:
-            self.pid = os.fork()
+            self.pid = os.fork() if fork else None
         except OSError:  # no worker: its pipe ends at once, so its range is parsed here
             self.pid = None
         if self.pid == 0:  # the worker: it never returns
-            status = 1
             try:
                 os.close(read)
                 with open(write, "wb") as pipe:
                     self._send(pipe)
-                status = 0
             finally:
-                os._exit(status)
+                os._exit(0)
         os.close(write)  # only the worker holds it, so a dead worker's pipe ends
         self.pipe = open(read, "rb")
 
@@ -305,30 +299,19 @@ class _RangeWorker:
             return _parse_range(_lines(fh, None if self.end is None else self.end - self.start), self.first, self.k, self.n_fields)
 
     def _send(self, pipe) -> None:
-        try:
-            lead, chunks, n_lines = self._parse()
-        except (UnicodeDecodeError, DataError) as exc:
-            pickle.dump(exc, pipe)
-            return
+        lead, chunks, n_lines = self._parse()
         pickle.dump((lead, n_lines, sum(map(len, chunks))), pipe)
         for chunk in chunks:
             pipe.write(chunk)
 
     def receive_head(self, first: int) -> tuple[list[list[str]], int]:
         """The range's label fields and line count; `first` is the file's line
-        number of its first line. Its first bad line raises its error,
-        numbered in the file."""
+        number of its first line."""
         self.first = first
         try:
-            got = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):  # the worker died, or never ran
+            lead, n_lines, self.n_rows = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # no worker, or it died or met a bad line
             lead, self.chunks, n_lines = self._parse()
-            return lead, n_lines
-        if isinstance(got, DataError) and got.line is not None:
-            raise type(got)(got.reason, got.line + first - 1)
-        if isinstance(got, BaseException):
-            raise got
-        lead, n_lines, self.n_rows = got
         return lead, n_lines
 
     def receive_rows(self, values: np.ndarray, row: int) -> int:
@@ -340,9 +323,10 @@ class _RangeWorker:
             if not out:
                 return row + self.n_rows
             self.chunks = self._parse()[1]  # the worker died sending its rows
-        n_rows = sum(map(len, self.chunks))
-        if self.chunks:
-            np.concatenate(self.chunks, out=values[row : row + n_rows])
+        chunks, self.chunks = self.chunks, []  # freed before the next range's rows arrive
+        n_rows = sum(map(len, chunks))
+        if chunks:
+            np.concatenate(chunks, out=values[row : row + n_rows])
         return row + n_rows
 
     def reap(self) -> None:
@@ -398,8 +382,8 @@ def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.n
     degenerate = (a.max == a.min) & (b.max == b.min)
     ta, tb = a.var / a.n, b.var / b.n
     se2 = np.where(degenerate, 1.0, ta + tb)
-    t = (b.mean - a.mean) / np.sqrt(se2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (b.mean - a.mean) / np.sqrt(se2)  # a variance that underflows to 0 gives a NaN p-value
         df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
         redo = np.flatnonzero(~np.isfinite(df) & ~degenerate)
         if redo.size:
@@ -465,7 +449,7 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     n = p.size
     order = np.argsort(p, kind="stable")
     ranked = p[order] * n / np.arange(1, n + 1)
-    adjusted = np.minimum.accumulate(ranked[::-1])[::-1]
+    adjusted = np.fmin.accumulate(ranked[::-1])[::-1]  # a NaN p-value stays NaN and bounds no other
     out = np.empty(n)
     out[order] = np.minimum(adjusted, 1.0)
     return out

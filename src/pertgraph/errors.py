@@ -30,16 +30,11 @@ class ShapeError(UsageError):
 
 class DataError(ValueError):
     """Input data violates the documented file or content contract; `line`,
-    when given, is the 1-based line of the input file that does, and `reason`
-    is the message without it. It pickles with both, so a worker process can
-    send it back."""
+    when given, is the 1-based line of the input file that does."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.reason, self.line = message, line
+        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-    def __reduce__(self):
-        return type(self), (self.reason, self.line)
 
 
 class ParseError(DataError):

@@ -150,17 +150,23 @@ def test_train_ablation_flag_recorded(synth_run):
 
 @pytest.mark.parametrize(
     "section,key,value",
-    [("training", "optimizer", "sgd"), ("data", "deg_correction", "benjamini-hochberg")],
-    ids=["sgd", "benjamini-hochberg"],
+    [
+        ("training", "optimizer", "sgd"),
+        ("data", "deg_correction", "benjamini-hochberg"),
+        ("training", "weight_decay", 0.01),
+        ("loss", "huber_delta", 0.25),
+    ],
+    ids=["sgd", "benjamini-hochberg", "weight-decay", "huber-delta"],
 )
 def test_train_option_smoke(synth_run, section, key, value):
     cfg, _, tmp = synth_run
     text = cfg.read_text().replace("max_epochs = 1\n", "max_epochs = 2\n").replace("patience = 1\n", "patience = 2\n")
-    cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    option = f"[{section}]\n{key} = {value}\n"
+    cfg.write_text(text.replace(f"[{section}]\n", option) if f"[{section}]\n" in text else text + option)
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
     out = tmp / "out"
     history = json.loads((out / "history.json").read_text())
-    assert history["config"][key] == value
+    assert (history["huber_delta"] if key == "huber_delta" else history["config"][key]) == value
     assert len(history["epochs"]) == 2
     assert all(math.isfinite(row[term]) for row in history["epochs"] for term in ("recon", "non", "align", "total"))
     params = load_checkpoint(out / "checkpoint.json", out / "checkpoint.bin")
@@ -477,6 +483,13 @@ def _transpose_param(ckpt: Path, name: str):
     ckpt.write_text(json.dumps(manifest))
 
 
+def _resave_resized(ckpt: Path, **sizes):
+    """Replace the checkpoint with a self-consistent one of other sizes, saved by save_checkpoint."""
+    params = load_checkpoint(ckpt, ckpt.with_suffix(".bin"))
+    sizes = {"n_nodes": params.n_nodes, "n_genes": params.n_genes, "d_embed": params.d_embed, **sizes}
+    save_checkpoint(init_params(**sizes, config=params.config, seed=params.seed), ckpt, ckpt.with_suffix(".bin"))
+
+
 CHECKPOINT_DEFECTS = {
     "blob-from-another-checkpoint": _blob_from_another_checkpoint,
     "truncated-blob": lambda c: c.with_suffix(".bin").write_bytes(c.with_suffix(".bin").read_bytes()[:-12]),
@@ -486,6 +499,8 @@ CHECKPOINT_DEFECTS = {
     "manifest-missing-n-genes": lambda c: _drop_manifest_key(c, "n_genes"),
     "gene-count-mismatch": lambda c: _rewrite_manifest(c, n_genes=41),
     "node-count-mismatch": lambda c: _rewrite_manifest(c, n_nodes=41),
+    "one-gene-more": lambda c: _resave_resized(c, n_genes=41),
+    "one-node-more": lambda c: _resave_resized(c, n_nodes=41),
     "config-tau-zero": lambda c: _rewrite_model_config(c, tau=0.0),
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
     "config-top-m-zero": lambda c: _rewrite_model_config(c, select_top_m=0),
@@ -501,6 +516,11 @@ CHECKPOINT_DEFECTS = {
 
 # defects the message must name the parameter of
 NAMED_PARAMETER = {"manifest-missing-enc-b2": "enc.b2", "transposed-dec-w1": "dec.w1"}
+# defects whose message must name both counts
+NAMED_COUNTS = {
+    "one-gene-more": "checkpoint has 41 genes, the expression data has 40",
+    "one-node-more": "checkpoint has 41 graph nodes, the graph has 40",
+}
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
@@ -516,6 +536,7 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
         assert_one_line(err, "data error: ")
         if defect in NAMED_PARAMETER:
             assert f"parameter {NAMED_PARAMETER[defect]} is " in err
+        assert NAMED_COUNTS.get(defect, "") in err
 
 
 def _to_single_score_w(ckpt: Path):

@@ -464,6 +464,14 @@ def test_welch_requires_two_samples():
         welch_pvalues(column([1.0]), column([1.0, 2.0]))
 
 
+UNDERFLOWING = ([1e-200, 2e-200, 1e-200], [1e-200, 2e-200, 2e-200])  # neither constant, both variances 0.0
+
+
+def test_welch_of_variances_that_underflow_is_nan_and_no_deg():
+    p = welch_pvalues(column(UNDERFLOWING[0]), column(UNDERFLOWING[1]))
+    assert np.isnan(p).all() and not deg_rule(0.05, "none")(p).any()
+
+
 @pytest.mark.parametrize("scale", [1e-85, 1e85], ids=["df-underflow", "df-overflow"])
 def test_welch_df_of_tiny_and_huge_columns_is_finite(scale):
     # the squares in the Welch-Satterthwaite df under- or overflow at these
@@ -708,6 +716,18 @@ def test_bh_adjust_monotone_and_bounded():
     assert np.all(q >= p - 1e-15) and np.all(q <= 1.0)
     order = np.argsort(p)
     assert np.all(np.diff(q[order]) >= -1e-15)
+
+
+def test_a_nan_pvalue_leaves_the_other_genes_degs_under_bh():
+    rng = np.random.default_rng(5)
+    control, block = rng.uniform(1.0, 1.2, size=(3, 5)), rng.uniform(1.0, 1.2, size=(3, 5))
+    control[:, 0], block[:, 0] = UNDERFLOWING
+    block[:, 1:3] += 3.0
+    ds = PerturbationDataset(GeneVocab([f"G{i}" for i in range(5)]), control, {"PA": block})
+    for correction in ("none", "benjamini-hochberg"):
+        assert compute_degs(ds, correction=correction).deg_indices("PA").tolist() == [1, 2]
+    # the NaN counts among the 5 tests but bounds no other adjusted value
+    np.testing.assert_allclose(bh_adjust(np.array([np.nan, 0.004, 0.5, 0.002, 0.9])), [np.nan, 0.01, 2.5 / 3, 0.01, 1.0], rtol=1e-15)
 
 
 # --- strata -------------------------------------------------------------------------
