@@ -27,7 +27,7 @@ from .data import (
     split_by_perturbation,
     synth_generate,
 )
-from .errors import DataError, NumericalError, UsageError, write_csv, write_json
+from .errors import DataError, NumericalError, UsageError, first_repeat, write_csv, write_json
 from .graph import deg_coverage, degree_stats, load_edge_list, nominations, save_edge_list, topk_filter
 from .metrics import evaluate_predictions, prediction_deltas, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
@@ -165,6 +165,9 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
             raise DataError(f"splits file {split_path} is malformed: {exc!r}") from None
         if not isinstance(test, list) or not all(isinstance(p, str) and p in dataset.perturbations for p in test):
             raise DataError(f"splits file {split_path}: 'test' must list perturbations of the expression file")
+        twice = first_repeat(test)
+        if twice is not None:
+            raise DataError(f"splits file {split_path}: 'test' lists {twice!r} twice")
     if not test:
         raise UsageError("test split is empty")
     return test

@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import threading
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -270,19 +271,24 @@ class _RangeWorker:
     the file). With `fork`, a forked process parses them and sends back
     through a pipe a pickle of their label fields, line count and row count,
     then the rows' float64 bytes; whatever goes wrong, it sends nothing more.
-    A range with no result from a worker (none was forked, or it died or met
-    a bad line) is parsed here, in file order, which raises the first bad
-    line's error with its line number in the file."""
+    A fork that warns (Python 3.12+ warns of one in a process with other OS
+    threads, whose child can hang on a lock held at the fork) has its child
+    killed. A range with no result from a worker (none was forked, the fork
+    warned, or the worker died or met a bad line) is parsed here, in file
+    order, which raises the first bad line's error with its line number in
+    the file."""
 
     def __init__(self, path, start: int, end: int | None, k: int, n_fields: int, fork: bool):
         self.path, self.start, self.end, self.k, self.n_fields = path, start, end, k, n_fields
         self.first = 1  # the file's line number of the range's first line, once known
         self.chunks: list[np.ndarray] | None = None  # the range's rows when parsed here
         read, write = os.pipe()
-        try:
-            self.pid = os.fork() if fork else None
-        except OSError:  # no worker: its pipe ends at once, so its range is parsed here
-            self.pid = None
+        with warnings.catch_warnings(record=True) as warned:  # recorded, whatever the filters say
+            warnings.simplefilter("always")
+            try:
+                self.pid = os.fork() if fork else None
+            except OSError:  # no worker: its pipe ends at once, so its range is parsed here
+                self.pid = None
         if self.pid == 0:  # the worker: it never returns
             try:
                 os.close(read)
@@ -292,6 +298,9 @@ class _RangeWorker:
                 os._exit(0)
         os.close(write)  # only the worker holds it, so a dead worker's pipe ends
         self.pipe = open(read, "rb")
+        if warned and self.pid:
+            self.reap()
+            self.pid, self.pipe = None, open(os.devnull, "rb")  # an empty pipe: the range is parsed here
 
     def _parse(self):
         with open(self.path, "rb") as fh:
@@ -373,6 +382,7 @@ def group_stats(block: np.ndarray) -> GroupStats:
 def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gene Welch t of b against a, its Welch-Satterthwaite df, and the
     degenerate columns, constant in both groups, where neither means anything.
+    b may hold a (P, G) stack of blocks' statistics, its n a (P, 1) column.
 
     Where the df's squares under- or overflow (variances near 1e-170 or
     1e170), it is taken again from ta and tb scaled by their maximum, which
@@ -385,11 +395,11 @@ def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (b.mean - a.mean) / np.sqrt(se2)  # a variance that underflows to 0 gives a NaN p-value
         df = se2**2 / (ta**2 / (a.n - 1) + tb**2 / (b.n - 1))
-        redo = np.flatnonzero(~np.isfinite(df) & ~degenerate)
-        if redo.size:
-            top = np.maximum(ta[redo], tb[redo])
-            ra, rb = ta[redo] / top, tb[redo] / top
-            df[redo] = (ra + rb) ** 2 / (ra**2 / (a.n - 1) + rb**2 / (b.n - 1))
+        redo = ~np.isfinite(df) & ~degenerate
+        if redo.any():
+            top = np.maximum(ta, tb)
+            ra, rb = ta / top, tb / top
+            df = np.where(redo, (ra + rb) ** 2 / (ra**2 / (a.n - 1) + rb**2 / (b.n - 1)), df)
     return t, df, degenerate
 
 
@@ -494,6 +504,22 @@ class DegTable:
         return float(self.masks[pert].sum()) / len(self.genes)
 
 
+ROW_CHUNK_VALUES = 1 << 16  # values per (rows, genes) temporary of a stacked kernel; bounds its memory
+
+
+def row_chunks(n_rows: int, n_genes: int) -> list[slice]:
+    """Consecutive slices of `n_rows` rows, each of at most ROW_CHUNK_VALUES
+    values (one row at least) over `n_genes` columns."""
+    step = max(1, ROW_CHUNK_VALUES // max(n_genes, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _column(values: list) -> float | np.ndarray:
+    """Per-row values as a (rows, 1) float64 column, or as one scalar where
+    they are all equal: numpy broadcasts a scalar faster than a column."""
+    return values[0] if len(set(values)) == 1 else np.array(values, dtype=np.float64)[:, None]
+
+
 def compute_degs(
     dataset: PerturbationDataset,
     alpha: float = 0.05,
@@ -509,32 +535,41 @@ def compute_degs(
     the df of a block of n_b samples against n_a lies in [min(n_a, n_b) - 1,
     n_a + n_b - 2], so a gene with its df in that bracket is a DEG when |t|
     is above `t_thresholds`' t_hi and is not one when |t| is below t_lo.
-    The rest (|t| between the two, a df outside the bracket or NaN, a
-    degenerate column) take the test itself, in one `welch_window` call per
-    block.
+    The t, df and decisions of the blocks are taken on their stacked
+    statistics, `row_chunks` rows at a time, with one `t_thresholds` call per
+    distinct block size. The rest (|t| between the two, a df outside the
+    bracket or NaN, a degenerate column) take the test itself, in one
+    `welch_window` call per block.
     """
     is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
     control = group_stats(dataset.control)
+    thresholds: dict[int, tuple[float, float]] = {}  # block size -> (t_lo, t_hi)
 
-    for name in names:
-        block = dataset.block(name)
-        b = group_stats(block)
+    for rows in row_chunks(len(names), dataset.n_genes):
+        chunk = names[rows]
+        blocks = [dataset.block(name) for name in chunk]
+        stats = [group_stats(block) for block in blocks]
+        b = GroupStats(_column([s.n for s in stats]), *map(np.array, list(zip(*stats))[1:]))
         if correction == "none":
             t, df, degenerate = _welch_t(control, b)
             t = np.abs(t)
-            df_low, df_high = min(control.n, b.n) - 1, control.n + b.n - 2
-            t_lo, t_hi = t_thresholds(df_low, df_high, alpha)
-            known = ~degenerate & (df >= df_low) & (df <= df_high)
-            mask = known & (t > t_hi)
-            window = np.flatnonzero(~(mask | known & (t < t_lo)))
-            mask[window] = is_deg(welch_window(control, block, window))
+            for n in {s.n for s in stats} - thresholds.keys():
+                thresholds[n] = t_thresholds(min(control.n, n) - 1, control.n + n - 2, alpha)
+            t_lo, t_hi = (_column([thresholds[s.n][i] for s in stats]) for i in (0, 1))
+            known = ~degenerate & (df >= np.minimum(control.n, b.n) - 1) & (df <= control.n + b.n - 2)
+            masks = known & (t > t_hi)
+            undecided = ~(masks | known & (t < t_lo))
+            for block, mask, open_genes in zip(blocks, masks, undecided):
+                window = np.flatnonzero(open_genes)
+                mask[window] = is_deg(welch_window(control, block, window))
         else:
-            table.pvalues[name] = welch_pvalues(control, block)
-            mask = is_deg(table.pvalues[name])
-        table.masks[name] = mask
-        table.deltas[name] = b.mean - control.mean
+            for name, block in zip(chunk, blocks):
+                table.pvalues[name] = welch_pvalues(control, block)
+            masks = [is_deg(table.pvalues[name]) for name in chunk]
+        table.masks.update(zip(chunk, masks))
+        table.deltas.update(zip(chunk, b.mean - control.mean))
     return table
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, the range rule for every
-numeric setting and argument, the UTF-8 opener for input files that reports
-undecodable bytes and line-numbered errors with the file's path, and the
-atomic writers for output files.
+numeric setting and argument, the first repeated name of a list, the UTF-8
+opener for input files that reports undecodable bytes and line-numbered
+errors with the file's path, and the atomic writers for output files.
 
 The CLI maps these onto process exit codes: usage/config problems exit 1,
 data problems exit 2, numerical failures exit 3. Any other exception is a
@@ -60,6 +60,16 @@ def check_range(name: str, value, low, high=math.inf, *, low_open: bool = False,
     else:
         rule = f"lie in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
     raise UsageError(f"{name} must {rule}, got {value}")
+
+
+def first_repeat(names: Iterable[str]) -> str | None:
+    """The first name that `names` lists a second time, or None."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 @contextmanager

@@ -13,8 +13,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, t_thresholds, welch_pvalues, welch_window
-from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, write_csv, write_json
+from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, row_chunks, t_thresholds, welch_pvalues, welch_window
+from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, first_repeat, write_csv, write_json
+
+# A metric given (P, G) blocks, one perturbation a row, scores each row and
+# returns a list with None where the row's metric is undefined. Any other
+# argument is one row: its value comes back as a float, or DegenerateError is
+# raised where it is undefined. Rows are reduced along their own axis, so a
+# row's value is bit for bit the one it gets alone.
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -25,18 +31,42 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def pearson_delta(pred_delta, true_delta) -> float:
+def _rows(a) -> np.ndarray:
+    """`a` as float64 rows: a 2-D argument as it is, anything else as one row."""
+    x = np.asarray(a, dtype=np.float64)
+    return x if x.ndim == 2 else x.reshape(1, -1)
+
+
+def _row_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    x, y = _rows(a), _rows(b)
+    if x.shape != y.shape:
+        raise ShapeError(f"shapes differ: {np.shape(a)} vs {np.shape(b)}")
+    return x, y
+
+
+def _per_row(values: np.ndarray, undefined: np.ndarray, why: str, block: bool):
+    """The values of a block's rows, None where undefined; or one row's
+    value, or DegenerateError(why) where it is undefined."""
+    if block:
+        return [None if u else v for v, u in zip(values.tolist(), undefined.tolist())]
+    if undefined[0]:
+        raise DegenerateError(why)
+    return float(values[0])
+
+
+def pearson_delta(pred_delta, true_delta):
     """Pearson correlation of predicted vs true expression deltas."""
-    x, y = _pair(pred_delta, true_delta)
-    if x.size < 2:
-        raise DegenerateError("need at least 2 genes")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = np.sqrt((xc * xc).sum())
-    ny = np.sqrt((yc * yc).sum())
-    if nx == 0.0 or ny == 0.0:
-        raise DegenerateError("correlation undefined for a constant vector")
-    return float((xc * yc).sum() / (nx * ny))
+    x, y = _row_pair(pred_delta, true_delta)
+    block = np.ndim(pred_delta) == 2
+    if x.shape[1] < 2:
+        return _per_row(np.zeros(len(x)), np.ones(len(x), dtype=bool), "need at least 2 genes", block)
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    nx = np.sqrt((xc * xc).sum(axis=1))
+    ny = np.sqrt((yc * yc).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (xc * yc).sum(axis=1) / (nx * ny)
+    return _per_row(r, (nx == 0.0) | (ny == 0.0), "correlation undefined for a constant vector", block)
 
 
 def rank_average_ties(x: np.ndarray) -> np.ndarray:
@@ -86,12 +116,16 @@ def de_spearman_sig(pred_delta_deg, true_delta_deg, *, ranks=None) -> float:
     return de_spearman_lfc(x, y, weights=np.ones(x.size), ranks=ranks)
 
 
-def direction_match(pred_delta_deg, true_delta_deg) -> float:
-    """Fraction of DEGs whose predicted and true signs agree (sign(0) = 0)."""
-    x, y = _pair(pred_delta_deg, true_delta_deg)
-    if x.size < 1:
-        raise DegenerateError("need at least 1 DEG")
-    return float(np.mean(np.sign(x) == np.sign(y)))
+def direction_match(pred_delta_deg, true_delta_deg, deg=None):
+    """Fraction of DEGs whose predicted and true signs agree (sign(0) = 0).
+    `deg`, when given, is a bool mask of the arguments' shape that picks the
+    DEGs out of whole deltas."""
+    x, y = _row_pair(pred_delta_deg, true_delta_deg)
+    where = np.ones(x.shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool).reshape(x.shape)
+    n = where.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = ((np.sign(x) == np.sign(y)) & where).sum(axis=1) / n
+    return _per_row(share, n < 1, "need at least 1 DEG", np.ndim(pred_delta_deg) == 2)
 
 
 def _l1_distances(pred: np.ndarray, true: np.ndarray) -> np.ndarray:
@@ -153,11 +187,28 @@ def pds(
     return scores, float(np.mean(list(scores.values())))
 
 
-def des_fdr(g_true: set[int], g_pred: set[int]) -> float:
-    """Fraction of true DEGs recovered in the predicted significant set."""
-    if not g_true:
-        raise DegenerateError("true DEG set is empty")
-    return len(set(g_true) & set(g_pred)) / len(g_true)
+def _gene_rows(genes, n_genes: int) -> np.ndarray:
+    """A set of gene indices as a (1, n_genes) bool mask; a 2-D mask as it is."""
+    if np.ndim(genes) == 2:
+        return np.asarray(genes, dtype=bool)
+    bad = [g for g in genes if not 0 <= g < n_genes]
+    if bad:
+        raise UsageError(f"gene index {bad[0]} is outside [0, {n_genes})")
+    mask = np.zeros((1, n_genes), dtype=bool)
+    mask[0, list(genes)] = True
+    return mask
+
+
+def des_fdr(g_true, g_pred):
+    """Fraction of true DEGs recovered in the predicted significant set. The
+    sets of gene indices may also be (P, G) bool masks, one perturbation a row."""
+    block = np.ndim(g_true) == 2
+    n_genes = 0 if block else max(max(g_true, default=-1), max(g_pred, default=-1)) + 1
+    true, pred = _gene_rows(g_true, n_genes), _gene_rows(g_pred, n_genes)
+    n_true = true.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = (true & pred).sum(axis=1) / n_true
+    return _per_row(share, n_true == 0, "true DEG set is empty", block)
 
 
 SPREAD_RTOL = 1e-6  # the largest rounding-to-spread ratio w decided in closed form
@@ -169,14 +220,16 @@ def predicted_deg_set(
     alpha: float = 0.05,
     correction: str = "none",
     control_stats: GroupStats | None = None,
-) -> set[int]:
+):
     """Significant genes of a predicted profile, by Welch against control.
 
     The predicted condition is the control samples shifted by the predicted
     delta, so a single predicted profile is testable against the control
     variance with the same settings used for the ground truth.
     `control_stats`, when given, is `group_stats(control_block)`, computed
-    once for many predictions.
+    once for many predictions. A (P, G) block of deltas, one prediction a
+    row, gives the (P, G) bool mask of each row's set, and makes one Welch
+    call per row.
 
     Under correction "none" no shifted copy is built. It has the control's n
     and, up to rounding, std s, so its t is d / (s sqrt(2/n)) with df 2(n - 1).
@@ -188,44 +241,53 @@ def predicted_deg_set(
     threshold) take the materialised test through `welch_window`.
     """
     is_deg = deg_rule(alpha, correction)
-    d = np.asarray(pred_delta, dtype=np.float64).reshape(-1)
+    d = _rows(pred_delta)
     c = group_stats(control_block) if control_stats is None else control_stats
     if correction != "none":
-        return set(np.flatnonzero(is_deg(welch_pvalues(c, control_block + d))).tolist())
-    n = c.n
-    t_lo, t_hi = t_thresholds(2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2), 2 * (n - 1), alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(c.var)
-        t = np.abs(d) / (s * np.sqrt(2 / n))
-        w = (n + 3) * np.finfo(np.float64).eps * (np.maximum(np.abs(c.max), np.abs(c.min)) + np.abs(d)) / s
-        tol = 2 * w * (np.sqrt(n) + 2 * t)
-        known = w < SPREAD_RTOL
-        sig = known & (t - tol > t_hi)
-        window = np.flatnonzero(~(sig | known & (t + tol < t_lo)))
-    sig[window] = is_deg(welch_window(c, control_block, window, d))
-    return set(np.flatnonzero(sig).tolist())
+        sig = np.array([is_deg(welch_pvalues(c, control_block + row)) for row in d], dtype=bool).reshape(d.shape)
+    else:
+        n = c.n
+        t_lo, t_hi = t_thresholds(2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2), 2 * (n - 1), alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sqrt(c.var)
+            t = np.abs(d) / (s * np.sqrt(2 / n))
+            w = (n + 3) * np.finfo(np.float64).eps * (np.maximum(np.abs(c.max), np.abs(c.min)) + np.abs(d)) / s
+            tol = 2 * w * (np.sqrt(n) + 2 * t)
+            known = w < SPREAD_RTOL
+            sig = known & (t - tol > t_hi)
+            undecided = ~(sig | known & (t + tol < t_lo))
+        for row, delta, open_genes in zip(sig, d, undecided):
+            window = np.flatnonzero(open_genes)
+            row[window] = is_deg(welch_window(c, control_block, window, delta))
+    return sig if np.ndim(pred_delta) == 2 else set(np.flatnonzero(sig[0]).tolist())
 
 
-def des_at_k(pred_delta: np.ndarray, g_true: set[int], k: int) -> float:
+def des_at_k(pred_delta: np.ndarray, g_true, k: int):
     """Fraction of true DEGs in the k genes with the largest |predicted delta|.
 
-    Magnitude ties break toward the lower gene index and NaN ranks last; the
-    denominator is min(k, |g_true|) so a perfect ranker scores 1 even when
-    k < |g_true|. The top k are the magnitudes above the k-th largest, v,
-    plus the lowest-index genes at v, found with one partition.
+    `g_true` is the set of true DEG indices, or for a (P, G) block of deltas
+    the (P, G) bool mask of each row's true DEGs. Magnitude ties break
+    toward the lower gene index and NaN ranks last; the denominator is
+    min(k, |g_true|) so a perfect ranker scores 1 even when k < |g_true|. The
+    top k are the magnitudes above the k-th largest, v, plus the
+    lowest-index genes at v, found with one partition.
     """
     check_range("k", k, 1)
-    if not g_true:
-        raise DegenerateError("true DEG set is empty")
-    mag = np.abs(np.asarray(pred_delta, dtype=np.float64).reshape(-1))
+    mag = np.abs(_rows(pred_delta))
+    true = _gene_rows(g_true, mag.shape[1])
     mag[np.isnan(mag)] = -1.0
-    if k >= mag.size:
-        top = np.arange(mag.size)
+    n_genes = mag.shape[1]
+    if k >= n_genes:
+        top = np.ones(mag.shape, dtype=bool)
     else:
-        v = np.partition(mag, mag.size - k)[mag.size - k]
-        above = np.flatnonzero(mag > v)
-        top = np.concatenate([above, np.flatnonzero(mag == v)[: k - above.size]])
-    return len(set(g_true).intersection(top.tolist())) / min(k, len(g_true))
+        v = np.partition(mag, n_genes - k, axis=1)[:, n_genes - k, None]
+        above = mag > v
+        at = mag == v
+        top = above | at & (np.cumsum(at, axis=1) <= k - above.sum(axis=1, keepdims=True))
+    n_true = true.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = (top & true).sum(axis=1) / np.minimum(k, n_true)
+    return _per_row(share, n_true == 0, "true DEG set is empty", np.ndim(pred_delta) == 2)
 
 
 # --- reporting -----------------------------------------------------------------
@@ -322,8 +384,15 @@ def evaluate_predictions(
     DegenerateError for a perturbation (no true DEGs, fewer than 2 DEGs, a
     constant delta) is undefined there: it comes back as None and is excluded
     from the aggregates and their counts. Every prediction must first pass
-    `prediction_deltas`.
+    `prediction_deltas`, and no perturbation may be listed twice.
+
+    The row-wise metrics take `row_chunks` of the perturbations at a time,
+    their predicted and true deltas and DEG masks stacked into (rows, G)
+    blocks; PDS, the DEG ranks and both Spearman metrics take their own form.
     """
+    twice = first_repeat(perts)
+    if twice is not None:
+        raise UsageError(f"perturbation {twice!r} is listed twice")
     perts = sorted(perts)
     if not perts:
         raise UsageError("no perturbations to evaluate")
@@ -337,23 +406,32 @@ def evaluate_predictions(
     pds_scores, _ = pds(pred_deltas, true_deltas)
 
     per: dict[str, dict[str, float | None]] = {}
-    for p in perts:
-        dp, dt = pred_deltas[p], true_deltas[p]
-        deg_idx = truth.deg_indices(p)
-        dp_deg, dt_deg = dp[deg_idx], dt[deg_idx]
-        g_true = set(deg_idx.tolist())
+    for rows in row_chunks(len(perts), dataset.n_genes):
+        names = perts[rows]
+        dp = np.stack([pred_deltas[p] for p in names])
+        dt = np.stack([true_deltas[p] for p in names])
+        deg = np.stack([truth.masks[p] for p in names])
         # the Welch test of a prediction runs only where there are DEGs to recover
-        g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if g_true else set()
-        ranks = rank_average_ties(dp_deg), rank_average_ties(dt_deg)
-        per[p] = {
-            "pds": pds_scores[p],
-            "pearson_delta": _unless_degenerate(pearson_delta, dp, dt),
-            "des_fdr": _unless_degenerate(des_fdr, g_true, g_pred),
-            **{f"des_at_{k}": _unless_degenerate(des_at_k, dp, g_true, k) for k in des_k},
-            "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg, ranks=ranks),
-            "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg, ranks=ranks),
-            "direction_match": _unless_degenerate(direction_match, dp_deg, dt_deg),
-        }
+        pred_deg = np.zeros(deg.shape, dtype=bool)
+        tested = deg.any(axis=1)
+        pred_deg[tested] = predicted_deg_set(dataset.control, dp[tested], alpha, correction, control)
+        recall = des_fdr(deg, pred_deg)
+        pearson = pearson_delta(dp, dt)
+        top_k = {k: des_at_k(dp, deg, k) for k in des_k}
+        direction = direction_match(dp, dt, deg)
+        for i, p in enumerate(names):
+            deg_idx = np.flatnonzero(deg[i])
+            dp_deg, dt_deg = dp[i, deg_idx], dt[i, deg_idx]
+            ranks = rank_average_ties(dp_deg), rank_average_ties(dt_deg)
+            per[p] = {
+                "pds": pds_scores[p],
+                "pearson_delta": pearson[i],
+                "des_fdr": recall[i],
+                **{f"des_at_{k}": top_k[k][i] for k in des_k},
+                "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg, ranks=ranks),
+                "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg, ranks=ranks),
+                "direction_match": direction[i],
+            }
     return report(per, effect_size_strata(truth)), truth
 
 

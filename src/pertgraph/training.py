@@ -199,14 +199,10 @@ def _validation_pearson(
     embeddings: SemanticEmbeddings | None,
     agg=None,
 ) -> float:
-    preds = predict_profiles(params, xbar_c, sorted(val_truth_deltas), graph, embeddings, agg)
-    scores = []
-    for pert, true_delta in sorted(val_truth_deltas.items()):
-        try:
-            scores.append(pearson_delta(preds[pert] - xbar_c, true_delta))
-        except DegenerateError:
-            scores.append(0.0)
-    return float(np.mean(scores))
+    perts = sorted(val_truth_deltas)
+    preds = predict_profiles(params, xbar_c, perts, graph, embeddings, agg)
+    scores = pearson_delta(np.stack([preds[p] - xbar_c for p in perts]), np.stack([val_truth_deltas[p] for p in perts]))
+    return float(np.mean([0.0 if r is None else r for r in scores]))
 
 
 def train(

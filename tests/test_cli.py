@@ -583,6 +583,23 @@ def test_bad_splits_file_is_a_one_line_data_error(synth_run, capsys, content):
         assert_one_line(capsys.readouterr().err, "data error: splits file ")
 
 
+def test_a_test_split_that_repeats_a_name_is_a_one_line_data_error(synth_run, capsys):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    test = json.loads((tmp / "out" / "splits.json").read_text())["test"]
+    repeat = tmp / "repeat.json"
+    repeat.write_text(json.dumps({"test": [*test, test[-1], test[0]]}))
+    ckpt = ["--checkpoint", str(tmp / "out" / "checkpoint.json")]
+    capsys.readouterr()
+    for command in (["eval", *ckpt], ["eval", "--oracle"], ["predict", *ckpt]):
+        argv = [*command, "--config", str(cfg), "--out", str(tmp / "repeat-run"), "--splits", str(repeat)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert_one_line(err, f"data error: splits file {repeat}: ")
+        assert f"{test[-1]!r} twice" in err
+    assert not (tmp / "repeat-run" / "metrics.json").exists()
+
+
 def _narrow_embeddings(src: Path, dst: Path, width: int) -> Path:
     dst.write_text("".join(",".join(line.split(",")[: width + 1]) + "\n" for line in src.read_text().splitlines()))
     return dst

@@ -28,6 +28,7 @@ from pertgraph.data import (
     save_expression,
     split_by_perturbation,
     synth_generate,
+    t_thresholds,
     welch_pvalues,
 )
 from pertgraph.errors import DataError, ParseError, UsageError
@@ -383,6 +384,29 @@ def test_range_whose_fork_fails_is_parsed_in_process(tmp_path, ranges, monkeypat
     assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 3) == expected
 
 
+def test_a_fork_that_warns_leaves_no_child_and_its_range_is_parsed_in_process(tmp_path, ranges, monkeypatch):
+    # Python 3.12+ warns after the fork, in the parent, when other OS threads run
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    expected = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    fork, pids = os.fork, []
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 3)
+    assert (names, lead) == expected[:2] and values.tobytes() == expected[2].tobytes()
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_interrupted_read_reaps_its_workers(tmp_path, ranges, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
@@ -678,6 +702,59 @@ def test_compute_degs_retests_a_lone_column_in_the_whole_block_order():
         ds = PerturbationDataset(vocab, control, {"PA": block})
         expected = welch_pvalues(control, block) < 0.05
         assert compute_degs(ds).masks["PA"].tobytes() == expected.tobytes()
+
+
+def mixed_size_dataset(rng, alpha):
+    """12 control cells and blocks of 2, 3, 7, 7, 20 and 31 cells. Genes 0
+    and 1 are constant in every block (equal to control and not), gene 2 in
+    control only, genes 3-4 have variances that underflow to 0, and genes
+    5-17 take |t| within a few eps or 1e-9 of the critical value at their
+    own df in each block."""
+    n_genes, rels = 30, [k * np.finfo(np.float64).eps for k in range(-4, 5)] + [-1e-9, -5e-10, 5e-10, 1e-9]
+    control = 30.0 + rng.standard_normal((12, n_genes))
+    control[:, :3] = 1.5
+    control[:, 3:5] = 1e-200 * rng.choice([1.0, 2.0], (12, 2))
+    blocks = {}
+    for i, nb in enumerate((2, 3, 7, 7, 20, 31)):
+        block = 30.0 + rng.uniform(0.0, 2.0, n_genes) + rng.standard_normal((nb, n_genes))
+        block[:, :2] = [1.5, 2.5]
+        block[:, 3:5] = 1e-200 * rng.choice([1.0, 2.0], (nb, 2))
+        for j, rel in enumerate(rels, start=5):
+            a, b = control[:, j], block[:, j]
+            ta, tb = a.var(ddof=1) / a.size, b.var(ddof=1) / nb
+            df = (ta + tb) ** 2 / (ta**2 / (a.size - 1) + tb**2 / (nb - 1))
+            b += -special.stdtrit(df, alpha / 2) * (1 + rel) * np.sqrt(ta + tb) - (b.mean() - a.mean())
+        blocks[f"P{i}"] = block
+    return PerturbationDataset(GeneVocab([f"G{i}" for i in range(n_genes)]), control, blocks)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["one-chunk", "chunks-of-2"])
+def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(monkeypatch, rows_per_chunk):
+    if rows_per_chunk:
+        monkeypatch.setattr(data, "ROW_CHUNK_VALUES", 30 * rows_per_chunk)
+    welch_rows, threshold_calls = [], []
+
+    def welch(control, block):
+        welch_rows.append(np.shape(block)[0])
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(data, "welch_pvalues", welch)
+    monkeypatch.setattr(data, "t_thresholds", lambda *args: threshold_calls.append(args) or t_thresholds(*args))
+    rng = np.random.default_rng(23)
+    for alpha in (0.05, 1e-6):
+        ds = mixed_size_dataset(rng, alpha)
+        welch_rows.clear()
+        threshold_calls.clear()
+        table = compute_degs(ds, alpha=alpha)
+        sizes = [ds.block(p).shape[0] for p in ds.pert_names()]
+        assert sorted(welch_rows) == sorted(sizes)  # one Welch call per block
+        assert len(threshold_calls) == len(set(sizes))
+        control = group_stats(ds.control)
+        for p in ds.pert_names():
+            block = ds.block(p)
+            assert table.masks[p].tobytes() == deg_rule(alpha, "none")(welch_pvalues(ds.control, block)).tobytes()
+            assert table.deltas[p].tobytes() == (group_stats(block).mean - control.mean).tobytes()
+            assert table.masks[p][:2].tolist() == [False, True] and not table.masks[p][3:5].any()
 
 
 @pytest.mark.parametrize("correction", ["none", "benjamini-hochberg"])

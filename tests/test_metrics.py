@@ -338,6 +338,13 @@ def test_des_at_k_matches_lexsort_with_ties_and_non_finite_values():
             assert des_at_k(x, g_true, k) == des_at_k_lexsort(x, g_true, k)
 
 
+def test_gene_sets_name_genes_of_the_delta():
+    with pytest.raises(UsageError, match=r"gene index 3 is outside \[0, 3\)"):
+        des_at_k(np.array([1.0, 2.0, 3.0]), {0, 3}, k=2)
+    with pytest.raises(UsageError, match="gene index -1"):
+        des_fdr({0, -1}, {0})
+
+
 def test_des_at_k_ranks_nan_last():
     x = np.array([np.nan, 0.0, np.nan, -np.inf])
     assert des_at_k(x, {3}, k=1) == 1.0
@@ -510,12 +517,75 @@ def test_evaluate_predictions_matches_loop_and_lexsort_oracles(monkeypatch):
         for p in perts
     }
     fast, _ = evaluate_predictions(ds, preds, perts)
-    monkeypatch.setattr(metrics, "pds", pds_loop)
-    monkeypatch.setattr(metrics, "des_at_k", des_at_k_lexsort)
-    monkeypatch.setattr(metrics, "predicted_deg_set", predicted_deg_set_materialised)
+    reached = []
+
+    # the per-row oracles, looped over the rows of the (P, G) blocks the metrics take
+    def des_at_k_rows(delta, true, k):
+        reached.append("des_at_k")
+        return [des_at_k_lexsort(d, set(np.flatnonzero(t).tolist()), k) if t.any() else None for d, t in zip(delta, true)]
+
+    def predicted_deg_set_rows(control, delta, alpha, correction, control_stats=None):
+        reached.append("predicted_deg_set")
+        mask = np.zeros(delta.shape, dtype=bool)
+        for row, d in zip(mask, delta):
+            row[list(predicted_deg_set_materialised(control, d, alpha, correction))] = True
+        return mask
+
+    monkeypatch.setattr(metrics, "pds", lambda *args: reached.append("pds") or pds_loop(*args))
+    monkeypatch.setattr(metrics, "des_at_k", des_at_k_rows)
+    monkeypatch.setattr(metrics, "predicted_deg_set", predicted_deg_set_rows)
     slow, _ = evaluate_predictions(ds, preds, perts)
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.overall["pds"]["mean"] < 1.0
+    assert set(reached) == {"pds", "des_at_k", "predicted_deg_set"}
+
+
+def evaluate_predictions_loop(dataset, predictions, perts, alpha=0.05, correction="none", des_k=(10, 50, 100)):
+    """The reference: each perturbation scored alone, by the one-row metrics."""
+    perts = sorted(perts)
+    control = group_stats(dataset.control)
+    pred_deltas = metrics.prediction_deltas(predictions, perts, control.mean)
+    truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
+    pds_scores, _ = pds(pred_deltas, {p: truth.deltas[p] for p in perts})
+    undefined = metrics._unless_degenerate
+    per = {}
+    for p in perts:
+        dp, dt, deg = pred_deltas[p], truth.deltas[p], truth.deg_indices(p)
+        g_true = set(deg.tolist())
+        g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if g_true else set()
+        per[p] = {
+            "pds": pds_scores[p],
+            "pearson_delta": undefined(pearson_delta, dp, dt),
+            "des_fdr": undefined(des_fdr, g_true, g_pred),
+            **{f"des_at_{k}": undefined(des_at_k, dp, g_true, k) for k in des_k},
+            "de_spearman_sig": undefined(de_spearman_sig, dp[deg], dt[deg]),
+            "de_spearman_lfc": undefined(de_spearman_lfc, dp[deg], dt[deg]),
+            "direction_match": undefined(direction_match, dp[deg], dt[deg]),
+        }
+    return report(per, data.effect_size_strata(truth))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluate_predictions_matches_the_one_row_metrics_looped(seed):
+    cfg = SynthConfig(n_genes=200, n_perturbations=40, cells_per_condition=20, noise_sigma=0.2, embed_dim=16)
+    ds = synth_generate(cfg, seed=seed).dataset
+    xbar_c = ds.control.mean(axis=0)
+    rng = np.random.default_rng(seed)
+    perts = ds.pert_names()
+    # rounded to 0.1, so |delta| ties reach the top-k cut; one prediction is the control mean itself
+    preds = {p: xbar_c + np.round(ds.block(p).mean(axis=0) - xbar_c + rng.normal(0, 0.3, ds.n_genes), 1) for p in perts}
+    preds[perts[0]] = xbar_c.copy()
+    for correction in ("none", "benjamini-hochberg"):
+        kwargs = {"correction": correction, "des_k": (1, 10, 199, 200, 500)}
+        batched, _ = evaluate_predictions(ds, preds, perts[::-1], **kwargs)
+        assert batched.to_json_dict() == evaluate_predictions_loop(ds, preds, perts, **kwargs).to_json_dict()
+
+
+def test_evaluate_predictions_rejects_a_repeated_perturbation():
+    ds, preds = small_eval_inputs()
+    names = sorted(preds)
+    with pytest.raises(UsageError, match=f"perturbation '{names[2]}' is listed twice"):
+        evaluate_predictions(ds, preds, [names[3], names[2], names[1], names[2], names[3]])
 
 
 def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delta_once(monkeypatch):

@@ -77,8 +77,8 @@ def test_extra_and_missing_files(runs):
 def test_chain_covers_every_command_and_mode():
     steps = outputs_rule.chain()
     commands = [args[0] for args in steps]
-    assert commands.count("synth") == 3 and commands.count("train") == 9
-    assert commands.count("eval") == 12 and commands.count("predict") == 9
+    assert commands.count("synth") == 3 and commands.count("train") == 15
+    assert commands.count("eval") == 18 and commands.count("predict") == 15
     assert commands.count("graph-stats") == commands.count("deg-coverage") == 3
     assert sum("--oracle" in args for args in steps) == 3
     configs = outputs_rule.configs()
@@ -86,3 +86,6 @@ def test_chain_covers_every_command_and_mode():
     assert "[model]\nselection_mode = top_m\n" in configs["s1_top_m.ini"] and "top_k = 5" in configs["s1_top_m.ini"]
     assert configs["s2_threshold.ini"] == configs["s2.ini"]
     assert "[training]\nablation = no_context\n" in configs["s3_no_context.ini"]
+    assert configs["s1_bh.ini"].endswith("[data]\ndeg_correction = benjamini-hochberg\n")
+    assert configs["s2_des_k_past_genes.ini"].endswith("[metrics]\ndes_k = 1,10,199,200,500\n")
+    assert "n_genes = 200\n" in configs["s2_des_k_past_genes.ini"]

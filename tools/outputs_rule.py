@@ -14,8 +14,9 @@ The chain, for synth seeds 1-3 at the criterion-7 settings (200 genes, 40
 perturbations) with `top_k = 5`:
 
 - `synth`;
-- `train` for 15 epochs in each of the threshold, top_m and no_context
-  modes, then `eval` and `predict` on each checkpoint;
+- `train` for 15 epochs in each of five modes, then `eval` and `predict` on
+  each checkpoint: threshold, top_m, no_context, Benjamini-Hochberg DEG
+  tables, and `des_k` values up to and past the gene count;
 - `eval --oracle`, `graph-stats` and `deg-coverage`.
 
 Each command's exit code, stdout and stderr (with the tree's path replaced)
@@ -47,6 +48,8 @@ MODES = {  # training mode -> the INI section it changes and the line it adds th
     "threshold": None,
     "top_m": ("[model]", "selection_mode = top_m"),
     "no_context": ("[training]", "ablation = no_context"),
+    "bh": ("[data]", "deg_correction = benjamini-hochberg"),
+    "des_k_past_genes": ("[metrics]", "des_k = 1,10,199,200,500"),
 }
 BASE_CONFIG = """\
 [paths]
@@ -88,7 +91,10 @@ def configs() -> dict[str, str]:
             text = base
             if extra:  # a section named twice is a config error, so the line joins its section
                 section, line = extra
-                text = base.replace(f"{section}\n", f"{section}\n{line}\n", 1)
+                if section in base:
+                    text = base.replace(f"{section}\n", f"{section}\n{line}\n", 1)
+                else:
+                    text = f"{base}{section}\n{line}\n"
             out[f"s{seed}_{mode}.ini"] = text
     return out
 
