@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-from .errors import DataError, ParseError, UsageError, check_range, input_errors, write_csv
+from .errors import DataError, ParseError, UsageError, check_range, first_repeat, input_errors, write_csv
 from .graph import GeneVocab, KnowledgeGraph
 
 CONTROL_LABEL = "control"
@@ -85,6 +85,9 @@ LOAD_RANGE_BYTES = 8 << 20  # least bytes of data lines one process parses; a sm
 def load_expression(path) -> PerturbationDataset:
     """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block."""
     genes, lead, values = _read_numeric_csv(path, ("sample_id", "perturbation"))
+    ids = [sample_id for sample_id, _ in lead]
+    if len(set(ids)) < len(ids):
+        raise _repeated(path, ids, "sample_id")
     rows_by_label: dict[str, list[int]] = {}
     for i, (_, label) in enumerate(lead):
         rows_by_label.setdefault(label, []).append(i)
@@ -138,6 +141,23 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
             for worker in workers:
                 worker.reap()
     return names, lead, values
+
+
+def _repeated(path, labels: list[str], what: str) -> DataError:
+    """The DataError for a CSV whose first column, `labels` as read, lists a
+    value twice: it names the file, the first such value and the line numbers
+    of its first two rows, found by reading the file again (blank lines are
+    skipped on reading, so a row's index is not its line)."""
+    twice = first_repeat(labels)
+    at: list[int] = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(_lines(fh), start=1):
+            line = raw.decode("utf-8").rstrip("\r\n")
+            if lineno > 1 and line and (next(csv.reader([line])) if '"' in line else line.split(",", 1))[0] == twice:
+                at.append(lineno)
+                if len(at) == 2:
+                    break
+    return DataError(f"{path}: {what} {twice!r} is listed twice, on lines {at[0]} and {at[1]}")
 
 
 def _cores() -> int:
@@ -525,11 +545,14 @@ def compute_degs(
     alpha: float = 0.05,
     correction: str = "none",
     perturbations: list[str] | None = None,
+    control_stats: GroupStats | None = None,
 ) -> DegTable:
     """Welch-test every gene of every (requested) perturbation against control.
 
     Masks threshold the (optionally BH-adjusted) p-values strictly below alpha;
     deltas are pseudobulk differences against the control mean.
+    `control_stats`, when given, is `group_stats(dataset.control)`, computed
+    once by a caller that needs it too.
 
     Under correction "none" most genes are decided from their Welch t alone:
     the df of a block of n_b samples against n_a lies in [min(n_a, n_b) - 1,
@@ -544,7 +567,7 @@ def compute_degs(
     is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
     table = DegTable(alpha=alpha, correction=correction, genes=list(dataset.vocab.names))
-    control = group_stats(dataset.control)
+    control = group_stats(dataset.control) if control_stats is None else control_stats
     thresholds: dict[int, tuple[float, float]] = {}  # block size -> (t_lo, t_hi)
 
     for rows in row_chunks(len(names), dataset.n_genes):
@@ -680,6 +703,8 @@ def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
     columns, lead, values = _read_numeric_csv(path, ("gene",))
     dim = len(columns)
     vectors = {gene: row for (gene,), row in zip(lead, values)}
+    if len(vectors) < len(lead):
+        raise _repeated(path, [gene for gene, in lead], "gene")
     return SemanticEmbeddings(dim, {g: vectors[g] if g in vectors else hash_embedding(g, dim) for g in vocab.names})
 
 
@@ -706,6 +731,8 @@ class SynthConfig:
     def validate(self) -> None:
         check_range("n_genes", self.n_genes, 20)
         check_range("n_perturbations", self.n_perturbations, 4)
+        if self.n_perturbations > self.n_genes:  # each perturbation targets a gene of its own
+            raise UsageError(f"n_perturbations must be <= n_genes = {self.n_genes}, got {self.n_perturbations}")
         check_range("cells_per_condition", self.cells_per_condition, 4)
         if len(self.deg_fracs) != 3:
             raise UsageError(f"deg_fracs must be three values, got {self.deg_fracs!r}")
@@ -716,6 +743,8 @@ class SynthConfig:
         check_range("embed_dim", self.embed_dim, 2)
         if self.n_modules is not None:
             check_range("n_modules", self.n_modules, 2)
+            if self.n_modules > self.n_genes // 4:  # modules of 4 genes at least
+                raise UsageError(f"n_modules must be <= n_genes // 4 = {self.n_genes // 4} (n_genes = {self.n_genes}), got {self.n_modules}")
 
 
 @dataclass
@@ -726,6 +755,12 @@ class SynthData:
     embeddings: SemanticEmbeddings
     effects: dict[str, np.ndarray]        # planted signed deltas per perturbation
     strata: dict[str, str]                # planted stratum per perturbation
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of `m` over its norm, bit for bit `row / np.linalg.norm(row)`:
+    a stacked (1, d) @ (d, 1) matmul takes each row's dot product as `norm` does."""
+    return m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
 
 
 def synth_generate(config: SynthConfig, seed: int) -> SynthData:
@@ -739,114 +774,104 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthData:
     backbone plus direct edges from every perturbed gene to its planted DEG
     genes, so true responders sit within a hop of the perturbation. Semantic
     embeddings mix a module flavor with the mean hash of the planted set,
-    giving perturbations with shared response genes similar vectors.
+    giving perturbations with shared response genes similar vectors; each
+    gene's and each module's `hash_embedding` is taken once.
+
+    The data is byte for byte a function of the config and of the draws
+    from `default_rng(seed)`, so their order is the contract:
+    1. the member permutation;
+    2. each module's program permutation;
+    3. per module, its signs, then its magnitudes;
+    4. the perturbed genes, one bounded integer per perturbation;
+    5. the baseline;
+    6. the control noise;
+    7. per perturbation, the fill choice of one whose set outgrows its
+       module, then its noise;
+    8. the backbone weights;
+    9. per module, the cross link's two genes, one in it and one in the
+       next module, then its weight;
+    10. the perturbation-edge weights.
+    Scalar draws of one kind that follow each other (4, 8 and 10) are one
+    sized draw, which numpy's Generator fills value by value as it would
+    the scalar draws.
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    n, p_count, cells = config.n_genes, config.n_perturbations, config.cells_per_condition
+    n, p_count, cells, sigma = config.n_genes, config.n_perturbations, config.cells_per_condition, config.noise_sigma
     names = [f"G{i:04d}" for i in range(n)]
     vocab = GeneVocab(names)
 
     max_count = max(2, round(max(config.deg_fracs) * n))
-    n_modules = config.n_modules or max(2, min(p_count, n // (2 * max_count)))
-    n_modules = min(n_modules, n // 4)  # n_genes >= 20, so at least 5
+    n_modules = config.n_modules or max(2, min(p_count, n // (2 * max_count)))  # at most n // 4
     member_order = rng.permutation(n)
-    modules = np.array_split(member_order, n_modules)
+    modules = np.array_split(member_order, n_modules)  # the first modules are the larger ones
+    sizes = np.array([len(members) for members in modules])
     module_of = np.empty(n, dtype=np.int64)
-    for m, members in enumerate(modules):
-        module_of[members] = m
+    module_of[member_order] = np.repeat(np.arange(n_modules), sizes)
     # response program per module: a fixed gene order and signed magnitudes
-    programs = [list(rng.permutation(members)) for members in modules]
+    programs = [rng.permutation(members) for members in modules]
     response = np.zeros(n)
     for members in modules:
         signs = rng.choice([-1.0, 1.0], size=len(members))
         mags = config.effect_magnitude * rng.uniform(0.8, 1.2, size=len(members))
         response[members] = signs * mags
 
-    # perturbation genes round-robin over modules
-    used: set[int] = set()
-    pert_gene_idx: list[int] = []
-    for i in range(p_count):
-        pool = [g for g in modules[i % n_modules] if g not in used]
-        if not pool:
-            pool = [g for g in range(n) if g not in used]
-        g = int(rng.choice(pool))
-        used.add(g)
-        pert_gene_idx.append(g)
+    # perturbation genes round-robin over modules, each drawn from its module's
+    # unused members: perturbation i's pool holds sizes[m] - i // n_modules of
+    # them, which p_count <= n_genes keeps nonempty
+    turn = np.arange(p_count)
+    picks = rng.integers(0, sizes[turn % n_modules] - turn // n_modules)
+    pools = [members.tolist() for members in modules]
+    pert_genes = [pools[i % n_modules].pop(k) for i, k in enumerate(picks.tolist())]
+    perts = [names[g] for g in pert_genes]
 
-    truth_degs: dict[str, list[str]] = {}
-    effects: dict[str, np.ndarray] = {}
-    strata: dict[str, str] = {}
-    blocks: dict[str, np.ndarray] = {}
     baseline = rng.uniform(0.5, 3.0, size=n)
-    control = np.maximum(baseline + rng.normal(0.0, config.noise_sigma, size=(cells, n)), 0.0)
-
-    for i, gidx in enumerate(pert_gene_idx):
-        pname = names[gidx]
-        stratum = STRATA[i % 3]
-        frac = config.deg_fracs[i % 3]
-        count = max(1, round(frac * n))
-        program = [int(g) for g in programs[module_of[gidx]] if g != gidx]
-        chosen = program[: count - 1]
-        if len(chosen) + 1 < count:  # module exhausted: fill from the rest of the genome
-            rest = [g for g in range(n) if g != gidx and g not in chosen]
-            fill = rng.choice(rest, size=count - 1 - len(chosen), replace=False)
-            chosen.extend(int(x) for x in fill)
-        deg_idx = np.array(sorted([gidx] + chosen), dtype=np.int64)
-        effect = np.zeros(n)
-        effect[deg_idx] = response[deg_idx]
-        effect[gidx] = -config.effect_magnitude  # knockdown suppresses the target itself
-        noise = rng.normal(0.0, config.noise_sigma, size=(cells, n))
-        blocks[pname] = np.maximum(baseline + effect + noise, 0.0)
-        truth_degs[pname] = [names[j] for j in deg_idx]
-        effects[pname] = effect
-        strata[pname] = stratum
+    control = np.maximum(baseline + rng.normal(0.0, sigma, size=(cells, n)), 0.0)
+    counts = [max(1, round(frac * n)) for frac in config.deg_fracs]
+    deg_sets: list[np.ndarray] = []
+    effects: dict[str, np.ndarray] = {}
+    blocks: dict[str, np.ndarray] = {}
+    for i, (g, pname) in enumerate(zip(pert_genes, perts)):
+        program = programs[module_of[g]]
+        chosen = program[program != g][: counts[i % 3] - 1]
+        if chosen.size + 1 < counts[i % 3]:  # module exhausted: fill from the rest of the genome
+            rest = np.delete(np.arange(n), np.append(chosen, g))
+            chosen = np.append(chosen, rng.choice(rest, size=counts[i % 3] - 1 - chosen.size, replace=False))
+        deg_sets.append(np.sort(np.append(chosen, g)))
+        effect = effects[pname] = np.zeros(n)
+        effect[deg_sets[-1]] = response[deg_sets[-1]]
+        effect[g] = -config.effect_magnitude  # knockdown suppresses the target itself
+        blocks[pname] = np.maximum(baseline + effect + rng.normal(0.0, sigma, size=(cells, n)), 0.0)
 
     # graph: module chain backbones and weak cross links for connectivity, plus
     # direct edges from each perturbed gene to its planted DEG genes so that
     # true responders lie in the perturbation's immediate neighborhood
-    edges: list[tuple[int, int, float]] = []
-    for members in modules:
-        mem = list(members)
-        for a, b in zip(mem, mem[1:]):
-            edges.append((int(a), int(b), float(rng.uniform(0.4, 0.7))))
-    for m in range(n_modules):
-        a = int(rng.choice(modules[m]))
-        b = int(rng.choice(modules[(m + 1) % n_modules]))
-        if a != b:
-            edges.append((a, b, float(rng.uniform(0.05, 0.3))))
-    for gidx in pert_gene_idx:
-        for g in truth_degs[names[gidx]]:
-            tgt = vocab.index(g)
-            if tgt != gidx:
-                edges.append((gidx, tgt, float(rng.uniform(0.7, 1.0))))
-    graph = KnowledgeGraph.from_edges(vocab, edges)
-
-    dataset = PerturbationDataset(vocab, control, blocks)
+    chains = [np.concatenate([members[:-1] for members in modules]), np.concatenate([members[1:] for members in modules])]
+    edges = [np.column_stack([*chains, rng.uniform(0.4, 0.7, size=n - n_modules)])]
+    for m in range(n_modules):  # two distinct modules (n_modules >= 2), so never a self-loop
+        a, b = rng.choice(modules[m]), rng.choice(modules[(m + 1) % n_modules])
+        edges.append(np.array([[a, b, rng.uniform(0.05, 0.3)]]))
+    targets = [genes[genes != g] for g, genes in zip(pert_genes, deg_sets)]
+    sources = np.repeat(pert_genes, [t.size for t in targets])
+    edges.append(np.column_stack([sources, np.concatenate(targets), rng.uniform(0.7, 1.0, size=sources.size)]))
+    graph = KnowledgeGraph.from_edges(vocab, np.concatenate(edges))
 
     # semantic vectors: every gene mixes its module flavor with its own hash;
     # perturbation genes lean on the mean hash of their planted DEG set, so
     # perturbations with shared response genes get similar embeddings (the
     # planted analog of functionally related gene descriptions)
-    vectors = {}
-    for g in range(n):
-        mod_part = hash_embedding(f"module-{module_of[g]}", config.embed_dim)
-        gene_part = hash_embedding(names[g], config.embed_dim)
-        v = 0.8 * mod_part + 0.2 * gene_part
-        vectors[names[g]] = v / np.linalg.norm(v)
-    for pname, genes in truth_degs.items():
-        set_part = np.sum([hash_embedding(g, config.embed_dim) for g in genes], axis=0)
-        set_part /= np.linalg.norm(set_part)
-        mod_part = hash_embedding(f"module-{module_of[vocab.index(pname)]}", config.embed_dim)
-        v = 0.6 * set_part + 0.4 * mod_part
-        vectors[pname] = v / np.linalg.norm(v)
-    embeddings = SemanticEmbeddings(dim=config.embed_dim, vectors=vectors)
+    gene_part = np.array([hash_embedding(name, config.embed_dim) for name in names])
+    mod_part = np.array([hash_embedding(f"module-{m}", config.embed_dim) for m in range(n_modules)])[module_of]
+    vectors = dict(zip(names, _unit_rows(0.8 * mod_part + 0.2 * gene_part)))
+    set_part = _unit_rows(np.array([gene_part[genes].sum(axis=0) for genes in deg_sets]))
+    vectors.update(zip(perts, _unit_rows(0.6 * set_part + 0.4 * mod_part[pert_genes])))
 
+    gene_names = np.array(names)
     return SynthData(
-        dataset=dataset,
-        truth_degs=truth_degs,
+        dataset=PerturbationDataset(vocab, control, blocks),
+        truth_degs={pname: gene_names[genes].tolist() for pname, genes in zip(perts, deg_sets)},
         graph=graph,
-        embeddings=embeddings,
+        embeddings=SemanticEmbeddings(dim=config.embed_dim, vectors=vectors),
         effects=effects,
-        strata=strata,
+        strata={pname: STRATA[i % 3] for i, pname in enumerate(perts)},
     )

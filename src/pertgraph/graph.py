@@ -65,11 +65,12 @@ class KnowledgeGraph:
     weights: np.ndarray  # float64, finite confidence >= 0, aligned with indices
 
     @classmethod
-    def from_edges(cls, vocab: GeneVocab, edges: Iterable[tuple[int, int, float]]) -> "KnowledgeGraph":
-        """Build from (u, v, weight) index triples; duplicates keep the max weight."""
+    def from_edges(cls, vocab: GeneVocab, edges: Iterable[tuple[int, int, float]] | np.ndarray) -> "KnowledgeGraph":
+        """Build from (u, v, weight) index triples, or an (E, 3) array of them;
+        duplicates keep the max weight."""
         n = len(vocab)
-        edges = list(edges)
-        triples = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        triples = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
         u, v, w = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if np.any((lo == hi) | (lo < 0) | (hi >= n)):

@@ -401,7 +401,7 @@ def evaluate_predictions(
         raise UsageError(f"missing predictions for {missing}")
     control = group_stats(dataset.control)
     pred_deltas = prediction_deltas(predictions, perts, control.mean)
-    truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
+    truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts, control_stats=control)
     true_deltas = {p: truth.deltas[p] for p in perts}
     pds_scores, _ = pds(pred_deltas, true_deltas)
 

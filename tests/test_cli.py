@@ -264,6 +264,25 @@ def test_bad_training_setting_fails_synth_without_effective_config(tmp_path, cap
     assert not (tmp_path / "data" / "effective_config.ini").exists()
 
 
+@pytest.mark.parametrize(
+    "settings,message",
+    [({"n_genes": "20", "n_perturbations": "25"}, "n_perturbations must be <= n_genes = 20, got 25"),
+     ({"modules": "11"}, "n_modules must be <= n_genes // 4 = 10 (n_genes = 40), got 11")],
+    ids=["more-perturbations-than-genes", "modules-of-fewer-than-4-genes"],
+)
+def test_synth_settings_it_cannot_honour_exit_1(tmp_path, capsys, settings, message):
+    # both once failed late (exit 4) or were silently changed (modules clamped to n_genes // 4)
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "data", tmp_path / "data")
+    lines = [line for line in cfg.read_text().splitlines() if line.split(" = ")[0] not in settings]
+    at = lines.index("[synth]") + 1
+    lines[at:at] = [f"{key} = {value}" for key, value in settings.items()]
+    cfg.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["synth", "--config", str(cfg), "--seed", "3"]) == 1
+    assert_one_line(capsys.readouterr().err, f"error: {message}\n")
+    assert not (tmp_path / "data" / "expression.csv").exists()
+
+
 def test_unexpected_exception_exits_4_with_one_line(monkeypatch, tmp_path, capsys):
     from pertgraph import cli
 
@@ -314,6 +333,36 @@ def test_perturbation_label_that_is_no_gene_column_is_a_data_error(synth_run, ca
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--seed", "3"]) == 2
     assert_one_line(capsys.readouterr().err, f"data error: {path}: perturbation 'non-targeting' is not a gene column\n")
+
+
+def test_a_repeated_sample_id_is_a_one_line_data_error(synth_run, capsys):
+    # a blank line (skipped on reading) lies between the two rows, so a row's index is not its line
+    cfg, synth_dir, _ = synth_run
+    path = synth_dir / "expression.csv"
+    lines = path.read_text().splitlines()
+    sample_id = lines[2].split(",", 1)[0]
+    lines[6] = f"{sample_id},{lines[6].split(',', 1)[1]}"
+    lines.insert(4, "")
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["deg-coverage", "--config", str(cfg), "--seed", "3"]) == 2
+    assert_one_line(capsys.readouterr().err, f"data error: {path}: sample_id {sample_id!r} is listed twice, on lines 3 and 8\n")
+
+
+def test_a_repeated_embedding_row_is_a_one_line_data_error(synth_run, capsys):
+    cfg, synth_dir, _ = synth_run
+    path = synth_dir / "embeddings.csv"
+    lines = path.read_text().splitlines()
+    width = lines[0].count(",")
+    lines.append("NOT_A_GENE," + ",".join(["0.5"] * width))  # a gene outside the vocabulary stays legal
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    gene = lines[5].split(",", 1)[0]
+    lines += ["", f"{gene}," + ",".join(["0.25"] * width)]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 2
+    assert_one_line(capsys.readouterr().err, f"data error: {path}: gene {gene!r} is listed twice, on lines 6 and {len(lines)}\n")
 
 
 def _append_non_utf8_line(path: Path):

@@ -70,6 +70,16 @@ def test_load_expression_duplicate_gene_column(tmp_path):
         load_expression(p)
 
 
+def test_load_expression_repeated_sample_id_names_both_lines(tmp_path):
+    # a quoted id holding a comma, a blank line and a line ending in a lone CR:
+    # the lines are counted as the reader counts them
+    path = tmp_path / "expr.csv"
+    path.write_bytes(b'sample_id,perturbation,A,B\r\n"s,1",control,1,2\r\n\r\ns2,control,1,2\r"s,1",P,1,2\ns3,P,2,3\n')
+    with pytest.raises(DataError) as info:
+        load_expression(path)
+    assert str(info.value) == f"{path}: sample_id 's,1' is listed twice, on lines 2 and 5"
+
+
 def test_load_expression_ragged_row(tmp_path):
     p = tmp_path / "expr.csv"
     p.write_text("sample_id,perturbation,G0,G1\ns1,control,1.0\n")

@@ -615,6 +615,26 @@ def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delt
     assert len(ranked) == 2 * len(preds)
 
 
+def test_evaluate_predictions_takes_the_control_statistics_once(monkeypatch):
+    ds, preds = small_eval_inputs()
+    preds = {p: v + 0.05 for p, v in preds.items()}
+    expected = evaluate_predictions(ds, preds, ds.pert_names())[0].to_json_dict()
+    of_control = []
+
+    def stats(block):
+        of_control.append(block is ds.control)
+        return group_stats(block)
+
+    monkeypatch.setattr(data, "group_stats", stats)
+    monkeypatch.setattr(metrics, "group_stats", stats)
+    assert evaluate_predictions(ds, preds, ds.pert_names())[0].to_json_dict() == expected
+    assert sum(of_control) == 1 and len(of_control) > 1
+    given = compute_degs(ds, control_stats=group_stats(ds.control))
+    alone = compute_degs(ds)
+    for p in ds.pert_names():
+        assert np.array_equal(given.masks[p], alone.masks[p]) and np.array_equal(given.deltas[p], alone.deltas[p])
+
+
 def small_eval_inputs():
     synth = synth_generate(SynthConfig(n_genes=60, n_perturbations=6, cells_per_condition=6), seed=2)
     ds = synth.dataset

@@ -77,7 +77,7 @@ def test_extra_and_missing_files(runs):
 def test_chain_covers_every_command_and_mode():
     steps = outputs_rule.chain()
     commands = [args[0] for args in steps]
-    assert commands.count("synth") == 3 and commands.count("train") == 15
+    assert commands.count("synth") == 4 and commands.count("train") == 15
     assert commands.count("eval") == 18 and commands.count("predict") == 15
     assert commands.count("graph-stats") == commands.count("deg-coverage") == 3
     assert sum("--oracle" in args for args in steps) == 3
@@ -89,3 +89,5 @@ def test_chain_covers_every_command_and_mode():
     assert configs["s1_bh.ini"].endswith("[data]\ndeg_correction = benjamini-hochberg\n")
     assert configs["s2_des_k_past_genes.ini"].endswith("[metrics]\ndes_k = 1,10,199,200,500\n")
     assert "n_genes = 200\n" in configs["s2_des_k_past_genes.ini"]
+    assert configs["s1_modules_50.ini"] == configs["s1.ini"].replace("[synth]\n", "[synth]\nmodules = 50\n")
+    assert ["synth", "--config", "s1_modules_50.ini", "--seed", "1", "--out", "data1_modules_50"] in steps

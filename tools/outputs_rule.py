@@ -13,7 +13,9 @@ no output holds that directory's name.
 The chain, for synth seeds 1-3 at the criterion-7 settings (200 genes, 40
 perturbations) with `top_k = 5`:
 
-- `synth`;
+- `synth`, and at seed 1 a second `synth` with `[synth] modules = 50`,
+  whose 4-gene modules send every perturbation's planted set down the fill
+  path;
 - `train` for 15 epochs in each of five modes, then `eval` and `predict` on
   each checkpoint: threshold, top_m, no_context, Benjamini-Hochberg DEG
   tables, and `des_k` values up to and past the gene count;
@@ -51,6 +53,7 @@ MODES = {  # training mode -> the INI section it changes and the line it adds th
     "bh": ("[data]", "deg_correction = benjamini-hochberg"),
     "des_k_past_genes": ("[metrics]", "des_k = 1,10,199,200,500"),
 }
+SMALL_MODULES = "s1_modules_50.ini"  # the extra synth's config: seed 1 with 4-gene modules
 BASE_CONFIG = """\
 [paths]
 expression = data{seed}/expression.csv
@@ -83,7 +86,8 @@ learning_rate = 0.01
 
 
 def configs() -> dict[str, str]:
-    """INI file name -> text: one per seed, and one per seed and training mode."""
+    """INI file name -> text: one per seed, one per seed and training mode,
+    and the small-module synth's."""
     out = {}
     for seed in SEEDS:
         base = out[f"s{seed}.ini"] = BASE_CONFIG.format(seed=seed)
@@ -96,6 +100,7 @@ def configs() -> dict[str, str]:
                 else:
                     text = f"{base}{section}\n{line}\n"
             out[f"s{seed}_{mode}.ini"] = text
+    out[SMALL_MODULES] = out["s1.ini"].replace("[synth]\n", "[synth]\nmodules = 50\n", 1)
     return out
 
 
@@ -105,6 +110,8 @@ def chain() -> list[list[str]]:
     for seed in SEEDS:
         common = ["--config", f"s{seed}.ini", "--seed", str(seed)]
         steps.append(["synth", *common, "--out", f"data{seed}"])
+        if seed == 1:
+            steps.append(["synth", "--config", SMALL_MODULES, "--seed", "1", "--out", "data1_modules_50"])
         for mode in MODES:
             run, mode_common = f"s{seed}_{mode}", ["--config", f"s{seed}_{mode}.ini", "--seed", str(seed)]
             checkpoint = ["--checkpoint", f"{run}/train/checkpoint.json"]
