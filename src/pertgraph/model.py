@@ -218,16 +218,23 @@ def aggregation_matrix(graph: KnowledgeGraph, weighted: bool = False) -> scipy.s
     """Sparse (CSR) neighbor-mean operator with self-loops, so isolated nodes are defined.
 
     Unweighted rows average uniformly over N(v) plus v itself; weighted rows
-    normalize by edge confidence with the self-loop carrying weight 1.
+    normalize by edge confidence with the self-loop carrying weight 1. The
+    arrays are written straight from the graph's: row v keeps its neighbours
+    in order with the self-loop at its sorted slot, and its total adds the
+    neighbour weights in that order, then the self-loop's 1.0.
     """
     n = graph.n_nodes
-    rows = np.concatenate([graph.rows(), np.arange(n)])
-    cols = np.concatenate([graph.indices, np.arange(n)])
-    ws = np.concatenate([graph.weights if weighted else np.ones(graph.indices.size), np.ones(n)])
-    totals = np.bincount(rows, weights=ws, minlength=n)
-    a = scipy.sparse.csr_array((ws / totals[rows], (rows, cols)), shape=(n, n))
-    a.sort_indices()
-    return a
+    rows, nodes = graph.rows(), np.arange(n)
+    # the graph's (row, column) keys are sorted, so v's self-loop goes in before the first key past (v, v)
+    before = np.searchsorted(rows * n + graph.indices, nodes * (n + 1))
+    indices = np.insert(graph.indices, before, nodes)
+    if weighted:
+        totals = np.bincount(rows, weights=graph.weights, minlength=n) + 1.0
+        data = np.insert(graph.weights / totals[rows], before, 1.0 / totals)
+    else:  # every entry of row v is 1 / (deg v + 1)
+        counts = np.diff(graph.indptr) + 1
+        data = np.repeat(1.0 / counts, counts)
+    return scipy.sparse.csr_array((data, indices, graph.indptr + np.arange(n + 1)), shape=(n, n))
 
 
 # --- tape builders -----------------------------------------------------------
@@ -268,11 +275,14 @@ def build_alpha(tape: Tape, scores_row_id: int) -> int:
     return tape.apply("row-softmax", scores_row_id)
 
 
-def build_alpha_tilde(tape: Tape, scores_row_id: int, noise: np.ndarray, tau: float) -> int:
+def build_alpha_tilde(tape: Tape, scores_row_id: int, noise: np.ndarray | None, tau: float) -> int:
     # softmax((log alpha + g)/tau) == softmax((a + g)/tau): the log-sum-exp
-    # shift is constant across nodes and cancels in the softmax
-    shifted = tape.apply("add", scores_row_id, tape.constant(noise))
-    return tape.apply("row-softmax", tape.apply("scale", shifted, c=1.0 / tau))
+    # shift is constant across nodes and cancels in the softmax. Eval mode
+    # passes no noise: a zero block would only turn -0.0 into +0.0, which no
+    # softmax value sees
+    if noise is not None:
+        scores_row_id = tape.apply("add", scores_row_id, tape.constant(noise))
+    return tape.apply("row-softmax", tape.apply("scale", scores_row_id, c=1.0 / tau))
 
 
 def build_context(
@@ -349,7 +359,7 @@ def build_forward(
     """Compose the full forward pass for a batch of perturbations on `tape`, one row each.
 
     `mode="train"` draws row i's Gumbel noise from `gumbel_seeds[i]`; eval
-    mode uses zero noise. A non-None `frozen_selections[i]` reuses a
+    mode adds no noise. A non-None `frozen_selections[i]` reuses a
     previously captured selection (noise, hard mask, and straight-through
     base), which keeps the surrogate fixed across gradient-check probes.
     `agg` is the graph's `aggregation_matrix`, built here when None.
@@ -383,7 +393,8 @@ def build_forward(
     frozen = frozen_selections or [None] * len(perts)
     seeds = gumbel_seeds if gumbel_seeds is not None and mode == "train" else [None] * len(perts)
     noise_seeds = [seed if sel is None else sel.gumbel_seed for seed, sel in zip(seeds, frozen)]
-    at_id = build_alpha_tilde(tape, scores, _gumbel_noise(noise_seeds, params.n_nodes), cfg.tau)
+    noisy = any(seed is not None for seed in noise_seeds)
+    at_id = build_alpha_tilde(tape, scores, _gumbel_noise(noise_seeds, params.n_nodes) if noisy else None, cfg.tau)
     alpha, base = tape.value(alpha_id), tape.value(at_id)
     if not np.all(np.isfinite(base)):
         raise NumericalError("non-finite node selection scores (model diverged)")

@@ -28,6 +28,7 @@ from pertgraph.model import (
     save_checkpoint,
 )
 from pertgraph.numerics import Tape
+from pertgraph.training import predict_profiles
 
 from conftest import build_toy_problem, run_builder
 
@@ -485,6 +486,52 @@ def test_selection_runs_once_per_forward_and_per_gumbel_select(toy_problem, monk
     batched_forward(toy_problem, toy_problem.perts, [1, 2])
     gumbel_select(np.array([0.5, 0.3, 0.2]), tau=1.0, threshold=0.25, seed=4)
     assert calls == [(2, 10), (1, 3)]
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_alpha_tilde_without_noise_matches_a_zero_noise_block(tau):
+    scores = np.array([[-0.0, 0.0, 1.5, 1.5, -1e300], [0.0, -0.0, -0.0, -1e300, -0.0], [-0.0] * 5])
+    blocks = []
+    for noise in (None, np.zeros(scores.shape)):
+        tape = Tape()
+        blocks.append(tape.value(model.build_alpha_tilde(tape, tape.constant(scores), noise, tau)))
+    assert blocks[0].tobytes() == blocks[1].tobytes()
+
+
+def test_eval_forward_without_noise_matches_explicit_zero_noise(monkeypatch):
+    t = build_toy_problem()
+    t.params.values["score.v"][:] = 0.0  # every score is 0, so each row is one tie
+    perts = t.vocab.names
+
+    def run():
+        _, built = batched_forward(t, perts, None, mode="eval")
+        x_hat = predict_profiles(t.params, t.xbar_c, perts, t.graph, t.embeddings)
+        return built.selections, x_hat
+
+    selections, x_hat = run()
+    real = model.build_alpha_tilde
+    monkeypatch.setattr(
+        model, "build_alpha_tilde",
+        lambda tape, s, noise, tau: real(tape, s, np.zeros(tape.value(s).shape) if noise is None else noise, tau),
+    )
+    zero_selections, zero_x_hat = run()
+    assert all(x_hat[p].tobytes() == zero_x_hat[p].tobytes() for p in perts)
+    for sel, zero in zip(selections, zero_selections):
+        assert sel.alpha_tilde.tobytes() == zero.alpha_tilde.tobytes()
+        assert sel.mask.tobytes() == zero.mask.tobytes()
+
+
+@pytest.mark.parametrize("mode,seeds,noise_calls", [("eval", None, 0), ("eval", [1, 2], 0), ("train", [1, 2], 1)])
+def test_gumbel_noise_is_drawn_only_in_train_mode(toy_problem, monkeypatch, mode, seeds, noise_calls):
+    calls = {"noise": 0, "alpha_tilde": 0}
+
+    def counted(key, fn):
+        return lambda *args: calls.__setitem__(key, calls[key] + 1) or fn(*args)
+
+    monkeypatch.setattr(model, "_gumbel_noise", counted("noise", model._gumbel_noise))
+    monkeypatch.setattr(model, "build_alpha_tilde", counted("alpha_tilde", model.build_alpha_tilde))
+    batched_forward(toy_problem, toy_problem.perts, seeds, mode=mode)
+    assert calls == {"noise": noise_calls, "alpha_tilde": 1}
 
 
 # --- checkpoints ------------------------------------------------------------------------
