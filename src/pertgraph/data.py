@@ -445,32 +445,58 @@ def t_thresholds(df_low: float, df_high: float, alpha: float) -> tuple[float, fl
     gives p >= alpha and one above t_hi gives p < alpha, since the p-value of
     a |t| falls as df rises. t_lo comes from stdtrit at df_high and t_hi at
     df_low, each a relative TAIL_RTOL in tail probability to its side of
-    alpha, and stdtr, as the test uses it, confirms each; one it does not
-    (far or near-1/2 tails) becomes infinite, and so do both for a subnormal
-    tail, where the TAIL_RTOL margin rounds away."""
+    alpha/2, and stdtr, as the test uses it, confirms each within half that
+    margin (the round trip moves a tail by about 1e-15, and stdtr errs by
+    3e-14 at most); one it does not (far or near-1/2 tails) becomes
+    infinite, and so do both for a subnormal tail, where the TAIL_RTOL
+    margin rounds away."""
     q_lo, q_hi = alpha / 2 * (1 + TAIL_RTOL), alpha / 2 * (1 - TAIL_RTOL)
     if q_hi < np.finfo(np.float64).tiny:
         return -np.inf, np.inf
     t_lo, t_hi = -stdtrit(df_high, q_lo), -stdtrit(df_low, q_hi)
-    lo_ok = stdtr(df_high, -t_lo) >= q_lo
-    hi_ok = stdtr(df_low, -t_hi) <= q_hi
+    lo_ok = stdtr(df_high, -t_lo) >= alpha / 2 * (1 + TAIL_RTOL / 2)
+    hi_ok = stdtr(df_low, -t_hi) <= alpha / 2 * (1 - TAIL_RTOL / 2)
     return (t_lo if lo_ok else -np.inf), (t_hi if hi_ok else np.inf)
 
 
-def welch_window(control: GroupStats, block: np.ndarray, window: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
-    """p-values of `welch_pvalues(control, block + shift)` at the `window`
-    columns, bit for bit, from one `welch_pvalues` call on just those columns
-    (made even when there are none).
+def welch_window(control: GroupStats, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]) -> list[np.ndarray]:
+    """For each `(block, window, shift)` cut, the p-values of
+    `welch_pvalues(control, block + shift)` at its `window` columns (shift
+    None: no shift), bit for bit. The blocks share one sample count and one
+    column count, G. Consecutive cuts are tested together in one
+    `welch_pvalues` call while their widths sum to at most G, so no call
+    holds more values than one whole block; cuts with no column make no call.
 
-    The columns are cut with `np.take`, so numpy sums them row by row, in the
-    order the whole block uses; a lone column it would sum pairwise, so a
-    lone column is taken twice.
+    Each cut is taken with `np.take`, and a call's cuts are put side by side,
+    so numpy sums every column row by row, in the order a whole block of more
+    than one column uses; a lone column it would sum pairwise, so a call of
+    width 1 takes it twice. A block of one column is itself summed pairwise,
+    so the cut of such a block is laid out as a column, which numpy sums
+    pairwise.
     """
-    cols = np.repeat(window, 2) if window.size == 1 < block.shape[1] else window
-    cut = np.take(block, cols, axis=1)
-    if shift is not None:
-        cut += shift[cols]
-    return welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), cut)[: window.size]
+    out: list[np.ndarray] = []
+    start = held = 0
+    for i, (block, window, _) in enumerate(cuts):
+        if held + window.size > block.shape[1]:
+            out += _welch_cuts(control, cuts[start:i])
+            start, held = i, 0
+        held += window.size
+    return out + _welch_cuts(control, cuts[start:])
+
+
+def _welch_cuts(control: GroupStats, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]) -> list[np.ndarray]:
+    """`welch_window` of cuts whose widths sum to at most G, in one call or none."""
+    widths = [window.size for _, window, _ in cuts]
+    if not sum(widths):
+        return [np.empty(0) for _ in cuts]
+    cut = np.concatenate([np.take(b, w, axis=1) if s is None else np.take(b, w, axis=1) + s[w] for b, w, s in cuts], axis=1)
+    cols = np.concatenate([window for _, window, _ in cuts])
+    if cuts[0][0].shape[1] == 1:
+        cut = np.asfortranarray(cut)
+    elif cols.size == 1:
+        cut, cols = np.repeat(cut, 2, axis=1), np.repeat(cols, 2)
+    p = welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), cut)
+    return np.split(p[: sum(widths)], np.cumsum(widths)[:-1])
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
@@ -561,8 +587,11 @@ def compute_degs(
     The t, df and decisions of the blocks are taken on their stacked
     statistics, `row_chunks` rows at a time, with one `t_thresholds` call per
     distinct block size. The rest (|t| between the two, a df outside the
-    bracket or NaN, a degenerate column) take the test itself, in one
-    `welch_window` call per block.
+    bracket or NaN, a degenerate column) take the test itself; under
+    "benjamini-hochberg" every gene does. Each chunk's blocks of one sample
+    count take it in one `welch_window` call, which makes one Welch call for
+    the lot while they fit in one block's width; a chunk with no gene to test
+    makes none.
     """
     is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
@@ -583,14 +612,16 @@ def compute_degs(
             t_lo, t_hi = (_column([thresholds[s.n][i] for s in stats]) for i in (0, 1))
             known = ~degenerate & (df >= np.minimum(control.n, b.n) - 1) & (df <= control.n + b.n - 2)
             masks = known & (t > t_hi)
-            undecided = ~(masks | known & (t < t_lo))
-            for block, mask, open_genes in zip(blocks, masks, undecided):
-                window = np.flatnonzero(open_genes)
-                mask[window] = is_deg(welch_window(control, block, window))
+            windows = [np.flatnonzero(row) for row in ~(masks | known & (t < t_lo))]
         else:
-            for name, block in zip(chunk, blocks):
-                table.pvalues[name] = welch_pvalues(control, block)
-            masks = [is_deg(table.pvalues[name]) for name in chunk]
+            masks = np.zeros((len(chunk), dataset.n_genes), dtype=bool)
+            windows = [np.arange(dataset.n_genes)] * len(chunk)
+        for n in sorted({s.n for s in stats}):
+            group = [i for i, s in enumerate(stats) if s.n == n]
+            for i, p in zip(group, welch_window(control, [(blocks[i], windows[i], None) for i in group])):
+                masks[i, windows[i]] = is_deg(p)
+                if correction != "none":
+                    table.pvalues[chunk[i]] = p
         table.masks.update(zip(chunk, masks))
         table.deltas.update(zip(chunk, b.mean - control.mean))
     return table

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, row_chunks, t_thresholds, welch_pvalues, welch_window
+from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, row_chunks, t_thresholds, welch_window
 from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, first_repeat, write_csv, write_json
 
 # A metric given (P, G) blocks, one perturbation a row, scores each row and
@@ -21,14 +21,6 @@ from .errors import DegenerateError, NumericalError, ShapeError, UsageError, che
 # argument is one row: its value comes back as a float, or DegenerateError is
 # raised where it is undefined. Rows are reduced along their own axis, so a
 # row's value is bit for bit the one it gets alone.
-
-
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(a, dtype=np.float64).reshape(-1)
-    y = np.asarray(b, dtype=np.float64).reshape(-1)
-    if x.size != y.size:
-        raise ShapeError(f"vector lengths differ: {x.size} vs {y.size}")
-    return x, y
 
 
 def _rows(a) -> np.ndarray:
@@ -69,51 +61,100 @@ def pearson_delta(pred_delta, true_delta):
     return _per_row(r, (nx == 0.0) | (ny == 0.0), "correlation undefined for a constant vector", block)
 
 
-def rank_average_ties(x: np.ndarray) -> np.ndarray:
+def rank_rows(values, lengths) -> np.ndarray:
+    """1-based ranks of `values` within each of its consecutive segments,
+    `lengths` values long; tied values share the average of their positions,
+    and NaNs rank last, each in a group of its own, in the order they come.
+    One sort by value, then one by (segment, place in that sort), ranks
+    every segment. The order within a tie group does not change its ranks,
+    so neither sort need be stable, but the NaNs at each segment's end are
+    put back in their own order."""
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    place = np.empty(values.size, dtype=np.int64)
+    place[np.argsort(values)] = np.arange(values.size)
+    order = np.argsort(seg * values.size + place)  # distinct keys
+    v = values[order]  # seg is sorted already, so seg[order] == seg
+    nan = np.isnan(v)
+    if nan.any():
+        order[nan] = np.sort(order[nan])
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = (seg[1:] != seg[:-1]) | ~(v[1:] == v[:-1])  # NaN equals nothing
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], v.size)
+    # the tie group at sorted positions i..j (0-based within its segment) gets (i + j) / 2 + 1
+    offset = (np.cumsum(lengths) - lengths)[seg[starts]]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) - offset + 1.0, ends - starts)
+    return ranks
+
+
+def rank_average_ties(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions.
     NaNs rank last, each in a group of its own."""
-    x = np.asarray(x, dtype=np.float64)
-    # the tie group at sorted positions i..j (0-based) gets (i + j) / 2 + 1
-    _, group, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
-    ends = np.cumsum(counts)
-    return (ends - 0.5 * (counts - 1))[group]
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    return rank_rows(x, [x.size])
 
 
-def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    wsum = w.sum()
-    mx = (w * x).sum() / wsum
-    my = (w * y).sum() / wsum
-    cov = (w * (x - mx) * (y - my)).sum() / wsum
-    vx = (w * (x - mx) ** 2).sum() / wsum
-    vy = (w * (y - my) ** 2).sum() / wsum
-    if vx == 0.0 or vy == 0.0:
-        raise DegenerateError("weighted correlation undefined for constant ranks")
-    return float(cov / np.sqrt(vx * vy))
+def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted Pearson correlation of each consecutive segment of x and
+    y, `lengths` values long, under the weights w >= 0, and the segments
+    where it is undefined (fewer than 2 values, no weight, a constant x or
+    y). The elementwise work runs on the whole arrays; each segment's sums
+    are numpy's `.sum()` of its own values, the sums it gets alone
+    (np.add.reduceat adds in another order)."""
+    ends = np.cumsum(lengths)
+    bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
+
+    def sums(*terms):  # each term's sum over each segment, one column a term
+        stacked = np.stack(terms)
+        return np.array([stacked[:, lo:hi].sum(axis=1) for lo, hi in bounds]).reshape(len(bounds), len(terms)).T
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wsum, wx, wy = sums(w, w * x, w * y)
+        dx, dy = x - np.repeat(wx / wsum, lengths), y - np.repeat(wy / wsum, lengths)
+        cov, vx, vy = sums(w * dx * dy, w * dx**2, w * dy**2) / wsum
+        return cov / np.sqrt(vx * vy), (lengths < 2) | ~(wsum > 0) | (vx == 0.0) | (vy == 0.0)
 
 
-def de_spearman_lfc(pred_delta_deg, true_delta_deg, weights=None, *, ranks=None) -> float:
+def _deg_rows(x: np.ndarray, deg) -> np.ndarray:
+    """The DEG mask of the rows x, all True when `deg` is None."""
+    return np.ones(x.shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool).reshape(x.shape)
+
+
+def de_spearman_lfc(pred_delta_deg, true_delta_deg, deg=None, *, weights=None):
     """Weighted Spearman over DEGs: weighted Pearson on average-tie ranks,
-    weighted by |true delta| unless explicit weights are given. `ranks`, when
-    given, is the pair of `rank_average_ties` of the two deltas."""
-    x, y = _pair(pred_delta_deg, true_delta_deg)
-    if x.size < 2:
+    weighted by |true delta| unless explicit weights are given. `deg`, when
+    given, is a bool mask of the arguments' shape that picks the DEGs out of
+    whole deltas; explicit weights have the arguments' shape too. A row is
+    undefined with fewer than 2 DEGs, all-zero weights or constant ranks.
+    One `rank_rows` call ranks both deltas of every row."""
+    x, y = _row_pair(pred_delta_deg, true_delta_deg)
+    block = np.ndim(pred_delta_deg) == 2
+    where = _deg_rows(x, deg)
+    lengths = where.sum(axis=1)
+    if not block and lengths[0] < 2:
         raise DegenerateError("need at least 2 DEGs")
-    w = np.abs(y) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != x.size:
-        raise ShapeError("weights length mismatch")
+    w = None if weights is None else _rows(weights)
+    if w is not None and w.shape != x.shape:
+        raise ShapeError(f"weights shape {np.shape(weights)} differs from the deltas' {x.shape}")
+    at = np.flatnonzero(where)  # the DEGs, row after row
+    xs, ys = np.take(x, at), np.take(y, at)
+    w = np.abs(ys) if w is None else np.take(w, at)
     bad = w[~(np.isfinite(w) & (w >= 0))]
     if bad.size:
         raise UsageError(f"weights must be finite and >= 0, got {bad[0]}")
-    if not np.any(w > 0):
+    if not block and not np.any(w > 0):
         raise DegenerateError("all-zero weights")
-    rx, ry = (rank_average_ties(x), rank_average_ties(y)) if ranks is None else ranks
-    return _weighted_pearson(rx, ry, w)
+    ranks = rank_rows(np.concatenate([xs, ys]), np.concatenate([lengths, lengths]))
+    r, undefined = _weighted_pearson_rows(ranks[: at.size], ranks[at.size :], w, lengths)
+    return _per_row(r, undefined, "weighted correlation undefined for constant ranks", block)
 
 
-def de_spearman_sig(pred_delta_deg, true_delta_deg, *, ranks=None) -> float:
+def de_spearman_sig(pred_delta_deg, true_delta_deg, deg=None):
     """Plain Spearman over DEGs (the uniform-weight case of the weighted variant)."""
-    x, y = _pair(pred_delta_deg, true_delta_deg)
-    return de_spearman_lfc(x, y, weights=np.ones(x.size), ranks=ranks)
+    return de_spearman_lfc(pred_delta_deg, true_delta_deg, deg, weights=np.ones(np.shape(pred_delta_deg)))
 
 
 def direction_match(pred_delta_deg, true_delta_deg, deg=None):
@@ -121,7 +162,7 @@ def direction_match(pred_delta_deg, true_delta_deg, deg=None):
     `deg`, when given, is a bool mask of the arguments' shape that picks the
     DEGs out of whole deltas."""
     x, y = _row_pair(pred_delta_deg, true_delta_deg)
-    where = np.ones(x.shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool).reshape(x.shape)
+    where = _deg_rows(x, deg)
     n = where.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = ((np.sign(x) == np.sign(y)) & where).sum(axis=1) / n
@@ -228,8 +269,10 @@ def predicted_deg_set(
     variance with the same settings used for the ground truth.
     `control_stats`, when given, is `group_stats(control_block)`, computed
     once for many predictions. A (P, G) block of deltas, one prediction a
-    row, gives the (P, G) bool mask of each row's set, and makes one Welch
-    call per row.
+    row, gives the (P, G) bool mask of each row's set. The genes tested take
+    one `welch_window` call for the whole block: one Welch call while they
+    fit in the control's width (one per row under "benjamini-hochberg"), or
+    none when there are none.
 
     Under correction "none" no shifted copy is built. It has the control's n
     and, up to rounding, std s, so its t is d / (s sqrt(2/n)) with df 2(n - 1).
@@ -238,13 +281,15 @@ def predicted_deg_set(
     2 w (sqrt(n) + 2|t|) and df falls by a relative 8 w^2 at most. Genes with
     w < SPREAD_RTOL and |t| that far clear of the thresholds are decided by
     |t|; the rest (zero spread, a spread the shift can round away, |t| near a
-    threshold) take the materialised test through `welch_window`.
+    threshold) take the materialised test, as every gene does under
+    "benjamini-hochberg".
     """
     is_deg = deg_rule(alpha, correction)
     d = _rows(pred_delta)
     c = group_stats(control_block) if control_stats is None else control_stats
     if correction != "none":
-        sig = np.array([is_deg(welch_pvalues(c, control_block + row)) for row in d], dtype=bool).reshape(d.shape)
+        sig = np.zeros(d.shape, dtype=bool)
+        windows = [np.arange(d.shape[1])] * len(d)
     else:
         n = c.n
         t_lo, t_hi = t_thresholds(2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2), 2 * (n - 1), alpha)
@@ -255,10 +300,10 @@ def predicted_deg_set(
             tol = 2 * w * (np.sqrt(n) + 2 * t)
             known = w < SPREAD_RTOL
             sig = known & (t - tol > t_hi)
-            undecided = ~(sig | known & (t + tol < t_lo))
-        for row, delta, open_genes in zip(sig, d, undecided):
-            window = np.flatnonzero(open_genes)
-            row[window] = is_deg(welch_window(c, control_block, window, delta))
+            windows = [np.flatnonzero(row) for row in ~(sig | known & (t + tol < t_lo))]
+    cuts = [(control_block, window, delta) for window, delta in zip(windows, d)]
+    for row, window, p in zip(sig, windows, welch_window(c, cuts)):
+        row[window] = is_deg(p)
     return sig if np.ndim(pred_delta) == 2 else set(np.flatnonzero(sig[0]).tolist())
 
 
@@ -386,9 +431,9 @@ def evaluate_predictions(
     from the aggregates and their counts. Every prediction must first pass
     `prediction_deltas`, and no perturbation may be listed twice.
 
-    The row-wise metrics take `row_chunks` of the perturbations at a time,
+    Every metric but PDS takes `row_chunks` of the perturbations at a time,
     their predicted and true deltas and DEG masks stacked into (rows, G)
-    blocks; PDS, the DEG ranks and both Spearman metrics take their own form.
+    blocks; PDS takes all of them at once.
     """
     twice = first_repeat(perts)
     if twice is not None:
@@ -419,25 +464,17 @@ def evaluate_predictions(
         pearson = pearson_delta(dp, dt)
         top_k = {k: des_at_k(dp, deg, k) for k in des_k}
         direction = direction_match(dp, dt, deg)
+        sig = de_spearman_sig(dp, dt, deg)
+        lfc = de_spearman_lfc(dp, dt, deg)
         for i, p in enumerate(names):
-            deg_idx = np.flatnonzero(deg[i])
-            dp_deg, dt_deg = dp[i, deg_idx], dt[i, deg_idx]
-            ranks = rank_average_ties(dp_deg), rank_average_ties(dt_deg)
             per[p] = {
                 "pds": pds_scores[p],
                 "pearson_delta": pearson[i],
                 "des_fdr": recall[i],
                 **{f"des_at_{k}": top_k[k][i] for k in des_k},
-                "de_spearman_sig": _unless_degenerate(de_spearman_sig, dp_deg, dt_deg, ranks=ranks),
-                "de_spearman_lfc": _unless_degenerate(de_spearman_lfc, dp_deg, dt_deg, ranks=ranks),
+                "de_spearman_sig": sig[i],
+                "de_spearman_lfc": lfc[i],
                 "direction_match": direction[i],
             }
     return report(per, effect_size_strata(truth)), truth
 
-
-def _unless_degenerate(metric, *args, **kwargs) -> float | None:
-    """`metric(*args, **kwargs)`, or None where the metric is undefined."""
-    try:
-        return metric(*args, **kwargs)
-    except DegenerateError:
-        return None

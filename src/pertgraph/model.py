@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse
@@ -473,7 +473,8 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
 
 
 def load_checkpoint(json_path, bin_path) -> ModelParams:
-    """Read a checkpoint; a malformed manifest, parameters other than the
+    """Read a checkpoint; a malformed manifest (a model config without every
+    `ModelConfig` field included), parameters other than the
     `param_layout` of its sizes and config, a blob whose size or sha256 does
     not match the manifest, or a NaN or inf in the blob is a DataError. A
     manifest without `blob_sha256`, or with the scorer's W as one `score.w`
@@ -485,6 +486,10 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
         raise DataError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "pertgraph-checkpoint-v1":
         raise DataError(f"checkpoint manifest {json_path} is not a pertgraph-checkpoint-v1 manifest")
+    if isinstance(manifest.get("config"), dict):  # a field left out would take its default
+        missing = [f.name for f in fields(ModelConfig) if f.name not in manifest["config"]]
+        if missing:
+            raise DataError(f"checkpoint manifest {json_path}: model config field {missing[0]!r} is missing")
     try:
         config = ModelConfig(**manifest["config"])
         config.validate()  # a UsageError is a ValueError: bad hyperparameters are data errors here

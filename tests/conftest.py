@@ -25,6 +25,16 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+def packed_welch_calls(calls, n_genes):
+    """Whether `welch_pvalues` calls, as (rows, columns) in call order, hold
+    the cuts of `welch_window` as it packs them: each call has a column and
+    at most n_genes, and no two consecutive calls of one sample count would
+    have fit in one. Holds for calls from one `welch_window` call per sample
+    count."""
+    fits = all(0 < g <= n_genes for _, g in calls)
+    return fits and all(a + b > n_genes for (n, a), (m, b) in zip(calls, calls[1:]) if n == m)
+
+
 def run_builder(params, build):
     """Value of `build(tape, pids)` on a fresh tape holding every parameter."""
     tape = Tape()

@@ -57,21 +57,27 @@ def test_tape_stats_reads_a_backward_tape(monkeypatch):
 
 
 
-def test_traced_counts_one_bfs_per_coverage_and_one_welch_per_tested_block():
+def test_traced_counts_one_bfs_per_coverage_and_one_welch_per_tested_chunk():
     # graph.bfs_calls and data.welch_calls are read per sweep; they keep their
-    # meaning while each coverage runs one BFS and each tested block, true or
-    # predicted, makes one Welch call
+    # meaning while each coverage runs one BFS and each chunk of blocks, true
+    # or predicted, with a gene left open makes one Welch call
     from pertgraph import data, graph, metrics
 
     synth = data.synth_generate(data.SynthConfig(n_genes=60, n_perturbations=6, cells_per_condition=6), seed=2)
-    ds, names, perts = synth.dataset, synth.dataset.vocab.names, synth.dataset.pert_names()
+    names, perts = synth.dataset.vocab.names, synth.dataset.pert_names()
+    # gene 0 constant in every group: every block and prediction tested leaves it open
+    control = synth.dataset.control.copy()
+    blocks = {p: synth.dataset.block(p).copy() for p in perts}
+    for block in [control, *blocks.values()]:
+        block[:, 0] = 1.0
+    ds = data.PerturbationDataset(synth.dataset.vocab, control, blocks)
     preds = {p: ds.block(p).mean(axis=0) + 0.01 for p in perts}
     tracer = tracing.Tracer()
     tracer.install()
     try:
         counts = tracer.counts
         table = data.compute_degs(ds, perturbations=perts[:4])
-        assert counts[("", "data.welch_calls")] == 4
+        assert counts[("", "data.welch_calls")] == 1
         deg_sets = {p: [names[i] for i in table.deg_indices(p) if names[i] != p] for p in table.pert_names()}
         deg_sets = {p: genes for p, genes in deg_sets.items() if genes}
         assert deg_sets
@@ -80,10 +86,9 @@ def test_traced_counts_one_bfs_per_coverage_and_one_welch_per_tested_block():
         assert counts[("", "graph.bfs_calls")] == len(deg_sets)
 
         metrics.predicted_deg_set(ds.control, preds[perts[0]] - ds.control.mean(axis=0))
-        assert counts[("", "data.welch_calls")] == 5
+        assert counts[("", "data.welch_calls")] == 2
         _, truth = metrics.evaluate_predictions(ds, preds, perts)
-        with_degs = sum(truth.deg_indices(p).size > 0 for p in perts)
-        assert with_degs
-        assert counts[("", "data.welch_calls")] == 5 + len(perts) + with_degs
+        assert any(truth.deg_indices(p).size > 0 for p in perts)
+        assert counts[("", "data.welch_calls")] == 4  # one chunk: its true blocks, then its predictions
     finally:
         tracer.uninstall()

@@ -494,6 +494,12 @@ def _rewrite_model_config(ckpt: Path, **fields):
     _rewrite_manifest(ckpt, config={**config, **fields})
 
 
+def _drop_model_config_field(ckpt: Path, name: str):
+    config = json.loads(ckpt.read_text())["config"]
+    del config[name]
+    _rewrite_manifest(ckpt, config=config)
+
+
 def _drop_manifest_key(ckpt: Path, key: str):
     manifest = json.loads(ckpt.read_text())
     del manifest[key]
@@ -553,6 +559,7 @@ CHECKPOINT_DEFECTS = {
     "config-tau-zero": lambda c: _rewrite_model_config(c, tau=0.0),
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
     "config-top-m-zero": lambda c: _rewrite_model_config(c, select_top_m=0),
+    "config-without-tau": lambda c: _drop_model_config_field(c, "tau"),
     "not-a-checkpoint": lambda c: c.write_text('{"epochs": [], "best_epoch": 0}\n'),
     "manifest-missing-enc-b2": lambda c: _drop_param(c, "enc.b2"),
     # the config's ctx.proj is square (d_struct = d_latent = 8), so transpose a
@@ -570,6 +577,8 @@ NAMED_COUNTS = {
     "one-gene-more": "checkpoint has 41 genes, the expression data has 40",
     "one-node-more": "checkpoint has 41 graph nodes, the graph has 40",
 }
+# defects whose message must name the model config field
+NAMED_FIELD = {"config-without-tau": "model config field 'tau' is missing"}
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
@@ -586,6 +595,7 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
         if defect in NAMED_PARAMETER:
             assert f"parameter {NAMED_PARAMETER[defect]} is " in err
         assert NAMED_COUNTS.get(defect, "") in err
+        assert NAMED_FIELD.get(defect, "") in err
 
 
 def _to_single_score_w(ckpt: Path):

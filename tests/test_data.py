@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from pertgraph import data, metrics
+from pertgraph import data
 from pertgraph.data import (
     LOAD_CHUNK_ROWS,
     DegTable,
@@ -34,6 +35,8 @@ from pertgraph.data import (
 from pertgraph.errors import DataError, ParseError, UsageError
 from pertgraph.graph import GeneVocab
 from pertgraph.metrics import predicted_deg_set
+
+from conftest import packed_welch_calls
 
 
 def tiny_dataset(n_genes=4, perts=("PA", "PB"), seed=0):
@@ -677,7 +680,7 @@ def test_compute_degs_matches_the_materialised_test(monkeypatch):
     calls = []
 
     def welch(control, block):
-        calls.append(np.shape(block)[1])
+        calls.append(np.shape(block))
         return welch_pvalues(control, block)
 
     monkeypatch.setattr(data, "welch_pvalues", welch)
@@ -690,8 +693,9 @@ def test_compute_degs_matches_the_materialised_test(monkeypatch):
             ds = PerturbationDataset(GeneVocab([f"G{i}" for i in range(control.shape[1])]), control, {"PA": block, "PB": np.abs(other)})
             calls.clear()
             table = compute_degs(ds, alpha=alpha)
-            assert len(calls) == 2  # one per block, even one whose window is empty
-            retested += sum(calls)
+            # one call for both blocks' open genes when they fit in one block's width, none if there are none
+            assert packed_welch_calls(calls, ds.n_genes)
+            retested += sum(g for _, g in calls)
             for name in ("PA", "PB"):
                 expected = deg_rule(alpha, "none")(welch_pvalues(ds.control, ds.block(name)))
                 assert table.masks[name].tobytes() == expected.tobytes(), (na, nb, alpha, name)
@@ -742,10 +746,10 @@ def mixed_size_dataset(rng, alpha):
 def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(monkeypatch, rows_per_chunk):
     if rows_per_chunk:
         monkeypatch.setattr(data, "ROW_CHUNK_VALUES", 30 * rows_per_chunk)
-    welch_rows, threshold_calls = [], []
+    welch_calls, threshold_calls = [], []
 
     def welch(control, block):
-        welch_rows.append(np.shape(block)[0])
+        welch_calls.append(np.shape(block))
         return welch_pvalues(control, block)
 
     monkeypatch.setattr(data, "welch_pvalues", welch)
@@ -753,11 +757,16 @@ def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(m
     rng = np.random.default_rng(23)
     for alpha in (0.05, 1e-6):
         ds = mixed_size_dataset(rng, alpha)
-        welch_rows.clear()
+        welch_calls.clear()
         threshold_calls.clear()
         table = compute_degs(ds, alpha=alpha)
         sizes = [ds.block(p).shape[0] for p in ds.pert_names()]
-        assert sorted(welch_rows) == sorted(sizes)  # one Welch call per block
+        step = rows_per_chunk or len(sizes)
+        # every block leaves genes open: one run of Welch calls per chunk and
+        # block size, each call at most one block wide
+        runs = [n for n, _ in itertools.groupby(n for n, _ in welch_calls)]
+        assert sorted(runs) == sorted(n for lo in range(0, len(sizes), step) for n in set(sizes[lo : lo + step]))
+        assert packed_welch_calls(welch_calls, ds.n_genes)
         assert len(threshold_calls) == len(set(sizes))
         control = group_stats(ds.control)
         for p in ds.pert_names():
@@ -765,6 +774,64 @@ def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(m
             assert table.masks[p].tobytes() == deg_rule(alpha, "none")(welch_pvalues(ds.control, block)).tobytes()
             assert table.deltas[p].tobytes() == (group_stats(block).mean - control.mean).tobytes()
             assert table.masks[p][:2].tolist() == [False, True] and not table.masks[p][3:5].any()
+
+
+def test_compute_degs_of_one_gene_blocks_matches_each_block_tested_alone(monkeypatch):
+    # a one-column block is summed pairwise, in another order than a wider
+    # block's columns, so the cut of each such block must be too
+    welch_calls = []
+
+    def welch(control, block):
+        welch_calls.append(np.shape(block))
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(data, "welch_pvalues", welch)
+    rng = np.random.default_rng(24)
+    t_crit = -special.stdtrit(38, 0.025)
+    control = 2.0 + 0.2 * rng.standard_normal((20, 1))
+    shift = np.sqrt(control.var(ddof=1) / 10) * t_crit
+    blocks = {f"P{i:02d}": control[rng.permutation(20)] + shift * (1 + rng.integers(-40, 1) * np.finfo(np.float64).eps) for i in range(60)}
+    ds = PerturbationDataset(GeneVocab(["G0"]), control, blocks)
+    for correction in ("none", "benjamini-hochberg"):
+        welch_calls.clear()
+        table = compute_degs(ds, correction=correction)
+        assert set(welch_calls) == {(20, 1)}  # one call per block whose gene is open, as the block alone makes
+        assert len(welch_calls) == len(blocks) or correction == "none"
+        masks = [table.masks[p][0] for p in ds.pert_names()]
+        assert masks == [bool(welch_pvalues(control, ds.block(p))[0] < 0.05) for p in ds.pert_names()]
+        assert 0 < sum(masks) < len(masks)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-6])
+def test_t_thresholds_hold_across_the_df_bracket(alpha):
+    # for each group size n, both thresholds are finite, every |t| on a dense
+    # grid below t_lo gives p >= alpha and every one above t_hi gives p < alpha,
+    # at both ends of the df bracket [n - 1, 2n - 2] and within it
+    eps = np.finfo(np.float64).eps
+    steps = np.concatenate([eps * np.arange(1, 2001), np.logspace(-13, -2, 400)])
+    for n in range(2, 41):
+        df = np.linspace(n - 1, 2 * n - 2, 5)[:, None]
+        t_lo, t_hi = t_thresholds(n - 1, 2 * n - 2, alpha)
+        assert np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi, n
+        assert np.all(2.0 * special.stdtr(df, -t_lo * (1 - steps)) >= alpha), n
+        assert np.all(2.0 * special.stdtr(df, -t_hi * (1 + steps)) < alpha), n
+    assert t_thresholds(1, 2, 1e-320) == (-np.inf, np.inf)
+
+
+def test_compute_degs_at_8_cells_retests_few_genes(monkeypatch):
+    calls = []
+
+    def welch(control, block):
+        calls.append(np.shape(block)[1])
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(data, "welch_pvalues", welch)
+    cfg = SynthConfig(n_genes=200, n_perturbations=40, cells_per_condition=8, noise_sigma=0.2, embed_dim=16)
+    ds = synth_generate(cfg, seed=1).dataset
+    table = compute_degs(ds)
+    assert len(calls) == 1 and 0 < calls[0] < 0.05 * ds.n_genes * len(ds.perturbations)
+    for p in ds.pert_names():
+        assert table.masks[p].tobytes() == (welch_pvalues(ds.control, ds.block(p)) < 0.05).tobytes()
 
 
 @pytest.mark.parametrize("correction", ["none", "benjamini-hochberg"])
@@ -786,8 +853,7 @@ def test_predicted_deg_set_with_control_stats_bit_identical(correction):
 
 def test_unknown_correction_is_rejected_before_any_welch_test(monkeypatch):
     calls = []
-    for module in (data, metrics):
-        monkeypatch.setattr(module, "welch_pvalues", lambda *args: calls.append(args))
+    monkeypatch.setattr(data, "welch_pvalues", lambda *args: calls.append(args))
     ds = tiny_dataset()
     with pytest.raises(UsageError, match="unknown correction"):
         predicted_deg_set(ds.control, np.zeros(ds.n_genes), 0.05, "bonferroni")

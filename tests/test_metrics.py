@@ -19,9 +19,12 @@ from pertgraph.metrics import (
     pearson_delta,
     predicted_deg_set,
     rank_average_ties,
+    rank_rows,
     report,
     write_scatter_csv,
 )
+
+from conftest import packed_welch_calls
 
 
 # --- pearson ------------------------------------------------------------------
@@ -100,6 +103,82 @@ def test_rank_average_ties_matches_loop_reference():
             assert rank_average_ties(x).tobytes() == loop_ranks(x).tobytes()
 
 
+def ragged_rows(rng, n_rows):
+    """Rows of 0-12 values with ties, signed zeros, infinities and NaNs, and
+    their lengths; every third row holds a single value."""
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 5e-324])
+    rows = []
+    for i in range(n_rows):
+        size = 1 if i % 3 == 0 else int(rng.integers(0, 13))
+        rows.append(rng.choice(values, size) if i % 2 else np.round(rng.normal(size=size), 1))
+    return rows, np.array([row.size for row in rows])
+
+
+def test_rank_rows_matches_the_loop_reference_row_by_row():
+    rng = np.random.default_rng(25)
+    for n_rows in (0, 1, 2, 7, 40):
+        rows, lengths = ragged_rows(rng, n_rows)
+        got = rank_rows(np.concatenate([np.empty(0), *rows]), lengths)
+        assert got.tobytes() == np.concatenate([np.empty(0), *map(loop_ranks, rows)]).tobytes()
+    # NaNs rank last, each value alone; -0.0 and 0.0 tie
+    assert rank_rows([np.nan, 1.0, np.nan, 0.0, -0.0, 7.0], [3, 3]).tolist() == [2.0, 1.0, 3.0, 1.5, 1.5, 3.0]
+
+
+def weighted_spearman_reference(x, y, w):
+    """The one-row formula: ranks by the loop reference, each sum by numpy's
+    `.sum()` of the row alone; None where the one-row metric is undefined."""
+    if x.size < 2 or not np.any(w > 0):
+        return None
+    rx, ry = loop_ranks(x), loop_ranks(y)
+    wsum = w.sum()
+    mx, my = (w * rx).sum() / wsum, (w * ry).sum() / wsum
+    cov = (w * (rx - mx) * (ry - my)).sum() / wsum
+    vx, vy = (w * (rx - mx) ** 2).sum() / wsum, (w * (ry - my) ** 2).sum() / wsum
+    return None if vx == 0.0 or vy == 0.0 else float(cov / np.sqrt(vx * vy))
+
+
+def one_row_or_none(metric, *args):
+    try:
+        return metric(*args)
+    except DegenerateError:
+        return None
+
+
+def test_block_spearman_equals_the_one_row_calls():
+    rng = np.random.default_rng(26)
+    n_genes = 30
+    dp = np.round(rng.normal(size=(60, n_genes)), 1)  # rounded, so ranks tie
+    dt = np.round(rng.normal(size=(60, n_genes)), 1)
+    deg = rng.random((60, n_genes)) < rng.uniform(0.0, 0.8, (60, 1))
+    deg[:3] = False  # no DEG
+    for i, k in [(3, 1), (4, 1), (5, 2), (6, 2), (7, 2)]:  # one DEG, two DEGs
+        deg[i] = False
+        deg[i, rng.choice(n_genes, k, replace=False)] = True
+    deg[8:10] = True
+    dp[8] = 4.0  # constant predicted ranks
+    dt[9] = dt[9, 0]  # constant true ranks (and all-equal weights)
+    deg[10:12] = True
+    dt[10:12] = 0.0  # all-zero |true delta|: no weight, but the plain metric is defined only if ranks vary
+    dt[11, :5] = -0.0
+    undefined = {"sig": set(), "lfc": set()}
+    for name, metric in (("sig", de_spearman_sig), ("lfc", de_spearman_lfc)):
+        got = metric(dp, dt, deg)
+        assert len(got) == len(dp)
+        for i, (x, y, d) in enumerate(zip(dp, dt, deg)):
+            alone = one_row_or_none(metric, x[d], y[d])
+            w = np.ones(d.sum()) if name == "sig" else np.abs(y[d])
+            assert alone == weighted_spearman_reference(x[d], y[d], w)
+            assert (got[i] is None) == (alone is None), (name, i)
+            assert got[i] == alone, (name, i)  # equal floats, bit for bit
+            if alone is None:
+                undefined[name].add(i)
+    # under |true delta| weights, constant ranks can give a weighted mean that
+    # rounds, and so a tiny nonzero variance, in both forms alike
+    assert {0, 1, 2, 3, 4, 8, 9, 10, 11} <= undefined["sig"] and {0, 1, 2, 3, 4, 10, 11} <= undefined["lfc"]
+    for name in ("sig", "lfc"):
+        assert not {5, 6, 7} <= undefined[name] and len(undefined[name]) < len(dp) // 2
+
+
 def test_weighted_spearman_uniform_equals_plain_bit_for_bit():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -148,15 +227,6 @@ def test_weighted_spearman_rejects_nan_inf_and_negative_weights():
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(UsageError, match=f"weights must be finite and >= 0, got {bad}"):
             de_spearman_lfc([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], weights=[1, bad, 1])
-
-
-def test_spearman_with_given_ranks_equals_ranking_inside():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        x, y = np.round(rng.normal(size=(2, 15)), 1)
-        ranks = rank_average_ties(x), rank_average_ties(y)
-        assert de_spearman_sig(x, y, ranks=ranks) == de_spearman_sig(x, y)
-        assert de_spearman_lfc(x, y, ranks=ranks) == de_spearman_lfc(x, y)
 
 
 def test_weighted_spearman_zero_weights_rejected():
@@ -370,22 +440,21 @@ def predicted_deg_set_materialised(control_block, pred_delta, alpha=0.05, correc
     return set(np.flatnonzero(deg_rule(alpha, correction)(p)).tolist())
 
 
-def counting_welch(monkeypatch, *modules):
-    """Replace `welch_pvalues` in each module with one wrapper; returns the
-    list of the column counts it was called with."""
+def counting_welch(monkeypatch):
+    """Replace `data.welch_pvalues` with a wrapper; returns the list of the
+    (rows, columns) shapes of the blocks it was called with."""
     calls = []
 
     def welch(control, block):
-        calls.append(np.shape(block)[1])
+        calls.append(np.shape(block))
         return welch_pvalues(control, block)
 
-    for module in modules:
-        monkeypatch.setattr(module, "welch_pvalues", welch)
+    monkeypatch.setattr(data, "welch_pvalues", welch)
     return calls
 
 
 def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
-    calls = counting_welch(monkeypatch, data, metrics)
+    calls = counting_welch(monkeypatch)
     rng = np.random.default_rng(15)
     eps = np.finfo(np.float64).eps
     retested = 0
@@ -405,16 +474,23 @@ def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
             one_on_crit = rng.normal(0.0, 0.3, g)
             one_on_crit[g // 2] = on_crit[g // 2]
             tiny = se * rng.integers(-3, 4, g) * 1e-16
-            for d in (rng.normal(0.0, 0.3, g), np.zeros(g), on_crit, near_crit, one_on_crit, tiny):
-                if g > 8:
-                    d[:4] = rng.choice([0.0, 1e-17, 1.0, -2.5], 4)
-                    d[4:8] = rng.choice([0.0, 1e9, -1e9, 1e-3], 4)
-                for correction in ("none", "benjamini-hochberg"):
+            deltas = np.array([rng.normal(0.0, 0.3, g), np.zeros(g), on_crit, near_crit, one_on_crit, tiny])
+            for d in deltas if g > 8 else ():
+                d[:4] = rng.choice([0.0, 1e-17, 1.0, -2.5], 4)
+                d[4:8] = rng.choice([0.0, 1e9, -1e9, 1e-3], 4)
+            for correction in ("none", "benjamini-hochberg"):
+                expected = [predicted_deg_set_materialised(control, d, alpha, correction) for d in deltas]
+                for d, want in zip(deltas, expected):
                     calls.clear()
-                    got = predicted_deg_set(control, d, alpha, correction, c)
-                    assert got == predicted_deg_set_materialised(control, d, alpha, correction)
-                    assert len(calls) == 1
-                    retested += calls[0] if correction == "none" else 0
+                    assert predicted_deg_set(control, d, alpha, correction, c) == want
+                    assert len(calls) <= 1 and packed_welch_calls(calls, g)  # no call when no gene is open
+                    assert len(calls) == 1 or correction == "none"
+                    retested += sum(w for _, w in calls) if correction == "none" else 0
+                calls.clear()  # the block of all six: the genes the rows leave open, one block's width a call
+                got = predicted_deg_set(control, deltas, alpha, correction, c)
+                assert [set(np.flatnonzero(row).tolist()) for row in got] == expected
+                assert packed_welch_calls(calls, g)
+                assert len(calls) == len(deltas) or correction == "none"
     assert retested > 0  # the window and the degenerate columns were exercised
 
 
@@ -431,12 +507,28 @@ def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
 
 
 def test_predicted_deg_set_retests_no_column_of_an_ordinary_prediction(monkeypatch):
-    calls = counting_welch(monkeypatch, data, metrics)
+    calls = counting_welch(monkeypatch)
     rng = np.random.default_rng(16)
     control = rng.uniform(0.5, 3.0, 500) + rng.normal(0.0, 0.2, (20, 500))
     d = rng.normal(0.0, 0.3, 500)
     assert predicted_deg_set(control, d) == predicted_deg_set_materialised(control, d)
-    assert calls == [0]
+    assert calls == []
+
+
+def test_a_welch_call_holds_at_most_one_block_under_benjamini_hochberg(monkeypatch):
+    # every gene is re-tested under BH, so the cuts of a chunk's rows must
+    # not all go into one call: that would hold rows x the control block
+    calls = counting_welch(monkeypatch)
+    rng = np.random.default_rng(19)
+    control = rng.uniform(3.0, 4.0, 50) + rng.normal(0.0, 0.2, (300, 50))
+    deltas = rng.normal(0.0, 0.3, (40, 50))
+    got = predicted_deg_set(control, deltas, correction="benjamini-hochberg")
+    assert [set(np.flatnonzero(row).tolist()) for row in got] == [predicted_deg_set_materialised(control, d, correction="benjamini-hochberg") for d in deltas]
+    assert calls == [control.shape] * len(deltas)
+    blocks = {f"P{i:02d}": control[:30] + d for i, d in enumerate(deltas)}
+    calls.clear()
+    compute_degs(PerturbationDataset(GeneVocab([f"G{i}" for i in range(50)]), control, blocks), correction="benjamini-hochberg")
+    assert calls == [(30, 50)] * len(blocks)
 
 
 # --- reporting -----------------------------------------------------------------------
@@ -547,7 +639,7 @@ def evaluate_predictions_loop(dataset, predictions, perts, alpha=0.05, correctio
     pred_deltas = metrics.prediction_deltas(predictions, perts, control.mean)
     truth = compute_degs(dataset, alpha=alpha, correction=correction, perturbations=perts)
     pds_scores, _ = pds(pred_deltas, {p: truth.deltas[p] for p in perts})
-    undefined = metrics._unless_degenerate
+    undefined = one_row_or_none
     per = {}
     for p in perts:
         dp, dt, deg = pred_deltas[p], truth.deltas[p], truth.deg_indices(p)
@@ -588,15 +680,22 @@ def test_evaluate_predictions_rejects_a_repeated_perturbation():
         evaluate_predictions(ds, preds, [names[3], names[2], names[1], names[2], names[3]])
 
 
-def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delta_once(monkeypatch):
+@pytest.mark.parametrize("rows_per_chunk", [None, 5], ids=["one-chunk", "chunks-of-5"])
+def test_evaluate_predictions_makes_one_welch_call_per_chunk(monkeypatch, rows_per_chunk):
     cfg = SynthConfig(n_genes=100, n_perturbations=12, cells_per_condition=10, embed_dim=8)
     synth = synth_generate(cfg, seed=3).dataset
     blocks = {p: synth.block(p) for p in synth.pert_names()}
     blocks["NULL"] = synth.control.copy()  # no DEG, so no Welch test of its prediction
     ds = PerturbationDataset(synth.vocab, synth.control, blocks)
+    if rows_per_chunk:
+        monkeypatch.setattr(data, "ROW_CHUNK_VALUES", ds.n_genes * rows_per_chunk)
+    n_chunks = len(data.row_chunks(len(blocks), ds.n_genes))
     rng = np.random.default_rng(18)
     preds = {p: ds.block(p).mean(axis=0) + rng.normal(0.0, 0.2, ds.n_genes) for p in ds.pert_names()}
-    calls = counting_welch(monkeypatch, data, metrics)
+    c = group_stats(ds.control)
+    for v in preds.values():  # gene 0 on the critical value, so every prediction tested leaves it open
+        v[0] = c.mean[0] + np.sqrt(2 * c.var[0] / c.n) * -special.stdtrit(2 * (c.n - 1), 0.025)
+    calls = counting_welch(monkeypatch)
     calls_true = []
 
     def degs(*args, **kwargs):  # counts the calls made for the true DEG table
@@ -607,12 +706,18 @@ def test_evaluate_predictions_makes_one_welch_call_per_block_and_ranks_each_delt
 
     monkeypatch.setattr(metrics, "compute_degs", degs)
     ranked = []
-    monkeypatch.setattr(metrics, "rank_average_ties", lambda x: ranked.append(1) or rank_average_ties(x))
-    _, truth = evaluate_predictions(ds, preds, ds.pert_names())
+    monkeypatch.setattr(metrics, "rank_rows", lambda *args: ranked.append(len(args[1])) or rank_rows(*args))
+    report_, truth = evaluate_predictions(ds, preds, ds.pert_names())
     with_degs = sum(truth.deg_indices(p).size > 0 for p in ds.pert_names())
     assert 0 < with_degs < len(preds)  # both kinds of perturbation occur
-    assert calls_true == [len(preds)] and len(calls) == len(preds) + with_degs
-    assert len(ranked) == 2 * len(preds)
+    # every block has 10 cells: one call a chunk at most for the true table,
+    # one for the predictions of each chunk that has DEGs, and none that tests no gene
+    chunks = [ds.pert_names()[rows] for rows in data.row_chunks(len(preds), ds.n_genes)]
+    assert len(calls_true) == 1 and calls_true[0] <= n_chunks and all(0 < w <= ds.n_genes for _, w in calls)
+    assert len(calls) - calls_true[0] == sum(any(truth.deg_indices(p).size for p in chunk) for chunk in chunks) > 0
+    # each Spearman metric ranks both deltas of every row of a chunk in one pass
+    assert ranked == [2 * len(chunk) for chunk in chunks for _ in range(2)]
+    assert report_.per_perturbation["NULL"]["de_spearman_sig"] is None
 
 
 def test_evaluate_predictions_takes_the_control_statistics_once(monkeypatch):

@@ -77,10 +77,10 @@ def test_extra_and_missing_files(runs):
 def test_chain_covers_every_command_and_mode():
     steps = outputs_rule.chain()
     commands = [args[0] for args in steps]
-    assert commands.count("synth") == 4 and commands.count("train") == 15
-    assert commands.count("eval") == 18 and commands.count("predict") == 15
-    assert commands.count("graph-stats") == commands.count("deg-coverage") == 3
-    assert sum("--oracle" in args for args in steps) == 3
+    assert commands.count("synth") == 5 and commands.count("train") == 16
+    assert commands.count("eval") == 20 and commands.count("predict") == 15
+    assert commands.count("graph-stats") == 3 and commands.count("deg-coverage") == 4
+    assert sum("--oracle" in args for args in steps) == 4
     configs = outputs_rule.configs()
     assert {args[args.index("--config") + 1] for args in steps} == set(configs)
     assert "[model]\nselection_mode = top_m\n" in configs["s1_top_m.ini"] and "top_k = 5" in configs["s1_top_m.ini"]
@@ -91,3 +91,8 @@ def test_chain_covers_every_command_and_mode():
     assert "n_genes = 200\n" in configs["s2_des_k_past_genes.ini"]
     assert configs["s1_modules_50.ini"] == configs["s1.ini"].replace("[synth]\n", "[synth]\nmodules = 50\n")
     assert ["synth", "--config", "s1_modules_50.ini", "--seed", "1", "--out", "data1_modules_50"] in steps
+    few = configs["s1_cells_8.ini"]
+    assert few == configs["s1.ini"].replace("data1/", "data1_cells_8/").replace("cells_per_condition = 20", "cells_per_condition = 8")
+    assert "cells_per_condition = 8\n" in few and few.count("data1_cells_8/") == 3
+    assert ["synth", "--config", "s1_cells_8.ini", "--seed", "1", "--out", "data1_cells_8"] in steps
+    assert ["eval", "--config", "s1_cells_8.ini", "--seed", "1", "--out", "s1_cells_8/oracle", "--oracle"] in steps

@@ -5,8 +5,8 @@ perfbench runs, and write the result as BENCH_<label>.json.
         [--workloads train-c7,analyze-10x] [--claim WORKLOAD:METRIC]
         [--trace-seed S] [--change TEXT]
 
-REV (the parent) is checked out with `git worktree add --detach` into a
-temporary directory and removed again afterwards; the working tree (the
+REV's files (the parent) are written with `git archive` into a temporary
+directory, removed again afterwards; the working tree (the
 change), uncommitted files included, is copied next to it. Both sides get the
 working tree's `perfbench/` and `BENCHMARK.json`, so only the program differs.
 
@@ -276,9 +276,10 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"parent": work / "parent", "change": work / "change"}
-    subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet", str(trees["parent"]), args.rev],
-                   check=True)
     try:
+        from outputs_rule import export_tree  # the script next to this one
+
+        export_tree(args.rev, trees["parent"])
         _copy_working_tree(trees["change"])
         for tree in trees.values():
             _share_benchmark(tree)
@@ -299,7 +300,6 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     finally:
-        subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(trees["parent"])], check=True)
         shutil.rmtree(work, ignore_errors=True)
 
     order = ", then ".join(f"{w} seeds {seeds[0]}-{seeds[-1]}" for w in workload_names)
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         "change": args.change,
         "parent_commit": parent_commit,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "method": (f"tools/bench_pairs.py: alternating pairs, the parent in a git worktree of {args.rev} and the "
+        "method": (f"tools/bench_pairs.py: alternating pairs, the parent in a git archive of {args.rev} and the "
                    "change in a copy of the working tree, both with the working tree's perfbench/ and "
                    "BENCHMARK.json; the pair with seed s runs the parent first when s is odd and the change "
                    f"first when s is even; {order}{traced_note}; {WITHIN_BOUND_RULE}; {CLAIM_RULE}"),

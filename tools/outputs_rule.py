@@ -3,8 +3,9 @@ working tree, and compare every output byte for byte.
 
     python tools/outputs_rule.py REV [--keep DIR]
 
-REV is checked out with `git worktree add --detach` into a temporary
-directory and removed again afterwards; only local git is used. The working
+REV's files are written with `git archive` into a temporary directory,
+removed again afterwards; only local git is used, and the repository's
+checkout and worktrees are left alone. The working
 tree is the checkout this script sits in, uncommitted changes included. Each
 tree runs the chain below in a run directory of its own, with its own `src/`
 on PYTHONPATH. Every path in the chain is relative to the run directory, so
@@ -19,7 +20,10 @@ perturbations) with `top_k = 5`:
 - `train` for 15 epochs in each of five modes, then `eval` and `predict` on
   each checkpoint: threshold, top_m, no_context, Benjamini-Hochberg DEG
   tables, and `des_k` values up to and past the gene count;
-- `eval --oracle`, `graph-stats` and `deg-coverage`.
+- `eval --oracle`, `graph-stats` and `deg-coverage`;
+- at seed 1, a second `synth` at `cells_per_condition = 8`, where the
+  closed-form DEG decisions are at their least certain, with `train`,
+  `eval`, `eval --oracle` and `deg-coverage` on it.
 
 Each command's exit code, stdout and stderr (with the tree's path replaced)
 go into `commands.log`, which is compared like the other files. For a JSON,
@@ -54,6 +58,7 @@ MODES = {  # training mode -> the INI section it changes and the line it adds th
     "des_k_past_genes": ("[metrics]", "des_k = 1,10,199,200,500"),
 }
 SMALL_MODULES = "s1_modules_50.ini"  # the extra synth's config: seed 1 with 4-gene modules
+FEW_CELLS = "s1_cells_8.ini"  # seed 1 with 8 cells per condition, its data in data1_cells_8
 BASE_CONFIG = """\
 [paths]
 expression = data{seed}/expression.csv
@@ -87,7 +92,7 @@ learning_rate = 0.01
 
 def configs() -> dict[str, str]:
     """INI file name -> text: one per seed, one per seed and training mode,
-    and the small-module synth's."""
+    the small-module synth's and the 8-cell synth's."""
     out = {}
     for seed in SEEDS:
         base = out[f"s{seed}.ini"] = BASE_CONFIG.format(seed=seed)
@@ -101,6 +106,7 @@ def configs() -> dict[str, str]:
                     text = f"{base}{section}\n{line}\n"
             out[f"s{seed}_{mode}.ini"] = text
     out[SMALL_MODULES] = out["s1.ini"].replace("[synth]\n", "[synth]\nmodules = 50\n", 1)
+    out[FEW_CELLS] = out["s1.ini"].replace("data1/", "data1_cells_8/").replace("cells_per_condition = 20", "cells_per_condition = 8")
     return out
 
 
@@ -121,7 +127,21 @@ def chain() -> list[list[str]]:
         steps.append(["eval", *common, "--out", f"s{seed}/oracle", "--oracle"])
         steps.append(["graph-stats", *common, "--out", f"s{seed}/graph-stats"])
         steps.append(["deg-coverage", *common, "--out", f"s{seed}/deg-coverage"])
+        if seed == 1:
+            few = ["--config", FEW_CELLS, "--seed", "1"]
+            steps.append(["synth", *few, "--out", "data1_cells_8"])
+            steps.append(["train", *few, "--out", "s1_cells_8/train"])
+            steps.append(["eval", *few, "--out", "s1_cells_8/eval", "--checkpoint", "s1_cells_8/train/checkpoint.json"])
+            steps.append(["eval", *few, "--out", "s1_cells_8/oracle", "--oracle"])
+            steps.append(["deg-coverage", *few, "--out", "s1_cells_8/deg-coverage"])
     return steps
+
+
+def export_tree(rev: str, dest: Path) -> None:
+    """Write the files of git revision `rev` into the new directory `dest`."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_chain(tree: Path, run_dir: Path) -> None:
@@ -244,11 +264,11 @@ def main(argv=None) -> int:
     work = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="outputs-rule-"))
     work.mkdir(parents=True, exist_ok=True)
     tree = work / "rev-tree"
-    subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet", str(tree), args.rev], check=True)
     try:
+        export_tree(args.rev, tree)
         run_chain(tree, work / "rev")
     finally:
-        subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)], check=True)
+        shutil.rmtree(tree, ignore_errors=True)
     run_chain(REPO, work / "change")
     lines, summary, same = compare(work / "rev", work / "change")
     print("\n".join([*lines, f"{summary} against {args.rev}"]))
