@@ -184,10 +184,7 @@ def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) ->
     if not params.config.no_context and params.d_embed != embeddings.dim:
         raise DataError(f"embeddings in {cfg.embeddings} are {embeddings.dim} wide, the checkpoint's are {params.d_embed}")
     test_perts = _resolve_test_split(cfg, args, dataset, manifest)
-    xbar_c = dataset.control.mean(axis=0)
-    predictions = predict_profiles(params, xbar_c, test_perts, graph, embeddings)
-    prediction_deltas(predictions, test_perts, xbar_c)  # refuse profiles no metric could score
-    return test_perts, predictions
+    return test_perts, predict_profiles(params, dataset.control.mean(axis=0), test_perts, graph, embeddings)
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
@@ -212,7 +209,8 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
     dataset, graph, embeddings = _load_inputs(cfg)
-    _, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
+    test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
+    prediction_deltas(predictions, test_perts, dataset.control.mean(axis=0))  # refuse profiles no metric could score
     rows = ([p, *predictions[p].tolist()] for p in sorted(predictions))
     write_csv(out / "predictions.csv", ["perturbation"] + dataset.vocab.names, rows)
     return f"predict: wrote {len(predictions)} profiles to {out / 'predictions.csv'}"

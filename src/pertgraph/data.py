@@ -402,7 +402,8 @@ def group_stats(block: np.ndarray) -> GroupStats:
 def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gene Welch t of b against a, its Welch-Satterthwaite df, and the
     degenerate columns, constant in both groups, where neither means anything.
-    b may hold a (P, G) stack of blocks' statistics, its n a (P, 1) column.
+    b may hold a (P, G) stack of blocks' statistics, n a (P, 1) column, or
+    columns gathered from many blocks, n an array with a count per column.
 
     Where the df's squares under- or overflow (variances near 1e-170 or
     1e170), it is taken again from ta and tb scaled by their maximum, which
@@ -423,18 +424,44 @@ def _welch_t(a: GroupStats, b: GroupStats) -> tuple[np.ndarray, np.ndarray, np.n
     return t, df, degenerate
 
 
-def welch_pvalues(control: np.ndarray | GroupStats, pert_block: np.ndarray) -> np.ndarray:
+def welch_pvalues(control: np.ndarray | GroupStats, pert_block: np.ndarray | GroupStats) -> np.ndarray:
     """Two-sided Welch t-test per gene column (unequal variances).
 
-    `control` is the control block, or its `group_stats` when many blocks are
-    tested against it. Degenerate columns where both groups have zero
-    variance give p = 1 when the means agree and p = 0 when they differ.
+    Either side is a sample block or its `group_stats`. Statistics may be
+    columns gathered from many blocks, with n an array of each column's
+    sample count: each p-value is bit for bit the one its blocks give whole.
+    Degenerate columns where both groups have zero variance give p = 1 when
+    the means agree and p = 0 when they differ.
     """
-    a = control if isinstance(control, GroupStats) else group_stats(control)
-    b = group_stats(pert_block)
+    a, b = (s if isinstance(s, GroupStats) else group_stats(s) for s in (control, pert_block))
     t, df, degenerate = _welch_t(a, b)
     p = 2.0 * stdtr(df, -np.abs(t))
     return np.where(degenerate, np.where(a.max == b.max, 1.0, 0.0), p)
+
+
+def shifted_pvalues(control_block: np.ndarray, control: GroupStats, deltas: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The p-values of `welch_pvalues(control_block, control_block + deltas[i])`
+    at the flat positions `at` of the (P, G) `deltas`, in their order, bit for
+    bit; `control` is `group_stats(control_block)`.
+
+    The positions are tested G at a time, one `welch_pvalues` call each, on
+    `np.take(control_block, cols, axis=1) + deltas[rows, cols]`. numpy sums
+    each column of such a piece row by row, as it sums a whole block of more
+    than one column, but a lone column pairwise, so a piece of width 1 from a
+    wider block is taken twice; a one-column block is summed pairwise whole,
+    as its pieces are. When every position is open, each piece is one
+    prediction's whole shifted block.
+    """
+    g = deltas.shape[1]
+    out = [np.empty(0)]
+    for lo in range(0, at.size, g):
+        rows, cols = np.divmod(at[lo : lo + g], g)
+        width = cols.size
+        if width == 1 < g:
+            rows, cols = np.repeat(rows, 2), np.repeat(cols, 2)
+        piece = np.take(control_block, cols, axis=1) + deltas[rows, cols]
+        out.append(welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), piece)[:width])
+    return np.concatenate(out)
 
 
 TAIL_RTOL = 1e-9  # relative error allowed for stdtr's tail probabilities (they reach 3e-14)
@@ -459,61 +486,21 @@ def t_thresholds(df_low: float, df_high: float, alpha: float) -> tuple[float, fl
     return (t_lo if lo_ok else -np.inf), (t_hi if hi_ok else np.inf)
 
 
-def welch_window(control: GroupStats, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]) -> list[np.ndarray]:
-    """For each `(block, window, shift)` cut, the p-values of
-    `welch_pvalues(control, block + shift)` at its `window` columns (shift
-    None: no shift), bit for bit. The blocks share one sample count and one
-    column count, G. Consecutive cuts are tested together in one
-    `welch_pvalues` call while their widths sum to at most G, so no call
-    holds more values than one whole block; cuts with no column make no call.
-
-    Each cut is taken with `np.take`, and a call's cuts are put side by side,
-    so numpy sums every column row by row, in the order a whole block of more
-    than one column uses; a lone column it would sum pairwise, so a call of
-    width 1 takes it twice. A block of one column is itself summed pairwise,
-    so the cut of such a block is laid out as a column, which numpy sums
-    pairwise.
-    """
-    out: list[np.ndarray] = []
-    start = held = 0
-    for i, (block, window, _) in enumerate(cuts):
-        if held + window.size > block.shape[1]:
-            out += _welch_cuts(control, cuts[start:i])
-            start, held = i, 0
-        held += window.size
-    return out + _welch_cuts(control, cuts[start:])
-
-
-def _welch_cuts(control: GroupStats, cuts: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]) -> list[np.ndarray]:
-    """`welch_window` of cuts whose widths sum to at most G, in one call or none."""
-    widths = [window.size for _, window, _ in cuts]
-    if not sum(widths):
-        return [np.empty(0) for _ in cuts]
-    cut = np.concatenate([np.take(b, w, axis=1) if s is None else np.take(b, w, axis=1) + s[w] for b, w, s in cuts], axis=1)
-    cols = np.concatenate([window for _, window, _ in cuts])
-    if cuts[0][0].shape[1] == 1:
-        cut = np.asfortranarray(cut)
-    elif cols.size == 1:
-        cut, cols = np.repeat(cut, 2, axis=1), np.repeat(cols, 2)
-    p = welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), cut)
-    return np.split(p[: sum(widths)], np.cumsum(widths)[:-1])
-
-
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
-    """Benjamini-Hochberg adjusted p-values (monotone step-up)."""
+    """Benjamini-Hochberg adjusted p-values (monotone step-up) of each row on its own."""
     p = np.asarray(pvalues, dtype=np.float64)
-    n = p.size
-    order = np.argsort(p, kind="stable")
-    ranked = p[order] * n / np.arange(1, n + 1)
-    adjusted = np.fmin.accumulate(ranked[::-1])[::-1]  # a NaN p-value stays NaN and bounds no other
-    out = np.empty(n)
-    out[order] = np.minimum(adjusted, 1.0)
+    n = p.shape[-1]
+    order = np.argsort(p, axis=-1, kind="stable")
+    ranked = np.take_along_axis(p, order, -1) * n / np.arange(1, n + 1)
+    adjusted = np.fmin.accumulate(ranked[..., ::-1], axis=-1)[..., ::-1]  # a NaN p-value stays NaN and bounds no other
+    out = np.empty(p.shape)
+    np.put_along_axis(out, order, np.minimum(adjusted, 1.0), -1)
     return out
 
 
 def deg_rule(alpha: float, correction: str) -> Callable[[np.ndarray], np.ndarray]:
     """p-values -> DEG mask, its settings checked before any test runs: a gene is a
-    DEG when its p-value, BH-adjusted under "benjamini-hochberg", is strictly below alpha."""
+    DEG when its p-value, BH-adjusted row by row under "benjamini-hochberg", is strictly below alpha."""
     if correction not in ("none", "benjamini-hochberg"):
         raise UsageError(f"unknown correction {correction!r}")
     check_range("alpha", alpha, 0, 1, low_open=True, high_open=False)
@@ -588,10 +575,10 @@ def compute_degs(
     statistics, `row_chunks` rows at a time, with one `t_thresholds` call per
     distinct block size. The rest (|t| between the two, a df outside the
     bracket or NaN, a degenerate column) take the test itself; under
-    "benjamini-hochberg" every gene does. Each chunk's blocks of one sample
-    count take it in one `welch_window` call, which makes one Welch call for
-    the lot while they fit in one block's width; a chunk with no gene to test
-    makes none.
+    "benjamini-hochberg" every gene does. A chunk's open (block, gene)
+    positions take one `welch_pvalues` call on the statistics already taken,
+    the blocks' and the control's gathered at those positions, so no sample
+    is read again; a chunk with no open position makes none.
     """
     is_deg = deg_rule(alpha, correction)
     names = dataset.pert_names() if perturbations is None else sorted(perturbations)
@@ -601,27 +588,30 @@ def compute_degs(
 
     for rows in row_chunks(len(names), dataset.n_genes):
         chunk = names[rows]
-        blocks = [dataset.block(name) for name in chunk]
-        stats = [group_stats(block) for block in blocks]
-        b = GroupStats(_column([s.n for s in stats]), *map(np.array, list(zip(*stats))[1:]))
+        stats = [group_stats(dataset.block(name)) for name in chunk]
+        ns = [s.n for s in stats]
+        b = GroupStats(_column(ns), *map(np.array, list(zip(*stats))[1:]))
         if correction == "none":
             t, df, degenerate = _welch_t(control, b)
             t = np.abs(t)
-            for n in {s.n for s in stats} - thresholds.keys():
+            for n in set(ns) - thresholds.keys():
                 thresholds[n] = t_thresholds(min(control.n, n) - 1, control.n + n - 2, alpha)
-            t_lo, t_hi = (_column([thresholds[s.n][i] for s in stats]) for i in (0, 1))
+            t_lo, t_hi = (_column([thresholds[n][i] for n in ns]) for i in (0, 1))
             known = ~degenerate & (df >= np.minimum(control.n, b.n) - 1) & (df <= control.n + b.n - 2)
             masks = known & (t > t_hi)
-            windows = [np.flatnonzero(row) for row in ~(masks | known & (t < t_lo))]
+            retest = ~(masks | known & (t < t_lo))
         else:
-            masks = np.zeros((len(chunk), dataset.n_genes), dtype=bool)
-            windows = [np.arange(dataset.n_genes)] * len(chunk)
-        for n in sorted({s.n for s in stats}):
-            group = [i for i, s in enumerate(stats) if s.n == n]
-            for i, p in zip(group, welch_window(control, [(blocks[i], windows[i], None) for i in group])):
-                masks[i, windows[i]] = is_deg(p)
-                if correction != "none":
-                    table.pvalues[chunk[i]] = p
+            masks = retest = np.ones(b.mean.shape, dtype=bool)
+        at = np.flatnonzero(retest)
+        if at.size:
+            block_of, cols = np.divmod(at, dataset.n_genes)
+            gathered = GroupStats(np.take(ns, block_of), *(np.take(x, at) for x in b[1:]))
+            p = welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), gathered)
+            if correction == "none":
+                masks[retest] = is_deg(p)
+            else:  # every position is open
+                table.pvalues.update(zip(chunk, p.reshape(masks.shape)))
+                masks = is_deg(p.reshape(masks.shape))
         table.masks.update(zip(chunk, masks))
         table.deltas.update(zip(chunk, b.mean - control.mean))
     return table

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, row_chunks, t_thresholds, welch_window
+from .data import GroupStats, compute_degs, deg_rule, effect_size_strata, group_stats, row_chunks, shifted_pvalues, t_thresholds
 from .errors import DegenerateError, NumericalError, ShapeError, UsageError, check_range, first_repeat, write_csv, write_json
 
 # A metric given (P, G) blocks, one perturbation a row, scores each row and
@@ -100,10 +100,11 @@ def rank_average_ties(x) -> np.ndarray:
 def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted Pearson correlation of each consecutive segment of x and
     y, `lengths` values long, under the weights w >= 0, and the segments
-    where it is undefined (fewer than 2 values, no weight, a constant x or
-    y). The elementwise work runs on the whole arrays; each segment's sums
-    are numpy's `.sum()` of its own values, the sums it gets alone
-    (np.add.reduceat adds in another order)."""
+    where it is undefined: x or y takes one value over the positive weights
+    (found exactly: equal values can leave a variance that rounds above 0),
+    or a variance underflows to 0. The elementwise work runs on the whole
+    arrays; each segment's sums are numpy's `.sum()` of its own values, the
+    sums it gets alone (np.add.reduceat adds in another order)."""
     ends = np.cumsum(lengths)
     bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
 
@@ -111,11 +112,17 @@ def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths:
         stacked = np.stack(terms)
         return np.array([stacked[:, lo:hi].sum(axis=1) for lo, hi in bounds]).reshape(len(bounds), len(terms)).T
 
+    seg = np.repeat(np.arange(lengths.size), lengths)[w > 0]
+
+    def varies(v):  # whether each segment's values at positive weight differ
+        v = v[w > 0]
+        return np.bincount(seg[1:][(seg[1:] == seg[:-1]) & (v[1:] != v[:-1])], minlength=lengths.size) > 0
+
     with np.errstate(divide="ignore", invalid="ignore"):
         wsum, wx, wy = sums(w, w * x, w * y)
         dx, dy = x - np.repeat(wx / wsum, lengths), y - np.repeat(wy / wsum, lengths)
         cov, vx, vy = sums(w * dx * dy, w * dx**2, w * dy**2) / wsum
-        return cov / np.sqrt(vx * vy), (lengths < 2) | ~(wsum > 0) | (vx == 0.0) | (vy == 0.0)
+        return cov / np.sqrt(vx * vy), ~(varies(x) & varies(y)) | (vx == 0.0) | (vy == 0.0)
 
 
 def _deg_rows(x: np.ndarray, deg) -> np.ndarray:
@@ -128,7 +135,8 @@ def de_spearman_lfc(pred_delta_deg, true_delta_deg, deg=None, *, weights=None):
     weighted by |true delta| unless explicit weights are given. `deg`, when
     given, is a bool mask of the arguments' shape that picks the DEGs out of
     whole deltas; explicit weights have the arguments' shape too. A row is
-    undefined with fewer than 2 DEGs, all-zero weights or constant ranks.
+    undefined with fewer than 2 DEGs, all-zero weights or ranks constant
+    over the DEGs of positive weight.
     One `rank_rows` call ranks both deltas of every row."""
     x, y = _row_pair(pred_delta_deg, true_delta_deg)
     block = np.ndim(pred_delta_deg) == 2
@@ -269,10 +277,10 @@ def predicted_deg_set(
     variance with the same settings used for the ground truth.
     `control_stats`, when given, is `group_stats(control_block)`, computed
     once for many predictions. A (P, G) block of deltas, one prediction a
-    row, gives the (P, G) bool mask of each row's set. The genes tested take
-    one `welch_window` call for the whole block: one Welch call while they
-    fit in the control's width (one per row under "benjamini-hochberg"), or
-    none when there are none.
+    row, gives the (P, G) bool mask of each row's set. The genes tested
+    take `data.shifted_pvalues`: one Welch call per G of them, whatever
+    rows they are in (one per row under "benjamini-hochberg", where BH
+    adjusts each row on its own), none when there are none.
 
     Under correction "none" no shifted copy is built. It has the control's n
     and, up to rounding, std s, so its t is d / (s sqrt(2/n)) with df 2(n - 1).
@@ -288,8 +296,7 @@ def predicted_deg_set(
     d = _rows(pred_delta)
     c = group_stats(control_block) if control_stats is None else control_stats
     if correction != "none":
-        sig = np.zeros(d.shape, dtype=bool)
-        windows = [np.arange(d.shape[1])] * len(d)
+        sig = is_deg(shifted_pvalues(control_block, c, d, np.arange(d.size)).reshape(d.shape))
     else:
         n = c.n
         t_lo, t_hi = t_thresholds(2 * (n - 1) * (1 - 8 * SPREAD_RTOL**2), 2 * (n - 1), alpha)
@@ -300,10 +307,8 @@ def predicted_deg_set(
             tol = 2 * w * (np.sqrt(n) + 2 * t)
             known = w < SPREAD_RTOL
             sig = known & (t - tol > t_hi)
-            windows = [np.flatnonzero(row) for row in ~(sig | known & (t + tol < t_lo))]
-    cuts = [(control_block, window, delta) for window, delta in zip(windows, d)]
-    for row, window, p in zip(sig, windows, welch_window(c, cuts)):
-        row[window] = is_deg(p)
+            retest = ~(sig | known & (t + tol < t_lo))
+        sig[retest] = is_deg(shifted_pvalues(control_block, c, d, np.flatnonzero(retest)))
     return sig if np.ndim(pred_delta) == 2 else set(np.flatnonzero(sig[0]).tolist())
 
 

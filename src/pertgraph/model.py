@@ -475,10 +475,11 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
 def load_checkpoint(json_path, bin_path) -> ModelParams:
     """Read a checkpoint; a malformed manifest (a model config without every
     `ModelConfig` field included), parameters other than the
-    `param_layout` of its sizes and config, a blob whose size or sha256 does
-    not match the manifest, or a NaN or inf in the blob is a DataError. A
-    manifest without `blob_sha256`, or with the scorer's W as one `score.w`
-    (both written by earlier versions), loads."""
+    `param_layout` of its sizes and config, a `pert_index` that does not give
+    each row of `pert.table` to one perturbation name, a blob whose size or
+    sha256 does not match the manifest, or a NaN or inf in the blob is a
+    DataError. A manifest without `blob_sha256`, or with the scorer's W as
+    one `score.w` (both written by earlier versions), loads."""
     try:
         with open(json_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -505,6 +506,9 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
             shapes[at : at + 1] = [("score.wh", (rows // 2, cols)), ("score.ws", (rows - rows // 2, cols))]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint manifest {json_path} has missing or malformed fields: {exc!r}") from None
+    rows = sorted(v for v in pert_index.values() if type(v) is int)  # JSON's true is no row
+    if not all(isinstance(k, str) for k in pert_index) or rows != list(range(len(pert_index))):
+        raise DataError(f"checkpoint manifest {json_path}: pert_index must give each of the rows 0..{len(pert_index) - 1} to one name")
     layout = param_layout(sizes["n_nodes"], sizes["n_genes"], sizes["d_embed"], config, len(pert_index))
     found = dict(shapes)
     if len(found) != len(shapes):

@@ -8,11 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pertgraph import data
 from pertgraph.data import (
+    GroupStats,
     PerturbationDataset,
     SemanticEmbeddings,
     compute_degs,
     hash_embedding,
+    welch_pvalues,
 )
 from pertgraph.graph import GeneVocab, KnowledgeGraph
 from pertgraph.loss import LossWeights
@@ -25,14 +28,19 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
-def packed_welch_calls(calls, n_genes):
-    """Whether `welch_pvalues` calls, as (rows, columns) in call order, hold
-    the cuts of `welch_window` as it packs them: each call has a column and
-    at most n_genes, and no two consecutive calls of one sample count would
-    have fit in one. Holds for calls from one `welch_window` call per sample
-    count."""
-    fits = all(0 < g <= n_genes for _, g in calls)
-    return fits and all(a + b > n_genes for (n, a), (m, b) in zip(calls, calls[1:]) if n == m)
+def counting_welch(monkeypatch):
+    """Replace `data.welch_pvalues` with a wrapper; returns the list of its
+    calls: `("stats", values)` for one with `GroupStats` on both sides, else
+    the (rows, columns) shape of its perturbation block."""
+    calls = []
+
+    def welch(control, block):
+        both = isinstance(control, GroupStats) and isinstance(block, GroupStats)
+        calls.append(("stats", block.mean.size) if both else np.shape(block))
+        return welch_pvalues(control, block)
+
+    monkeypatch.setattr(data, "welch_pvalues", welch)
+    return calls
 
 
 def run_builder(params, build):

@@ -598,6 +598,38 @@ def test_bad_checkpoint_is_a_one_line_data_error(synth_run, capsys, defect):
         assert NAMED_FIELD.get(defect, "") in err
 
 
+def _edit_pert_index(ckpt: Path, edit):
+    manifest = json.loads(ckpt.read_text())
+    first, second = sorted(manifest["pert_index"])[:2]
+    edit(manifest["pert_index"], first, second)
+    ckpt.write_text(json.dumps(manifest))
+
+
+PERT_INDEX_DEFECTS = {
+    "out-of-range": lambda index, first, _: index.update({first: len(index)}),
+    "negative": lambda index, first, _: index.update({first: -1}),
+    "repeated": lambda index, first, second: index.update({first: index[second]}),
+    "non-integer": lambda index, first, _: index.update({first: float(index[first])}),
+    "bool": lambda index, first, _: index.update({first: True}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PERT_INDEX_DEFECTS))
+def test_malformed_pert_index_is_a_one_line_data_error(synth_run, capsys, defect):
+    # the blob's sha256 does not cover the manifest, so only this check stands
+    # between an edited row map and a row read out of range or from another name
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3", "--ablation", "no_context"]) == 0
+    ckpt = tmp / "out" / "checkpoint.json"
+    _edit_pert_index(ckpt, PERT_INDEX_DEFECTS[defect])
+    capsys.readouterr()
+    for command in ("eval", "predict"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp / command), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line(err, "data error: ")
+        assert "checkpoint.json: pert_index must give each of the rows 0.." in err
+
+
 def _to_single_score_w(ckpt: Path):
     """Rewrite a manifest in the layout that stored the scorer's W as one
     (2 d_struct, d_score) `score.w`; the blob's bytes are the same."""

@@ -1,4 +1,3 @@
-import itertools
 import os
 import pickle
 import re
@@ -14,6 +13,7 @@ from pertgraph import data
 from pertgraph.data import (
     LOAD_CHUNK_ROWS,
     DegTable,
+    GroupStats,
     PerturbationDataset,
     SemanticEmbeddings,
     SynthConfig,
@@ -36,7 +36,7 @@ from pertgraph.errors import DataError, ParseError, UsageError
 from pertgraph.graph import GeneVocab
 from pertgraph.metrics import predicted_deg_set
 
-from conftest import packed_welch_calls
+from conftest import counting_welch
 
 
 def tiny_dataset(n_genes=4, perts=("PA", "PB"), seed=0):
@@ -677,13 +677,7 @@ def adversarial_columns(rng, na, nb, alpha):
 
 
 def test_compute_degs_matches_the_materialised_test(monkeypatch):
-    calls = []
-
-    def welch(control, block):
-        calls.append(np.shape(block))
-        return welch_pvalues(control, block)
-
-    monkeypatch.setattr(data, "welch_pvalues", welch)
+    calls = counting_welch(monkeypatch)
     rng = np.random.default_rng(21)
     retested = 0
     for na, nb in [(2, 2), (2, 9), (20, 20), (20, 7), (6, 30)]:
@@ -693,9 +687,9 @@ def test_compute_degs_matches_the_materialised_test(monkeypatch):
             ds = PerturbationDataset(GeneVocab([f"G{i}" for i in range(control.shape[1])]), control, {"PA": block, "PB": np.abs(other)})
             calls.clear()
             table = compute_degs(ds, alpha=alpha)
-            # one call for both blocks' open genes when they fit in one block's width, none if there are none
-            assert packed_welch_calls(calls, ds.n_genes)
-            retested += sum(g for _, g in calls)
+            # one call on statistics for both blocks' open genes, none if there are none
+            assert len(calls) <= 1 and all(kind == "stats" and 0 < n <= 2 * ds.n_genes for kind, n in calls)
+            retested += sum(n for _, n in calls)
             for name in ("PA", "PB"):
                 expected = deg_rule(alpha, "none")(welch_pvalues(ds.control, ds.block(name)))
                 assert table.masks[name].tobytes() == expected.tobytes(), (na, nb, alpha, name)
@@ -746,13 +740,7 @@ def mixed_size_dataset(rng, alpha):
 def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(monkeypatch, rows_per_chunk):
     if rows_per_chunk:
         monkeypatch.setattr(data, "ROW_CHUNK_VALUES", 30 * rows_per_chunk)
-    welch_calls, threshold_calls = [], []
-
-    def welch(control, block):
-        welch_calls.append(np.shape(block))
-        return welch_pvalues(control, block)
-
-    monkeypatch.setattr(data, "welch_pvalues", welch)
+    welch_calls, threshold_calls = counting_welch(monkeypatch), []
     monkeypatch.setattr(data, "t_thresholds", lambda *args: threshold_calls.append(args) or t_thresholds(*args))
     rng = np.random.default_rng(23)
     for alpha in (0.05, 1e-6):
@@ -762,11 +750,10 @@ def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(m
         table = compute_degs(ds, alpha=alpha)
         sizes = [ds.block(p).shape[0] for p in ds.pert_names()]
         step = rows_per_chunk or len(sizes)
-        # every block leaves genes open: one run of Welch calls per chunk and
-        # block size, each call at most one block wide
-        runs = [n for n, _ in itertools.groupby(n for n, _ in welch_calls)]
-        assert sorted(runs) == sorted(n for lo in range(0, len(sizes), step) for n in set(sizes[lo : lo + step]))
-        assert packed_welch_calls(welch_calls, ds.n_genes)
+        # every block leaves genes open: one Welch call on statistics per
+        # chunk, whatever the block sizes in it
+        assert len(welch_calls) == len(range(0, len(sizes), step))
+        assert all(kind == "stats" and 0 < n <= step * ds.n_genes for kind, n in welch_calls)
         assert len(threshold_calls) == len(set(sizes))
         control = group_stats(ds.control)
         for p in ds.pert_names():
@@ -776,16 +763,30 @@ def test_compute_degs_of_blocks_of_mixed_sizes_matches_each_block_tested_alone(m
             assert table.masks[p][:2].tolist() == [False, True] and not table.masks[p][3:5].any()
 
 
+def test_welch_of_statistics_gathered_from_blocks_of_mixed_sizes_matches_each_blocks_own_test():
+    # columns of many blocks' statistics, n given per column, test bit for bit
+    # as each block does whole: degenerate, underflowing and near-critical genes
+    rng = np.random.default_rng(25)
+    for alpha in (0.05, 1e-6):
+        ds = mixed_size_dataset(rng, alpha)
+        names = ds.pert_names()
+        stats = [group_stats(ds.block(p)) for p in names]
+        block_of, cols = rng.integers(0, len(names), 300), rng.integers(0, ds.n_genes, 300)
+        gathered = GroupStats(
+            np.array([stats[i].n for i in block_of]),
+            *(np.array([stats[i][k][g] for i, g in zip(block_of, cols)]) for k in range(1, 5)),
+        )
+        control = group_stats(ds.control)
+        p = welch_pvalues(GroupStats(control.n, *(x[cols] for x in control[1:])), gathered)
+        own = [welch_pvalues(ds.control, ds.block(name)) for name in names]
+        assert p.tobytes() == np.array([own[i][g] for i, g in zip(block_of, cols)]).tobytes()
+        assert len({stats[i].n for i in block_of}) == len({s.n for s in stats}) > 1
+
+
 def test_compute_degs_of_one_gene_blocks_matches_each_block_tested_alone(monkeypatch):
     # a one-column block is summed pairwise, in another order than a wider
-    # block's columns, so the cut of each such block must be too
-    welch_calls = []
-
-    def welch(control, block):
-        welch_calls.append(np.shape(block))
-        return welch_pvalues(control, block)
-
-    monkeypatch.setattr(data, "welch_pvalues", welch)
+    # block's columns; its re-test takes the statistics as they were summed
+    welch_calls = counting_welch(monkeypatch)
     rng = np.random.default_rng(24)
     t_crit = -special.stdtrit(38, 0.025)
     control = 2.0 + 0.2 * rng.standard_normal((20, 1))
@@ -795,8 +796,8 @@ def test_compute_degs_of_one_gene_blocks_matches_each_block_tested_alone(monkeyp
     for correction in ("none", "benjamini-hochberg"):
         welch_calls.clear()
         table = compute_degs(ds, correction=correction)
-        assert set(welch_calls) == {(20, 1)}  # one call per block whose gene is open, as the block alone makes
-        assert len(welch_calls) == len(blocks) or correction == "none"
+        assert len(welch_calls) == 1 and welch_calls[0][0] == "stats"  # one chunk: one call for its open blocks
+        assert welch_calls[0][1] == len(blocks) or correction == "none"
         masks = [table.masks[p][0] for p in ds.pert_names()]
         assert masks == [bool(welch_pvalues(control, ds.block(p))[0] < 0.05) for p in ds.pert_names()]
         assert 0 < sum(masks) < len(masks)
@@ -819,17 +820,11 @@ def test_t_thresholds_hold_across_the_df_bracket(alpha):
 
 
 def test_compute_degs_at_8_cells_retests_few_genes(monkeypatch):
-    calls = []
-
-    def welch(control, block):
-        calls.append(np.shape(block)[1])
-        return welch_pvalues(control, block)
-
-    monkeypatch.setattr(data, "welch_pvalues", welch)
+    calls = counting_welch(monkeypatch)
     cfg = SynthConfig(n_genes=200, n_perturbations=40, cells_per_condition=8, noise_sigma=0.2, embed_dim=16)
     ds = synth_generate(cfg, seed=1).dataset
     table = compute_degs(ds)
-    assert len(calls) == 1 and 0 < calls[0] < 0.05 * ds.n_genes * len(ds.perturbations)
+    assert len(calls) == 1 and calls[0][0] == "stats" and 0 < calls[0][1] < 0.05 * ds.n_genes * len(ds.perturbations)
     for p in ds.pert_names():
         assert table.masks[p].tobytes() == (welch_pvalues(ds.control, ds.block(p)) < 0.05).tobytes()
 
@@ -860,6 +855,14 @@ def test_unknown_correction_is_rejected_before_any_welch_test(monkeypatch):
     with pytest.raises(UsageError, match="unknown correction"):
         compute_degs(ds, correction="bonferroni")
     assert calls == []
+
+
+def test_bh_adjust_of_rows_equals_each_row_adjusted_alone():
+    rng = np.random.default_rng(18)
+    p = rng.uniform(0, 1, size=(7, 40)) ** 3
+    p[1, ::4], p[2, :5], p[3] = np.nan, p[2, 5], 0.5  # NaNs, ties, one value
+    assert bh_adjust(p).tobytes() == np.array([bh_adjust(row) for row in p]).tobytes()
+    assert bh_adjust(p[0]).tobytes() == bh_adjust(p[:1])[0].tobytes()
 
 
 def test_bh_adjust_monotone_and_bounded():

@@ -24,7 +24,7 @@ from pertgraph.metrics import (
     write_scatter_csv,
 )
 
-from conftest import packed_welch_calls
+from conftest import counting_welch
 
 
 # --- pearson ------------------------------------------------------------------
@@ -126,10 +126,13 @@ def test_rank_rows_matches_the_loop_reference_row_by_row():
 
 def weighted_spearman_reference(x, y, w):
     """The one-row formula: ranks by the loop reference, each sum by numpy's
-    `.sum()` of the row alone; None where the one-row metric is undefined."""
+    `.sum()` of the row alone; None where the one-row metric is undefined,
+    with ranks constant over the positive weights among them."""
     if x.size < 2 or not np.any(w > 0):
         return None
     rx, ry = loop_ranks(x), loop_ranks(y)
+    if len(set(rx[w > 0])) < 2 or len(set(ry[w > 0])) < 2:
+        return None
     wsum = w.sum()
     mx, my = (w * rx).sum() / wsum, (w * ry).sum() / wsum
     cov = (w * (rx - mx) * (ry - my)).sum() / wsum
@@ -172,11 +175,24 @@ def test_block_spearman_equals_the_one_row_calls():
             assert got[i] == alone, (name, i)  # equal floats, bit for bit
             if alone is None:
                 undefined[name].add(i)
-    # under |true delta| weights, constant ranks can give a weighted mean that
-    # rounds, and so a tiny nonzero variance, in both forms alike
-    assert {0, 1, 2, 3, 4, 8, 9, 10, 11} <= undefined["sig"] and {0, 1, 2, 3, 4, 10, 11} <= undefined["lfc"]
+    # constant ranks are undefined under any weights, though under |true
+    # delta| their weighted mean can round and leave a tiny nonzero variance
+    assert {0, 1, 2, 3, 4, 8, 9, 10, 11} <= undefined["sig"] and {0, 1, 2, 3, 4, 8, 9, 10, 11} <= undefined["lfc"]
     for name in ("sig", "lfc"):
         assert not {5, 6, 7} <= undefined[name] and len(undefined[name]) < len(dp) // 2
+
+
+def test_spearman_of_ranks_constant_over_the_weighted_degs_is_undefined_in_both_forms():
+    # the weighted mean of equal ranks rounds here, leaving a variance of about 1e-17
+    for metric in (de_spearman_sig, de_spearman_lfc):
+        with pytest.raises(DegenerateError, match="constant ranks"):
+            metric([0.3, 0.3], [-0.2, 1.7])
+        assert metric(np.array([[0.3, 0.3], [0.3, 0.5]]), np.array([[-0.2, 1.7], [-0.2, 1.7]])) == [None, 1.0]
+    # a DEG of zero weight does not make the ranks vary
+    with pytest.raises(DegenerateError, match="constant ranks"):
+        de_spearman_lfc([0.3, 0.3, 0.9], [-0.2, 1.7, 0.4], weights=[1.0, 2.0, 0.0])
+    assert de_spearman_lfc([[0.3, 0.3, 0.9]], [[-0.2, 1.7, 0.4]], weights=[[1.0, 2.0, 0.0]]) == [None]
+    assert de_spearman_lfc([0.3, 0.3, 0.9], [-0.2, 1.7, 0.4], weights=[1.0, 2.0, 0.5]) is not None
 
 
 def test_weighted_spearman_uniform_equals_plain_bit_for_bit():
@@ -440,17 +456,10 @@ def predicted_deg_set_materialised(control_block, pred_delta, alpha=0.05, correc
     return set(np.flatnonzero(deg_rule(alpha, correction)(p)).tolist())
 
 
-def counting_welch(monkeypatch):
-    """Replace `data.welch_pvalues` with a wrapper; returns the list of the
-    (rows, columns) shapes of the blocks it was called with."""
-    calls = []
-
-    def welch(control, block):
-        calls.append(np.shape(block))
-        return welch_pvalues(control, block)
-
-    monkeypatch.setattr(data, "welch_pvalues", welch)
-    return calls
+def prediction_calls_fit(calls, n, g):
+    """Whether prediction Welch calls hold the control's n cells by 1 to g
+    columns each, so at most n x g values."""
+    return all(rows == n and 0 < cols <= g for rows, cols in calls)
 
 
 def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
@@ -483,15 +492,34 @@ def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
                 for d, want in zip(deltas, expected):
                     calls.clear()
                     assert predicted_deg_set(control, d, alpha, correction, c) == want
-                    assert len(calls) <= 1 and packed_welch_calls(calls, g)  # no call when no gene is open
+                    assert len(calls) <= 1 and prediction_calls_fit(calls, n, g)  # no call when no gene is open
                     assert len(calls) == 1 or correction == "none"
                     retested += sum(w for _, w in calls) if correction == "none" else 0
-                calls.clear()  # the block of all six: the genes the rows leave open, one block's width a call
+                calls.clear()  # the block of all six: the genes the rows leave open, g of them a call
                 got = predicted_deg_set(control, deltas, alpha, correction, c)
                 assert [set(np.flatnonzero(row).tolist()) for row in got] == expected
-                assert packed_welch_calls(calls, g)
+                assert prediction_calls_fit(calls, n, g) and all(cols == g for _, cols in calls[:-1])
                 assert len(calls) == len(deltas) or correction == "none"
     assert retested > 0  # the window and the degenerate columns were exercised
+
+
+def test_predicted_deg_set_of_one_gene_predictions_matches_the_materialised_test_row_by_row(monkeypatch):
+    # a one-column block is summed pairwise, in another order than a wider
+    # block's columns, and so is each piece of a block of one-gene predictions
+    calls = counting_welch(monkeypatch)
+    rng = np.random.default_rng(26)
+    control = 2.0 + 0.2 * rng.standard_normal((20, 1))
+    c = group_stats(control)
+    t_crit = -special.stdtrit(38, 0.025)
+    deltas = np.sqrt(2 * c.var / 20) * t_crit * (1 + rng.integers(-8, 9, (60, 1)) * np.finfo(np.float64).eps)
+    for correction in ("none", "benjamini-hochberg"):
+        calls.clear()
+        got = predicted_deg_set(control, deltas, 0.05, correction, c)
+        want = [predicted_deg_set_materialised(control, d, 0.05, correction) for d in deltas]
+        assert [set(np.flatnonzero(row).tolist()) for row in got] == want
+        assert set(calls) == {(20, 1)}  # one column a call, never taken twice
+        assert len(calls) == len(deltas) or correction == "none"
+        assert 0 < sum(map(len, want)) < len(want)
 
 
 def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
@@ -526,9 +554,9 @@ def test_a_welch_call_holds_at_most_one_block_under_benjamini_hochberg(monkeypat
     assert [set(np.flatnonzero(row).tolist()) for row in got] == [predicted_deg_set_materialised(control, d, correction="benjamini-hochberg") for d in deltas]
     assert calls == [control.shape] * len(deltas)
     blocks = {f"P{i:02d}": control[:30] + d for i, d in enumerate(deltas)}
-    calls.clear()
+    calls.clear()  # true blocks are re-tested on their statistics, never on their cells
     compute_degs(PerturbationDataset(GeneVocab([f"G{i}" for i in range(50)]), control, blocks), correction="benjamini-hochberg")
-    assert calls == [(30, 50)] * len(blocks)
+    assert calls == [("stats", deltas.size)]
 
 
 # --- reporting -----------------------------------------------------------------------
