@@ -1,5 +1,12 @@
 """Knowledge-graph-conditioned perturbation response prediction at desk scale."""
 
+import os
+
+# One BLAS thread, set before numpy loads: a threaded matmul over a long inner
+# dimension rounds by thread count, so outputs would depend on the core count.
+# A caller that loaded numpy first keeps the BLAS threads it started with.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 from .data import (
     DegTable,
     PerturbationDataset,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import pickle
 import signal
@@ -78,7 +79,7 @@ class PerturbationDataset:
             raise UsageError(f"unknown perturbation {name!r}") from None
 
 
-LOAD_CHUNK_ROWS = 256  # data lines parsed per np.loadtxt call; bounds the line text held at once
+LOAD_CHUNK_ROWS = 256  # data lines parsed per _parse_numeric_lines call; bounds the line text held at once
 LOAD_RANGE_BYTES = 8 << 20  # least bytes of data lines one process parses; a smaller file is read in one
 
 
@@ -93,7 +94,11 @@ def load_expression(path) -> PerturbationDataset:
         rows_by_label.setdefault(label, []).append(i)
     if CONTROL_LABEL not in rows_by_label:
         raise DataError("no control rows in expression file")
-    blocks = {label: values[rows] for label, rows in rows_by_label.items()}
+    values.flags.writeable = False  # a label whose rows run together gets a view of them, not a copy
+    blocks = {
+        label: values[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else values[rows]
+        for label, rows in rows_by_label.items()
+    }
     control = blocks.pop(CONTROL_LABEL)
     return PerturbationDataset(GeneVocab(genes), control, blocks)
 
@@ -211,13 +216,13 @@ def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> t
     first `k` of them labels; return each line's label fields, float64 blocks
     of its numbers and the number of lines read.
 
-    Numbers are parsed by numpy, LOAD_CHUNK_ROWS lines at a time, so no
-    Python float or per-cell list is made. A line that holds a double quote
-    is split by the csv module, so quoted labels work (a quoted field may not
-    span lines). Blank lines are skipped. A line that does not decode as
-    UTF-8, or that is malformed, raises UnicodeDecodeError or ParseError and
-    a NaN or inf a DataError; the error raised is that of the first bad
-    line, whatever the chunks.
+    Numbers are parsed by `_parse_numeric_lines`, LOAD_CHUNK_ROWS lines at a
+    time, so no Python float or per-cell list is made. A line that holds a
+    double quote is split by the csv module, so quoted labels work (a quoted
+    field may not span lines). Blank lines are skipped. A line that does not
+    decode as UTF-8, or that is malformed, raises UnicodeDecodeError or
+    ParseError and a NaN or inf a DataError; the error raised is that of the
+    first bad line, whatever the chunks.
     """
     lead: list[list[str]] = []
     chunks: list[np.ndarray] = []
@@ -256,14 +261,16 @@ def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> t
 def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool], k: int, n_values: int) -> np.ndarray:
     """Parse comma-separated numbers into one float64 row per text.
 
-    numpy's parser is stricter than `float()`: `1_0` and non-ASCII digits are
-    errors. When the texts fail together, each is checked in turn: the field
-    count of its line (`k` labels, then its commas; a quoted line's was
-    checked on reading), its numbers, then their finiteness. A malformed text
-    is a ParseError naming its line, and a NaN or inf a DataError naming it.
+    The texts are read by `_read_plain_numbers` where it can prove that it
+    gives np.loadtxt's bits, and by np.loadtxt otherwise. numpy's parser is
+    stricter than `float()`: `1_0` and non-ASCII digits are errors. When the
+    texts fail together, each is checked in turn: the field count of its line
+    (`k` labels, then its commas; a quoted line's was checked on reading), its
+    numbers, then their finiteness. A malformed text is a ParseError naming
+    its line, and a NaN or inf a DataError naming it.
     """
-    values = None
-    if "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
+    values = _read_plain_numbers(texts, n_values)
+    if values is None and "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
         try:
             values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
         except ValueError:
@@ -284,6 +291,46 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool
         if not np.isfinite(row).all():
             raise DataError("non-finite value", lineno)
     raise AssertionError("a chunk failed to parse but each of its lines parses")
+
+
+def _read_plain_numbers(texts: list[str], n_values: int) -> np.ndarray | None:
+    """The texts' numbers, `n_values` a text, read by scipy's Matrix Market
+    reader (fast_float, which rounds correctly, as np.loadtxt does); None
+    unless that is proven to be np.loadtxt's result, bit for bit.
+
+    Each number goes on a line of its own as the real part of a complex entry
+    whose imaginary part is the sentinel `nan`. The reader takes the longest
+    number at the start of a line and skips what follows the imaginary part,
+    so text after a field's number becomes that imaginary part. The texts
+    must hold only `0-9 . e E + - ,`, no empty field and `n_values - 1`
+    commas each, so such leftover text starts with `.`, `e`, `E` or `+`: it
+    fails to parse, or reads as a number, never as NaN. Every `-` must follow
+    an `e` or `E`, since the reader reads `-0` as +0.0.
+    """
+    joined = ",".join(texts)
+    if not joined.isascii():
+        return None
+    data = joined.encode("ascii")
+    if data.translate(None, b"0123456789.eE+-,") or b"-" in data and data.count(b"-") != data.count(b"e-") + data.count(b"E-"):
+        return None
+    commas = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
+    joins = np.cumsum([len(text) + 1 for text in texts[:-1]]) - 1  # the commas between texts
+    if (
+        commas.size != len(texts) * n_values - 1
+        or not (commas[n_values - 1 :: n_values] == joins).all()  # so each text has n_values - 1 commas
+        or not (np.diff(commas, prepend=-1, append=len(data)) > 1).all()  # no field is empty
+    ):
+        return None
+    import scipy.io  # here, not at the top: a run that reads no file pays none of its import
+
+    head = f"%%MatrixMarket matrix array complex general\n{n_values} {len(texts)}\n".encode("ascii")
+    try:
+        entries = scipy.io.mmread(io.BytesIO((head + data + b",").replace(b",", b" nan\n")))
+    except ValueError:
+        return None
+    if not np.isnan(entries.imag).all():
+        return None
+    return np.ascontiguousarray(entries.real.T)
 
 
 class _RangeWorker:
