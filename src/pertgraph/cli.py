@@ -160,7 +160,8 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     else:
         try:
             with open(split_path, "r", encoding="utf-8") as fh:
-                test = json.load(fh)["test"]
+                splits = json.load(fh)
+            test = splits["test"]
         except (KeyError, TypeError, ValueError) as exc:  # not UTF-8, not JSON, or no "test" list
             raise DataError(f"splits file {split_path} is malformed: {exc!r}") from None
         if not isinstance(test, list) or not all(isinstance(p, str) and p in dataset.perturbations for p in test):
@@ -168,6 +169,12 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
         twice = first_repeat(test)
         if twice is not None:
             raise DataError(f"splits file {split_path}: 'test' lists {twice!r} twice")
+        others = {key: splits.get(key, []) for key in ("train", "val")}
+        if not all(isinstance(names, list) and all(isinstance(p, str) for p in names) for names in others.values()):
+            raise DataError(f"splits file {split_path}: 'train' and 'val' must be lists of names")
+        leak = next(((p, key) for p in test for key, names in others.items() if p in names), None)
+        if leak is not None:
+            raise DataError(f"splits file {split_path}: 'test' shares {leak[0]!r} with {leak[1]!r}")
     if not test:
         raise UsageError("test split is empty")
     return test

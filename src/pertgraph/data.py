@@ -261,25 +261,19 @@ def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> t
 def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool], k: int, n_values: int) -> np.ndarray:
     """Parse comma-separated numbers into one float64 row per text.
 
-    The texts are read by `_read_plain_numbers` where it can prove that it
-    gives np.loadtxt's bits, and by np.loadtxt otherwise. numpy's parser is
-    stricter than `float()`: `1_0` and non-ASCII digits are errors. When the
-    texts fail together, each is checked in turn: the field count of its line
-    (`k` labels, then its commas; a quoted line's was checked on reading), its
-    numbers, then their finiteness. A malformed text is a ParseError naming
-    its line, and a NaN or inf a DataError naming it.
+    The texts are read together by `_read_plain_numbers` where it can prove
+    that it gives np.loadtxt's bits. Otherwise each text is read by
+    np.loadtxt alone and checked in turn: the field count of its line (`k`
+    labels, then its commas; a quoted line's was checked on reading), its
+    numbers, then their finiteness. numpy's parser is stricter than
+    `float()`: `1_0` and non-ASCII digits are errors. A malformed text is a
+    ParseError naming its line, and a NaN or inf a DataError naming it.
     """
     values = _read_plain_numbers(texts, n_values)
-    if values is None and "" not in texts:  # np.loadtxt skips an empty text, with a warning, instead of failing
-        try:
-            values = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if values is not None and values.shape == (len(texts), n_values):
-        finite = np.isfinite(values).all(axis=1)
-        if finite.all():
-            return values
-    for text, lineno, was_quoted in zip(texts, linenos, quoted):  # error path: find the first bad line
+    if values is not None and np.isfinite(values).all():
+        return values
+    values = np.empty((len(texts), n_values))
+    for i, (text, lineno, was_quoted) in enumerate(zip(texts, linenos, quoted)):
         if not was_quoted and text.count(",") != n_values - 1:
             raise ParseError(f"expected {k + n_values} fields, got {k + 1 + text.count(',')}", lineno)
         try:
@@ -290,7 +284,8 @@ def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool
             raise ParseError(f"expected {n_values} numeric fields, got {row.size}", lineno)
         if not np.isfinite(row).all():
             raise DataError("non-finite value", lineno)
-    raise AssertionError("a chunk failed to parse but each of its lines parses")
+        values[i] = row
+    return values
 
 
 def _read_plain_numbers(texts: list[str], n_values: int) -> np.ndarray | None:
@@ -302,18 +297,17 @@ def _read_plain_numbers(texts: list[str], n_values: int) -> np.ndarray | None:
     whose imaginary part is the sentinel `nan`. The reader takes the longest
     number at the start of a line and skips what follows the imaginary part,
     so text after a field's number becomes that imaginary part. The texts
-    must hold only `0-9 . e E + - ,`, no empty field and `n_values - 1`
-    commas each, so such leftover text starts with `.`, `e`, `E` or `+`: it
-    fails to parse, or reads as a number, never as NaN. Every `-` must follow
-    an `e` or `E`, since the reader reads `-0` as +0.0.
+    must hold only the ASCII bytes `0-9 . e E + - ,`, no empty field and
+    `n_values - 1` commas each, so such leftover text starts with `.`, `e`,
+    `E`, `+` or `-`: it fails to parse, or reads as a number, never as NaN.
+    The reader reads `-0` as +0.0, so a field that starts with `-` must read
+    with its sign bit set.
     """
-    joined = ",".join(texts)
-    if not joined.isascii():
+    data = ",".join(texts).encode()
+    if data.translate(None, b"0123456789.eE+-,"):
         return None
-    data = joined.encode("ascii")
-    if data.translate(None, b"0123456789.eE+-,") or b"-" in data and data.count(b"-") != data.count(b"e-") + data.count(b"E-"):
-        return None
-    commas = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
+    chars = np.frombuffer(data, np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
     joins = np.cumsum([len(text) + 1 for text in texts[:-1]]) - 1  # the commas between texts
     if (
         commas.size != len(texts) * n_values - 1
@@ -330,7 +324,9 @@ def _read_plain_numbers(texts: list[str], n_values: int) -> np.ndarray | None:
         return None
     if not np.isnan(entries.imag).all():
         return None
-    return np.ascontiguousarray(entries.real.T)
+    values = np.ascontiguousarray(entries.real.T)
+    signed = chars[np.append(0, commas + 1)] == ord("-")  # the fields that start with `-`, in row order
+    return values if np.signbit(values.reshape(-1)[signed]).all() else None
 
 
 class _RangeWorker:

@@ -90,13 +90,6 @@ def rank_rows(values, lengths) -> np.ndarray:
     return ranks
 
 
-def rank_average_ties(x) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions.
-    NaNs rank last, each in a group of its own."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return rank_rows(x, [x.size])
-
-
 def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weighted Pearson correlation of each consecutive segment of x and
     y, `lengths` values long, under the weights w >= 0, and the segments

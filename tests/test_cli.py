@@ -691,6 +691,36 @@ def test_a_test_split_that_repeats_a_name_is_a_one_line_data_error(synth_run, ca
     assert not (tmp / "repeat-run" / "metrics.json").exists()
 
 
+def test_a_test_split_that_shares_a_name_with_train_or_val_is_a_one_line_data_error(synth_run, capsys):
+    cfg, _, tmp = synth_run
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+    splits = json.loads((tmp / "out" / "splits.json").read_text())
+    cases = {  # each file and a piece of its one-line error
+        "train": {**splits, "test": [*splits["test"], *splits["train"]]},
+        "val": {**splits, "test": [*splits["test"], *reversed(splits["val"])]},
+        "not-a-list": {**splits, "val": splits["val"][0]},
+        "not-names": {**splits, "train": [*splits["train"], 3]},
+    }
+    wanted = {
+        "train": f"'test' shares {splits['train'][0]!r} with 'train'",
+        "val": f"'test' shares {splits['val'][-1]!r} with 'val'",
+        "not-a-list": "'train' and 'val' must be lists of names",
+        "not-names": "'train' and 'val' must be lists of names",
+    }
+    ckpt = ["--checkpoint", str(tmp / "out" / "checkpoint.json")]
+    capsys.readouterr()
+    for case, content in cases.items():
+        leaky = tmp / f"{case}.json"
+        leaky.write_text(json.dumps(content))
+        for command in (["eval", *ckpt], ["eval", "--oracle"], ["predict", *ckpt]):
+            argv = [*command, "--config", str(cfg), "--out", str(tmp / "leak-run"), "--splits", str(leaky)]
+            assert main(argv) == 2, (case, command)
+            err = capsys.readouterr().err
+            assert_one_line(err, f"data error: splits file {leaky}: ")
+            assert wanted[case] in err, (case, err)
+    assert not (tmp / "leak-run" / "metrics.json").exists()
+
+
 def _narrow_embeddings(src: Path, dst: Path, width: int) -> Path:
     dst.write_text("".join(",".join(line.split(",")[: width + 1]) + "\n" for line in src.read_text().splitlines()))
     return dst

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pertgraph import data
-from pertgraph.data import PerturbationDataset, load_expression, save_expression
+from pertgraph.data import PerturbationDataset, SemanticEmbeddings, load_embeddings, load_expression, save_embeddings, save_expression
 from pertgraph.errors import DataError
 from pertgraph.graph import GeneVocab
 
@@ -18,9 +18,11 @@ CORPUS = [
     "1.5.3", "1e", "1e5e5", "1e5.3", "1e+", "1_0", "-0", "-0.0", "+1", " 1", "1 ", "0x10",
     ".5", "5.", "5.e3", ".", "e5", "1-2", "nan", "inf", "1nan", "1inf", "", "１.5",
     "7." + "7" * 999, "7" * 1000 + "e-990", "5e-324", "2.4703282292062327e-324", "1e400", "1e-400",
+    "-1.5", "-.5", "-1e-5", "-5e-324", "--1", "-+1", "+-1", "-e5", "-", "1e-5-2",
 ]
 # corpus entries the fast path must read: np.loadtxt reads them too (`1e400` as inf, a data error on both paths)
 FAST = {".5", "5.", "5.e3", "7." + "7" * 999, "7" * 1000 + "e-990", "5e-324", "2.4703282292062327e-324", "1e400", "1e-400"}
+FAST |= {"-1.5", "-.5", "-1e-5", "-5e-324"}
 
 
 def outcome(texts: list[str], n_values: int):
@@ -96,6 +98,20 @@ def test_random_tokens_read_as_np_loadtxt_reads_them(monkeypatch):
     assert taken >= 1000  # the fuzz reaches the fast path, not only its refusals
 
 
+def test_signed_tokens_read_as_np_loadtxt_reads_them(monkeypatch):
+    rng = np.random.default_rng(2027)
+    taken = 0
+    for _ in range(3000):
+        n_rows, n_values = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        fields = [[f"{rng.choice(['', '-'])}{0.125 * (r * n_values + c + 1)!r}" for c in range(n_values)] for r in range(n_rows)]
+        token = rng.choice(["", "-"]) + random_token(rng)
+        fields[int(rng.integers(n_rows))][int(rng.integers(n_values))] = token
+        texts = [",".join(f) for f in fields]
+        assert outcome(texts, n_values) == loadtxt_outcome(texts, n_values, monkeypatch), texts
+        taken += token.startswith("-") and data._read_plain_numbers(texts, n_values) is not None
+    assert taken >= 800  # signed tokens reach the fast path, not only its refusals
+
+
 def test_saved_expression_loads_without_np_loadtxt(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     vocab = GeneVocab([f"G{i:03d}" for i in range(300)])
@@ -113,6 +129,11 @@ def test_saved_expression_loads_without_np_loadtxt(tmp_path, monkeypatch):
     assert loaded.pert_names() == ds.pert_names()
     for name in ds.pert_names():
         assert loaded.block(name).tobytes() == ds.block(name).tobytes()
+
+    signed = SemanticEmbeddings(16, {g: rng.normal(size=16) for g in vocab.names})  # components of either sign
+    save_embeddings(signed, tmp_path / "emb.csv")
+    got = load_embeddings(tmp_path / "emb.csv", vocab)
+    assert all(got.vector(g).tobytes() == signed.vector(g).tobytes() for g in vocab.names)
 
 
 def write_expression(path, labels: list[str], n_genes: int = 3) -> None:
