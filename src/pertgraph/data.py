@@ -86,9 +86,6 @@ LOAD_RANGE_BYTES = 8 << 20  # least bytes of data lines one process parses; a sm
 def load_expression(path) -> PerturbationDataset:
     """Read `sample_id,perturbation,<genes...>` CSV; rows labeled `control` form the control block."""
     genes, lead, values = _read_numeric_csv(path, ("sample_id", "perturbation"))
-    ids = [sample_id for sample_id, _ in lead]
-    if len(set(ids)) < len(ids):
-        raise _repeated(path, ids, "sample_id")
     rows_by_label: dict[str, list[int]] = {}
     for i, (_, label) in enumerate(lead):
         rows_by_label.setdefault(label, []).append(i)
@@ -114,7 +111,10 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
     the first, and each worker's rows are read from its pipe straight into
     the result. Lines are split as text mode with newline="" splits them, and
     parsed as `_parse_range` says; the error raised is that of the first bad
-    line in the file, with its line number, whatever the ranges.
+    line in the file, with its line number, whatever the ranges. Once every
+    range is read, a value of the first label column listed twice is a
+    DataError naming the first such value and its first two rows' lines,
+    which the parse recorded.
     """
     k = len(labels)
     with input_errors(path), open(path, "rb") as fh:
@@ -133,10 +133,11 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
         try:
             for start, end in zip([len(header_line), *cuts], [*cuts, None]):
                 workers.append(_RangeWorker(path, start, end, k, len(header), fork=bool(workers)))
-            lead, first = [], 2
+            lead, linenos, first = [], [], 2
             for worker in workers:  # in file order, so the first bad line wins
-                got_lead, n_lines = worker.receive_head(first)
+                got_lead, got_linenos, n_lines = worker.receive_head(first)
                 lead += got_lead
+                linenos += got_linenos
                 first += n_lines
             values = np.empty((len(lead), len(names)))
             rows = 0
@@ -145,24 +146,11 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
         finally:
             for worker in workers:
                 worker.reap()
+    keys = [row[0] for row in lead]
+    if (twice := first_repeat(keys)) is not None:
+        at = keys.index(twice)
+        raise DataError(f"{path}: {labels[0]} {twice!r} is listed twice, on lines {linenos[at]} and {linenos[keys.index(twice, at + 1)]}")
     return names, lead, values
-
-
-def _repeated(path, labels: list[str], what: str) -> DataError:
-    """The DataError for a CSV whose first column, `labels` as read, lists a
-    value twice: it names the file, the first such value and the line numbers
-    of its first two rows, found by reading the file again (blank lines are
-    skipped on reading, so a row's index is not its line)."""
-    twice = first_repeat(labels)
-    at: list[int] = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(_lines(fh), start=1):
-            line = raw.decode("utf-8").rstrip("\r\n")
-            if lineno > 1 and line and (next(csv.reader([line])) if '"' in line else line.split(",", 1))[0] == twice:
-                at.append(lineno)
-                if len(at) == 2:
-                    break
-    return DataError(f"{path}: {what} {twice!r} is listed twice, on lines {at[0]} and {at[1]}")
 
 
 def _cores() -> int:
@@ -211,10 +199,10 @@ def _lines(raw_lines: Iterable[bytes], size: int | None = None) -> Iterator[byte
                 return
 
 
-def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> tuple[list[list[str]], list[np.ndarray], int]:
+def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> tuple[list[list[str]], list[np.ndarray], list[int], int]:
     """Parse data lines, numbered from `first`, of `n_fields` fields each, the
     first `k` of them labels; return each line's label fields, float64 blocks
-    of its numbers and the number of lines read.
+    of its numbers, each such line's number and the number of lines read.
 
     Numbers are parsed by `_parse_numeric_lines`, LOAD_CHUNK_ROWS lines at a
     time, so no Python float or per-cell list is made. A line that holds a
@@ -249,13 +237,13 @@ def _parse_range(lines: Iterable[bytes], first: int, k: int, n_fields: int) -> t
         linenos.append(lineno)
         quoted.append(quote)
         if len(texts) == LOAD_CHUNK_ROWS:
-            chunks.append(_parse_numeric_lines(texts, linenos, quoted, k, n_fields - k))
-            texts, linenos, quoted = [], [], []
+            chunks.append(_parse_numeric_lines(texts, linenos[-len(texts) :], quoted, k, n_fields - k))
+            texts, quoted = [], []
     if texts:
-        chunks.append(_parse_numeric_lines(texts, linenos, quoted, k, n_fields - k))
+        chunks.append(_parse_numeric_lines(texts, linenos[-len(texts) :], quoted, k, n_fields - k))
     if bad is not None:
         raise bad
-    return lead, chunks, lineno - first + 1
+    return lead, chunks, linenos, lineno - first + 1
 
 
 def _parse_numeric_lines(texts: list[str], linenos: list[int], quoted: list[bool], k: int, n_values: int) -> np.ndarray:
@@ -332,7 +320,8 @@ def _read_plain_numbers(texts: list[str], n_values: int) -> np.ndarray | None:
 class _RangeWorker:
     """The data lines in bytes [start, end) of a CSV (end None: to the end of
     the file). With `fork`, a forked process parses them and sends back
-    through a pipe a pickle of their label fields, line count and row count,
+    through a pipe a pickle of their label fields, their lines' numbers
+    (counted from 1 at the range's first line) and the range's line count,
     then the rows' float64 bytes; whatever goes wrong, it sends nothing more.
     A fork that warns (Python 3.12+ warns of one in a process with other OS
     threads, whose child can hang on a lock held at the fork) has its child
@@ -371,35 +360,37 @@ class _RangeWorker:
             return _parse_range(_lines(fh, None if self.end is None else self.end - self.start), self.first, self.k, self.n_fields)
 
     def _send(self, pipe) -> None:
-        lead, chunks, n_lines = self._parse()
-        pickle.dump((lead, n_lines, sum(map(len, chunks))), pipe)
+        lead, chunks, linenos, n_lines = self._parse()
+        pickle.dump((lead, linenos, n_lines), pipe)
         for chunk in chunks:
             pipe.write(chunk)
 
-    def receive_head(self, first: int) -> tuple[list[list[str]], int]:
-        """The range's label fields and line count; `first` is the file's line
-        number of its first line."""
+    def receive_head(self, first: int) -> tuple[list[list[str]], list[int], int]:
+        """The range's label fields, their lines' numbers in the file and the
+        range's line count; `first` is the file's line number of its first line."""
         self.first = first
         try:
-            lead, n_lines, self.n_rows = pickle.load(self.pipe)
+            lead, linenos, n_lines = pickle.load(self.pipe)
+            linenos = [lineno + first - 1 for lineno in linenos]
         except (EOFError, pickle.UnpicklingError):  # no worker, or it died or met a bad line
-            lead, self.chunks, n_lines = self._parse()
-        return lead, n_lines
+            lead, self.chunks, linenos, n_lines = self._parse()
+        self.n_rows = len(lead)
+        return lead, linenos, n_lines
 
     def receive_rows(self, values: np.ndarray, row: int) -> int:
         """Put the range's rows into `values` from `row` on; return the row after them."""
+        rows = values[row : row + self.n_rows]
         if self.chunks is None:
-            out = memoryview(values[row : row + self.n_rows]).cast("B")
+            out = memoryview(rows).cast("B")
             while out and (n := self.pipe.readinto(out)):
                 out = out[n:]
             if not out:
                 return row + self.n_rows
             self.chunks = self._parse()[1]  # the worker died sending its rows
         chunks, self.chunks = self.chunks, []  # freed before the next range's rows arrive
-        n_rows = sum(map(len, chunks))
         if chunks:
-            np.concatenate(chunks, out=values[row : row + n_rows])
-        return row + n_rows
+            np.concatenate(chunks, out=rows)
+        return row + self.n_rows
 
     def reap(self) -> None:
         """Stop the worker, whose result is read or no longer wanted, and wait for it."""
@@ -665,16 +656,8 @@ STRATA = ("small", "medium", "large")
 
 def effect_size_strata(table: DegTable) -> dict[str, str]:
     """Classify each perturbation by its DEG fraction: <5% small, 5-10% medium, >10% large."""
-    out = {}
-    for name in table.pert_names():
-        frac = table.deg_fraction(name)
-        if frac < 0.05:
-            out[name] = "small"
-        elif frac <= 0.10:
-            out[name] = "medium"
-        else:
-            out[name] = "large"
-    return out
+    fractions = {name: table.deg_fraction(name) for name in table.pert_names()}
+    return {name: STRATA[(frac >= 0.05) + (frac > 0.10)] for name, frac in fractions.items()}
 
 
 # --- splits ---------------------------------------------------------------------
@@ -767,8 +750,6 @@ def load_embeddings(path, vocab: GeneVocab) -> SemanticEmbeddings:
     columns, lead, values = _read_numeric_csv(path, ("gene",))
     dim = len(columns)
     vectors = {gene: row for (gene,), row in zip(lead, values)}
-    if len(vectors) < len(lead):
-        raise _repeated(path, [gene for gene, in lead], "gene")
     return SemanticEmbeddings(dim, {g: vectors[g] if g in vectors else hash_embedding(g, dim) for g in vocab.names})
 
 

@@ -472,9 +472,24 @@ def save_checkpoint(params: ModelParams, json_path, bin_path) -> None:
     write_json(manifest, json_path)
 
 
+_JSON_TYPES = {  # the JSON values each `ModelConfig` annotation allows, and their name; true and false are no numbers
+    "int": ((int,), "an integer"), "float": ((int, float), "a number"), "float | None": ((int, float, type(None)), "a number or null"),
+    "str": ((str,), "a string"), "bool": ((bool,), "a boolean"),
+}
+
+
+def _typed(json_path, what: str, value, annotation: str = "int"):
+    """`value` from the manifest `json_path`, or a DataError naming `what` if it is no JSON `annotation`."""
+    types, kind = _JSON_TYPES[annotation]
+    if type(value) not in types:
+        raise DataError(f"checkpoint manifest {json_path}: {what} must be {kind}, got {value!r}")
+    return value
+
+
 def load_checkpoint(json_path, bin_path) -> ModelParams:
     """Read a checkpoint; a malformed manifest (a model config without every
-    `ModelConfig` field included), parameters other than the
+    `ModelConfig` field included, each of its type; a size, the seed or a
+    shape entry that is not a JSON integer), parameters other than the
     `param_layout` of its sizes and config, a `pert_index` that does not give
     each row of `pert.table` to one perturbation name, a blob whose size or
     sha256 does not match the manifest, or a NaN or inf in the blob is a
@@ -487,15 +502,16 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
         raise DataError(f"checkpoint manifest {json_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "pertgraph-checkpoint-v1":
         raise DataError(f"checkpoint manifest {json_path} is not a pertgraph-checkpoint-v1 manifest")
-    if isinstance(manifest.get("config"), dict):  # a field left out would take its default
-        missing = [f.name for f in fields(ModelConfig) if f.name not in manifest["config"]]
-        if missing:
-            raise DataError(f"checkpoint manifest {json_path}: model config field {missing[0]!r} is missing")
+    if isinstance(manifest.get("config"), dict):  # a field left out would take its default, a mistyped one be coerced
+        for f in fields(ModelConfig):
+            if f.name not in manifest["config"]:
+                raise DataError(f"checkpoint manifest {json_path}: model config field {f.name!r} is missing")
+            _typed(json_path, f"model config field {f.name!r}", manifest["config"][f.name], f.type)
     try:
         config = ModelConfig(**manifest["config"])
         config.validate()  # a UsageError is a ValueError: bad hyperparameters are data errors here
-        sizes = {k: int(manifest[k]) for k in ("n_nodes", "n_genes", "d_embed", "seed")}
-        shapes = [(entry["name"], tuple(int(d) for d in entry["shape"])) for entry in manifest["params"]]
+        sizes = {k: _typed(json_path, k, manifest[k]) for k in ("n_nodes", "n_genes", "d_embed", "seed")}
+        shapes = [(e["name"], tuple(_typed(json_path, f"parameter {e['name']}'s shape", d) for d in e["shape"])) for e in manifest["params"]]
         if any(d < 0 for _, shape in shapes for d in shape):
             raise ValueError("negative dimension")
         pert_index = dict(manifest.get("pert_index") or {})
@@ -504,6 +520,8 @@ def load_checkpoint(json_path, bin_path) -> ModelParams:
             at = names.index("score.w")
             rows, cols = shapes[at][1]
             shapes[at : at + 1] = [("score.wh", (rows // 2, cols)), ("score.ws", (rows - rows // 2, cols))]
+    except DataError:  # a mistyped value, named above
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint manifest {json_path} has missing or malformed fields: {exc!r}") from None
     rows = sorted(v for v in pert_index.values() if type(v) is int)  # JSON's true is no row

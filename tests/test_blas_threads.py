@@ -1,7 +1,8 @@
 """CLI outputs do not depend on the BLAS thread count: the package pins BLAS
 to one thread before numpy loads, so `OPENBLAS_NUM_THREADS` set to 2 gives the
-bytes of 1. At about 1,000 genes a threaded matmul over the genes rounds
-differently, so an unpinned run would write other bytes."""
+bytes of 1 in `train`, `eval` and `predict`. At about 1,000 genes a threaded
+matmul over the genes rounds differently, so an unpinned run would write other
+bytes."""
 
 from __future__ import annotations
 
@@ -43,15 +44,17 @@ def test_train_and_predict_bytes_do_not_depend_on_blas_threads(tmp_path):
     paths = f"[paths]\nexpression = {data_dir / 'expression.csv'}\ngraph = {data_dir / 'graph.tsv'}\nembeddings = {data_dir / 'embeddings.csv'}\n"
     config.write_text(paths + CONFIG)
     run_cli(["synth", "--config", str(config), "--seed", "3", "--out", str(data_dir)], "1")
-    reference = tmp_path / "reference"  # one checkpoint, so predict is compared on its own
+    reference = tmp_path / "reference"  # one checkpoint, so eval and predict are compared on their own
     run_cli(["train", "--config", str(config), "--seed", "3", "--out", str(reference)], "1")
     out, outputs = tmp_path / "run", {}  # one out path, which the effective config names
     for threads in ("1", "2"):
         run_cli(["train", "--config", str(config), "--seed", "3", "--out", str(out)], threads)
-        run_cli(["predict", "--config", str(config), "--seed", "3", "--out", str(out), "--checkpoint", str(reference / "checkpoint.json")], threads)
+        for command in ("eval", "predict"):
+            run_cli([command, "--config", str(config), "--seed", "3", "--out", str(out), "--checkpoint", str(reference / "checkpoint.json")], threads)
         outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         shutil.rmtree(out)
-    assert {"checkpoint.bin", "history.json", "predictions.csv"} <= set(outputs["1"])
+    assert {"checkpoint.bin", "history.json", "metrics.json", "predictions.csv"} <= set(outputs["1"])
+    assert any(name.startswith("scatter_") for name in outputs["1"])
     assert sorted(outputs["1"]) == sorted(outputs["2"])
     differ = [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]]
     assert not differ, f"bytes differ between 1 and 2 BLAS threads: {differ}"

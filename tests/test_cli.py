@@ -560,6 +560,12 @@ CHECKPOINT_DEFECTS = {
     "config-threshold-above-one": lambda c: _rewrite_model_config(c, threshold=1.5),
     "config-top-m-zero": lambda c: _rewrite_model_config(c, select_top_m=0),
     "config-without-tau": lambda c: _drop_model_config_field(c, "tau"),
+    "config-flag-a-string": lambda c: _rewrite_model_config(c, weighted_aggregation="false"),
+    "config-top-m-a-fraction": lambda c: _rewrite_model_config(c, selection_mode="top_m", select_top_m=2.5),
+    "gene-count-a-fraction": lambda c: _rewrite_manifest(c, n_genes=40.9),
+    "shape-entry-a-float": lambda c: _rewrite_manifest(
+        c, params=[{**e, "shape": [float(d) for d in e["shape"]]} for e in json.loads(c.read_text())["params"]]
+    ),
     "not-a-checkpoint": lambda c: c.write_text('{"epochs": [], "best_epoch": 0}\n'),
     "manifest-missing-enc-b2": lambda c: _drop_param(c, "enc.b2"),
     # the config's ctx.proj is square (d_struct = d_latent = 8), so transpose a
@@ -578,7 +584,13 @@ NAMED_COUNTS = {
     "one-node-more": "checkpoint has 41 graph nodes, the graph has 40",
 }
 # defects whose message must name the model config field
-NAMED_FIELD = {"config-without-tau": "model config field 'tau' is missing"}
+NAMED_FIELD = {
+    "config-without-tau": "model config field 'tau' is missing",
+    "config-flag-a-string": "model config field 'weighted_aggregation' must be a boolean, got 'false'",
+    "config-top-m-a-fraction": "model config field 'select_top_m' must be an integer, got 2.5",
+    "gene-count-a-fraction": "n_genes must be an integer, got 40.9",
+    "shape-entry-a-float": "shape must be an integer, got ",
+}
 
 
 @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))

@@ -369,8 +369,8 @@ def send_nothing(self, pipe):
 
 
 def send_head_only(self, pipe):
-    lead, chunks, n_lines = self._parse()
-    pickle.dump((lead, n_lines, sum(map(len, chunks))), pipe)
+    lead, _, linenos, n_lines = self._parse()
+    pickle.dump((lead, linenos, n_lines), pipe)
 
 
 @pytest.mark.parametrize("send", [send_nothing, send_head_only], ids=["before-its-head", "before-its-rows"])
@@ -383,6 +383,41 @@ def test_range_of_a_worker_that_dies_is_parsed_in_process(tmp_path, ranges, monk
     assert (names, lead) == expected[:2] and values.tobytes() == expected[2].tobytes()
     path.write_bytes(with_bad_lines(path.read_bytes(), {50: "abc"}))  # and its error is numbered in the file
     assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 3) == raised_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+
+
+LOADERS = {
+    "expression": (EXPRESSION_LABELS, load_expression),
+    "embeddings": (EMBEDDING_LABELS, lambda path: load_embeddings(path, GeneVocab(["G0"]))),
+}
+
+
+def loader_error(set_ranges, load, path, n):
+    """The message of the DataError that `load(path)` raises when the reader cuts the file into n ranges."""
+    counts = set_ranges(n)
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert counts[-1] == n
+    assert_no_child_left()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_key_repeated_in_the_first_and_last_range_names_both_lines(tmp_path, ranges, monkeypatch, kind, n):
+    # the key is quoted and holds a comma, and blank lines sit between the rows,
+    # so neither a row's index nor a split at the first comma gives its line
+    labels, load = LOADERS[kind]
+    lines = csv_bytes(labels, 60, 5, blank_every=7, quote_every=4).split(b"\n")
+    last = max(i for i, line in enumerate(lines) if line)
+    assert lines[1].startswith(b'"s0,x",') and lines[last].startswith(b"s59,")
+    lines[last] = b'"s0,x"' + lines[last].removeprefix(b"s59")
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\n".join(lines))
+    expected = f"{path}: {labels[0]} 's0,x' is listed twice, on lines 2 and {last + 1}"
+    assert loader_error(ranges, load, path, n) == expected
+    for send in (send_nothing, send_head_only):  # line numbers from a dead worker's range, and from its head
+        monkeypatch.setattr(data._RangeWorker, "_send", send)
+        assert loader_error(ranges, load, path, n) == expected
 
 
 def test_range_whose_fork_fails_is_parsed_in_process(tmp_path, ranges, monkeypatch):
