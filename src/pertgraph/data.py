@@ -190,9 +190,10 @@ def _line_end(fd: int, pos: int) -> int | None:
 def _lines(raw_lines: Iterable[bytes], size: int | None = None) -> Iterator[bytes]:
     """The lines in `raw_lines`, binary lines that each end at a \\n, with their
     line ends: like text mode with newline="", a line ends at \\n, \\r\\n or a
-    lone \\r. With `size`, stop after the binary line that reaches `size` bytes."""
+    lone \\r, so only a binary line with a \\r before its last byte, other than
+    that of a closing \\r\\n, is split. With `size`, stop after the binary line that reaches `size` bytes."""
     for raw in raw_lines:
-        yield from raw.splitlines(keepends=True) if b"\r" in raw else (raw,)
+        yield from raw.splitlines(keepends=True) if raw.find(b"\r", 0, len(raw) - 1 - raw.endswith(b"\r\n")) >= 0 else (raw,)
         if size is not None:
             size -= len(raw)
             if size <= 0:

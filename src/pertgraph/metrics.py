@@ -118,9 +118,13 @@ def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths:
         return cov / np.sqrt(vx * vy), ~(varies(x) & varies(y)) | (vx == 0.0) | (vy == 0.0)
 
 
-def _deg_rows(x: np.ndarray, deg) -> np.ndarray:
-    """The DEG mask of the rows x, all True when `deg` is None."""
-    return np.ones(x.shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool).reshape(x.shape)
+def _deg_rows(deg, shape: tuple[int, int]) -> np.ndarray:
+    """The bool mask `deg` as (P, G) rows of `shape`, all True when `deg` is None.
+    One row's mask may also be (G,); any other shape is a ShapeError naming both."""
+    mask = np.ones(shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool)
+    if mask.shape != shape and not (shape[0] == 1 and mask.shape == shape[1:]):
+        raise ShapeError(f"DEG mask shape {mask.shape} does not fit rows of shape {shape}")
+    return mask.reshape(shape)
 
 
 def de_spearman_lfc(pred_delta_deg, true_delta_deg, deg=None, *, weights=None):
@@ -133,7 +137,7 @@ def de_spearman_lfc(pred_delta_deg, true_delta_deg, deg=None, *, weights=None):
     One `rank_rows` call ranks both deltas of every row."""
     x, y = _row_pair(pred_delta_deg, true_delta_deg)
     block = np.ndim(pred_delta_deg) == 2
-    where = _deg_rows(x, deg)
+    where = _deg_rows(deg, x.shape)
     lengths = where.sum(axis=1)
     if not block and lengths[0] < 2:
         raise DegenerateError("need at least 2 DEGs")
@@ -163,7 +167,7 @@ def direction_match(pred_delta_deg, true_delta_deg, deg=None):
     `deg`, when given, is a bool mask of the arguments' shape that picks the
     DEGs out of whole deltas."""
     x, y = _row_pair(pred_delta_deg, true_delta_deg)
-    where = _deg_rows(x, deg)
+    where = _deg_rows(deg, x.shape)
     n = where.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = ((np.sign(x) == np.sign(y)) & where).sum(axis=1) / n
@@ -229,24 +233,25 @@ def pds(
     return scores, float(np.mean(list(scores.values())))
 
 
-def _gene_rows(genes, n_genes: int) -> np.ndarray:
-    """A set of gene indices as a (1, n_genes) bool mask; a 2-D mask as it is."""
+def _gene_rows(genes, shape: tuple[int, int]) -> np.ndarray:
+    """A set of gene indices as a (1, G) bool mask, or a 2-D mask; either as `_deg_rows` fits it to `shape`."""
     if np.ndim(genes) == 2:
-        return np.asarray(genes, dtype=bool)
-    bad = [g for g in genes if not 0 <= g < n_genes]
+        return _deg_rows(genes, shape)
+    bad = [g for g in genes if not 0 <= g < shape[1]]
     if bad:
-        raise UsageError(f"gene index {bad[0]} is outside [0, {n_genes})")
-    mask = np.zeros((1, n_genes), dtype=bool)
+        raise UsageError(f"gene index {bad[0]} is outside [0, {shape[1]})")
+    mask = np.zeros((1, shape[1]), dtype=bool)
     mask[0, list(genes)] = True
-    return mask
+    return _deg_rows(mask, shape)
 
 
 def des_fdr(g_true, g_pred):
-    """Fraction of true DEGs recovered in the predicted significant set. The
-    sets of gene indices may also be (P, G) bool masks, one perturbation a row."""
+    """Fraction of true DEGs recovered in the predicted significant set. The sets
+    of gene indices may also be (P, G) bool masks of one shape, one perturbation a row."""
     block = np.ndim(g_true) == 2
-    n_genes = 0 if block else max(max(g_true, default=-1), max(g_pred, default=-1)) + 1
-    true, pred = _gene_rows(g_true, n_genes), _gene_rows(g_pred, n_genes)
+    masks = [np.shape(g) for g in (g_true, g_pred) if np.ndim(g) == 2]
+    shape = masks[0] if masks else (1, max(max(g_true, default=-1), max(g_pred, default=-1)) + 1)
+    true, pred = _gene_rows(g_true, shape), _gene_rows(g_pred, shape)
     n_true = true.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = (true & pred).sum(axis=1) / n_true
@@ -317,7 +322,7 @@ def des_at_k(pred_delta: np.ndarray, g_true, k: int):
     """
     check_range("k", k, 1)
     mag = np.abs(_rows(pred_delta))
-    true = _gene_rows(g_true, mag.shape[1])
+    true = _gene_rows(g_true, mag.shape)
     mag[np.isnan(mag)] = -1.0
     n_genes = mag.shape[1]
     if k >= n_genes:

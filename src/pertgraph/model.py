@@ -32,7 +32,7 @@ import scipy.sparse
 from .data import SemanticEmbeddings
 from .errors import DataError, NumericalError, ShapeError, UsageError, atomic_write, check_range, write_json
 from .graph import KnowledgeGraph
-from .numerics import Tape, _softmax_rows
+from .numerics import Tape
 
 ALPHA_FLOOR = 1e-12
 
@@ -199,17 +199,20 @@ def gumbel_select(
     mode: str = "threshold",
     top_m: int = 10,
 ) -> SubgraphSelection:
-    """Sample a sparse node set from normalized scores.
+    """Sample a sparse node set from normalized scores: the forward's own
+    `build_alpha_tilde` and `_select_indices` on one row, log(alpha) as its scores.
 
-    `seed=None` is eval mode: the Gumbel noise is identically zero and the
-    outcome is deterministic. alpha is floored at 1e-12 before the log.
+    `seed=None` is eval mode: no Gumbel noise is added and the outcome is
+    deterministic. alpha is floored at ALPHA_FLOOR before the log.
     """
     alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
     ModelConfig(tau=tau, threshold=threshold, selection_mode=mode, select_top_m=top_m).validate()
     if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-6):
         raise UsageError("alpha must be a probability vector")
-    logits = (np.log(np.maximum(alpha, ALPHA_FLOOR)) + _gumbel_noise([seed], alpha.size)) / tau
-    alpha_tilde = _softmax_rows(logits)
+    tape = Tape()
+    scores = tape.constant(np.log(np.maximum(alpha, ALPHA_FLOOR)).reshape(1, -1))
+    noise = None if seed is None else _gumbel_noise([seed], alpha.size)
+    alpha_tilde = tape.value(build_alpha_tilde(tape, scores, noise, tau))
     mask = _select_indices(alpha_tilde, None if forced is None else [forced], mode, threshold, top_m)
     return SubgraphSelection(alpha=alpha, alpha_tilde=alpha_tilde[0], mask=mask[0], gumbel_seed=seed, forced=forced)
 

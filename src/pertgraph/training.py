@@ -119,8 +119,6 @@ def evaluate_batch(
     straight-through base), which is what gradient checks rely on. `agg` is
     passed on to `build_forward`.
     """
-    if not perts:
-        raise UsageError("batch is empty")
     tape = Tape()
     pids = register_params(tape, params)
     built = build_forward(
@@ -174,21 +172,12 @@ def predict_profiles(
 
     All perturbations are one batched forward on one tape; no backward runs,
     so the tape holds no gradient buffers. The aggregation operator is `agg`
-    or, when None, built once per call.
+    or, when None, built once per call by `build_forward`.
     """
-    if agg is None:
-        agg = _aggregation(params.config, graph)
     tape = Tape()
     pids = register_params(tape, params)
     x_hat = tape.value(build_forward(tape, pids, params, xbar_c, perts, graph, embeddings, agg=agg).x_hat)
     return {p: x_hat[i].copy() for i, p in enumerate(perts)}
-
-
-def _aggregation(config: ModelConfig, graph: KnowledgeGraph | None):
-    """The graph's aggregation operator, or None where the forward uses no graph."""
-    if graph is None or config.no_context:
-        return None
-    return aggregation_matrix(graph, config.weighted_aggregation)
 
 
 def _validation_pearson(
@@ -245,7 +234,7 @@ def train(
         seed=derive_seed(config.seed, "init"), train_perts=train_perts,
     )
     opt_state = AdamState.for_params(params.values)
-    agg = _aggregation(model_cfg, graph)
+    agg = None if model_cfg.no_context else aggregation_matrix(graph, model_cfg.weighted_aggregation)
 
     best_params = params.copy()
     best_monitor = -np.inf

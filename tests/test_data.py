@@ -1,3 +1,5 @@
+import io
+import itertools
 import os
 import pickle
 import re
@@ -492,6 +494,42 @@ def test_dataset_rejects_negative_values():
     vocab = GeneVocab(["G0", "G1"])
     with pytest.raises(DataError):
         PerturbationDataset(vocab, np.array([[1.0, -0.1], [1.0, 0.2]]), {})
+
+
+def test_lines_splits_a_binary_line_as_splitlines_does():
+    # every string of up to 7 bytes over a, \r and \n, cut as binary readline cuts it
+    texts = [bytes(t) for n in range(1, 8) for t in itertools.product(b"a\r\n", repeat=n)]
+    assert len(texts) == 3279
+    for text in texts:
+        raw = list(io.BytesIO(text))
+        assert list(data._lines(raw)) == [line for r in raw for line in r.splitlines(keepends=True)], text
+
+
+def running_threads() -> tuple[int, set[str]]:
+    """This process's Python thread count, and its OS thread ids where /proc/self/task lists them."""
+    task = "/proc/self/task"
+    return threading.active_count(), set(os.listdir(task)) if os.path.isdir(task) else set()
+
+
+def test_no_thread_outlives_a_read_so_a_later_load_can_fork(tmp_path, ranges):
+    # the Matrix Market reader runs on all cores: a pool it kept would make a later fork unsafe.
+    # An OS thread may stop, not start: OpenBLAS stops its pool at a fork, and this process
+    # loaded numpy before the package could pin BLAS to one thread
+    python, tids = running_threads()
+
+    def assert_no_new_thread():
+        now_python, now_tids = running_threads()
+        assert now_python == python and now_tids <= tids
+
+    assert data._read_plain_numbers(["1.5,-2", "3e1,4"], 2) is not None
+    assert_no_new_thread()
+    path = tmp_path / "expression.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    counts = ranges(2)
+    assert load_expression(path).n_genes == 5
+    assert counts[-1] == 2  # a worker was forked
+    assert_no_child_left()
+    assert_no_new_thread()
 
 
 # --- welch ------------------------------------------------------------------------

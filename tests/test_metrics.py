@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,52 @@ def test_gene_sets_name_genes_of_the_delta():
         des_at_k(np.array([1.0, 2.0, 3.0]), {0, 3}, k=2)
     with pytest.raises(UsageError, match="gene index -1"):
         des_fdr({0, -1}, {0})
+
+
+# --- DEG mask shapes -----------------------------------------------------------------
+
+MASK_DELTAS = np.array([[0.5, -1.0, 2.0, 0.0], [1.5, 0.25, -2.0, 3.0], [-0.5, 1.0, 0.75, -3.0]])
+
+
+def mask_shape_error(mask_shape, shape):
+    return pytest.raises(ShapeError, match=re.escape(f"DEG mask shape {mask_shape} does not fit rows of shape {shape}"))
+
+
+def test_des_at_k_refuses_a_mask_of_another_shape():
+    with mask_shape_error((1, 4), (3, 4)):
+        des_at_k(MASK_DELTAS, np.ones((1, 4), dtype=bool), k=2)
+    with mask_shape_error((3, 5), (3, 4)):
+        des_at_k(MASK_DELTAS, np.ones((3, 5), dtype=bool), k=2)
+    with mask_shape_error((1, 4), (3, 4)):  # an index set names one row's DEGs
+        des_at_k(MASK_DELTAS, {0, 1}, k=2)
+    assert des_at_k(MASK_DELTAS[:1], np.array([[True, True, False, False]]), k=2) == [0.5]
+
+
+def test_des_fdr_refuses_masks_of_two_shapes():
+    with mask_shape_error((1, 4), (3, 4)):
+        des_fdr(np.ones((3, 4), dtype=bool), np.ones((1, 4), dtype=bool))
+    with mask_shape_error((3, 4), (1, 4)):
+        des_fdr(np.ones((1, 4), dtype=bool), np.ones((3, 4), dtype=bool))
+    with mask_shape_error((1, 4), (3, 4)):
+        des_fdr({0, 1}, np.ones((3, 4), dtype=bool))
+    assert des_fdr(np.array([[True, True, False]]), np.array([[True, False, True]])) == [0.5]
+
+
+@pytest.mark.parametrize("metric", [direction_match, de_spearman_sig, de_spearman_lfc])
+def test_a_deg_mask_must_have_the_deltas_shape(metric):
+    true = MASK_DELTAS[::-1] + 0.125
+    with mask_shape_error((2, 6), (3, 4)):
+        metric(MASK_DELTAS, true, np.ones((2, 6), dtype=bool))
+    with mask_shape_error((1, 4), (3, 4)):
+        metric(MASK_DELTAS, true, np.ones((1, 4), dtype=bool))
+    with mask_shape_error((5,), (1, 4)):
+        metric(MASK_DELTAS[0], true[0], np.ones(5, dtype=bool))
+    # one row's mask may be (G,) or (1, G), whether the deltas are (G,) or (1, G)
+    one = metric(MASK_DELTAS[0], true[0])
+    for deltas in ((MASK_DELTAS[0], true[0]), (MASK_DELTAS[:1], true[:1])):
+        for mask in (np.ones(4, dtype=bool), np.ones((1, 4), dtype=bool)):
+            got = metric(*deltas, mask)
+            assert (got if deltas[0].ndim == 1 else got[0]) == one
 
 
 def test_des_at_k_ranks_nan_last():

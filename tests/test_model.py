@@ -192,6 +192,20 @@ def test_gumbel_floors_zero_probabilities():
     assert sel.alpha_tilde[0] > 0.99
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.7, 1e-3])
+@pytest.mark.parametrize("seeds", [[None], list(range(20))], ids=["eval", "seeded"])
+def test_gumbel_select_alpha_tilde_is_the_forwards_own_bit_for_bit(tau, seeds):
+    # the forward's path: build_alpha_tilde on log(max(alpha, ALPHA_FLOOR)) with the same noise
+    for alpha in (np.random.default_rng(0).dirichlet(np.ones(9)), np.array([0.6, 0.0, 0.3, 0.1])):
+        for seed in seeds:
+            tape = Tape()
+            scores = tape.constant(np.log(np.maximum(alpha, model.ALPHA_FLOOR)).reshape(1, -1))
+            noise = None if seed is None else model._gumbel_noise([seed], alpha.size)
+            want = tape.value(model.build_alpha_tilde(tape, scores, noise, tau))[0]
+            got = gumbel_select(alpha, tau=tau, threshold=0.2, seed=seed).alpha_tilde
+            assert got.tobytes() == want.tobytes()
+
+
 def test_gumbel_top_m_mode():
     alpha = np.array([0.4, 0.3, 0.2, 0.1])
     sel = gumbel_select(alpha, tau=1.0, threshold=0.5, mode="top_m", top_m=2, forced=3)
