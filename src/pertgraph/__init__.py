@@ -4,7 +4,7 @@ import os
 
 # One BLAS thread, set before numpy loads: a threaded matmul over a long inner
 # dimension rounds by thread count, so outputs would depend on the core count.
-# A caller that loaded numpy first keeps the BLAS threads it started with.
+# A caller that loaded numpy first keeps its BLAS threads, and its CSV reads do not fork.
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .data import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -137,16 +138,6 @@ def cmd_train(cfg: RunConfig, args, out: Path) -> str:
     )
 
 
-def _resolve_checkpoint_paths(cfg: RunConfig, args) -> tuple[Path, Path]:
-    manifest = Path(args.checkpoint) if args.checkpoint else Path(cfg.out) / "checkpoint.json"
-    if not manifest.exists():
-        raise DataError(f"missing checkpoint manifest: {manifest}")
-    blob = manifest.with_suffix(".bin")
-    if not blob.exists():
-        raise DataError(f"missing checkpoint blob: {blob}")
-    return manifest, blob
-
-
 def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) -> list[str]:
     split_path = None
     if getattr(args, "splits", None):
@@ -180,9 +171,14 @@ def _resolve_test_split(cfg: RunConfig, args, dataset, manifest: Path | None) ->
     return test
 
 
-def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) -> tuple[list[str], dict]:
-    """Load the checkpoint, check that it fits the inputs, and predict the test split."""
-    manifest, blob = _resolve_checkpoint_paths(cfg, args)
+def _fitting_checkpoint(cfg: RunConfig, args, dataset, graph, embeddings):
+    """Load the checkpoint, check that it fits the inputs, and return its manifest path and parameters."""
+    manifest = Path(args.checkpoint) if args.checkpoint else Path(cfg.out) / "checkpoint.json"
+    if not manifest.exists():
+        raise DataError(f"missing checkpoint manifest: {manifest}")
+    blob = manifest.with_suffix(".bin")
+    if not blob.exists():
+        raise DataError(f"missing checkpoint blob: {blob}")
     params = load_checkpoint(manifest, blob)
     if params.n_genes != dataset.n_genes:
         raise DataError(f"checkpoint has {params.n_genes} genes, the expression data has {dataset.n_genes}")
@@ -190,18 +186,21 @@ def _checkpoint_predictions(cfg: RunConfig, args, dataset, graph, embeddings) ->
         raise DataError(f"checkpoint has {params.n_nodes} graph nodes, the graph has {graph.n_nodes}")
     if not params.config.no_context and params.d_embed != embeddings.dim:
         raise DataError(f"embeddings in {cfg.embeddings} are {embeddings.dim} wide, the checkpoint's are {params.d_embed}")
-    test_perts = _resolve_test_split(cfg, args, dataset, manifest)
-    return test_perts, predict_profiles(params, dataset.control.mean(axis=0), test_perts, graph, embeddings)
+    return manifest, params
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
     dataset, graph, embeddings = _load_inputs(cfg)
     xbar_c = dataset.control.mean(axis=0)
+    manifest, params = (None, None) if args.oracle else _fitting_checkpoint(cfg, args, dataset, graph, embeddings)
+    test_perts = _resolve_test_split(cfg, args, dataset, manifest)
+    unnamable = next((p for p in test_perts if any(c in p for c in filter(None, (os.sep, os.altsep, "\0")))), None)
+    if unnamable is not None:
+        raise DataError(f"perturbation {unnamable!r} cannot name a scatter file: it holds a path separator or NUL")
     if args.oracle:
-        test_perts = _resolve_test_split(cfg, args, dataset, None)
         predictions = {p: dataset.block(p).mean(axis=0) for p in test_perts}
     else:
-        test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
+        predictions = predict_profiles(params, xbar_c, test_perts, graph, embeddings)
     rep, truth = evaluate_predictions(
         dataset, predictions, test_perts,
         alpha=cfg.train.alpha, correction=cfg.train.deg_correction, des_k=cfg.des_k,
@@ -216,7 +215,9 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
     dataset, graph, embeddings = _load_inputs(cfg)
-    test_perts, predictions = _checkpoint_predictions(cfg, args, dataset, graph, embeddings)
+    manifest, params = _fitting_checkpoint(cfg, args, dataset, graph, embeddings)
+    test_perts = _resolve_test_split(cfg, args, dataset, manifest)
+    predictions = predict_profiles(params, dataset.control.mean(axis=0), test_perts, graph, embeddings)
     prediction_deltas(predictions, test_perts, dataset.control.mean(axis=0))  # refuse profiles no metric could score
     rows = ([p, *predictions[p].tolist()] for p in sorted(predictions))
     write_csv(out / "predictions.csv", ["perturbation"] + dataset.vocab.names, rows)

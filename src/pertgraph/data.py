@@ -15,8 +15,6 @@ import io
 import os
 import pickle
 import signal
-import threading
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -155,16 +153,17 @@ def _read_numeric_csv(path, labels: tuple[str, ...]) -> tuple[list[str], list[li
 
 def _cores() -> int:
     """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _range_cuts(fd: int, start: int) -> list[int]:
     """Byte offsets that cut the data lines of the file `fd`, which start at
     byte `start`, into ranges: one range per usable core, none smaller than
     LOAD_RANGE_BYTES, each offset just after a \\n (a range starts a line
-    however the file ends its lines). No cuts when this process cannot fork,
-    or runs other threads, whose locks a forked copy could find held."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    however the file ends its lines). No cuts unless /proc/self/task lists one
+    thread, the caller: a forked copy of a process that runs other threads,
+    Python's or a native pool's, could find their locks held."""
+    if not os.path.isdir("/proc/self/task") or len(os.listdir("/proc/self/task")) != 1:
         return []
     size = os.fstat(fd).st_size
     n = min(_cores(), (size - start) // LOAD_RANGE_BYTES)
@@ -324,24 +323,19 @@ class _RangeWorker:
     through a pipe a pickle of their label fields, their lines' numbers
     (counted from 1 at the range's first line) and the range's line count,
     then the rows' float64 bytes; whatever goes wrong, it sends nothing more.
-    A fork that warns (Python 3.12+ warns of one in a process with other OS
-    threads, whose child can hang on a lock held at the fork) has its child
-    killed. A range with no result from a worker (none was forked, the fork
-    warned, or the worker died or met a bad line) is parsed here, in file
-    order, which raises the first bad line's error with its line number in
-    the file."""
+    A range with no result from a worker (none was forked, or the worker
+    died or met a bad line) is parsed here, in file order, which raises the
+    first bad line's error with its line number in the file."""
 
     def __init__(self, path, start: int, end: int | None, k: int, n_fields: int, fork: bool):
         self.path, self.start, self.end, self.k, self.n_fields = path, start, end, k, n_fields
         self.first = 1  # the file's line number of the range's first line, once known
         self.chunks: list[np.ndarray] | None = None  # the range's rows when parsed here
         read, write = os.pipe()
-        with warnings.catch_warnings(record=True) as warned:  # recorded, whatever the filters say
-            warnings.simplefilter("always")
-            try:
-                self.pid = os.fork() if fork else None
-            except OSError:  # no worker: its pipe ends at once, so its range is parsed here
-                self.pid = None
+        try:
+            self.pid = os.fork() if fork else None
+        except OSError:  # no worker: its pipe ends at once, so its range is parsed here
+            self.pid = None
         if self.pid == 0:  # the worker: it never returns
             try:
                 os.close(read)
@@ -351,9 +345,6 @@ class _RangeWorker:
                 os._exit(0)
         os.close(write)  # only the worker holds it, so a dead worker's pipe ends
         self.pipe = open(read, "rb")
-        if warned and self.pid:
-            self.reap()
-            self.pid, self.pipe = None, open(os.devnull, "rb")  # an empty pipe: the range is parsed here
 
     def _parse(self):
         with open(self.path, "rb") as fh:

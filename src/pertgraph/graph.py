@@ -115,7 +115,8 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
     Lines starting with `#` and blank lines are ignored. Edges touching a gene
     outside the vocabulary, and self-loop lines, are dropped but counted; the
     count is returned next to the graph. Duplicate edges keep the maximum
-    weight; a negative or non-finite weight is a DataError.
+    weight; a weight that is no number, or that holds `_` or a non-ASCII
+    character, is a ParseError, and a negative or non-finite one a DataError.
     """
     edges: list[tuple[int, int, float]] = []
     dropped = 0
@@ -129,6 +130,8 @@ def load_edge_list(path, vocab: GeneVocab) -> tuple[KnowledgeGraph, int]:
                 raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
             a, b, wtxt = parts
             try:
+                if "_" in wtxt or not wtxt.isascii():  # float() reads `1_0` and non-ASCII digits
+                    raise ValueError
                 w = float(wtxt)
             except ValueError:
                 raise ParseError(f"bad weight {wtxt!r}", lineno) from None

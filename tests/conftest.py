@@ -5,10 +5,13 @@ import os
 from pathlib import Path
 from types import SimpleNamespace
 
+# before numpy loads, so this process runs under the package's one-thread BLAS
+# pin, as CLI runs do: one OS thread, so the CSV reader forks its range workers
+from pertgraph import data
+
 import numpy as np
 import pytest
 
-from pertgraph import data
 from pertgraph.data import (
     GroupStats,
     PerturbationDataset,

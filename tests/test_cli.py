@@ -409,6 +409,23 @@ def test_eval_oracle_mode_perfect_metrics(synth_run):
     assert len(scatters) == len(metrics["per_perturbation"])
 
 
+@pytest.mark.parametrize("name", ["sub/G0000", "G0000\0x"], ids=["separator", "nul"])
+def test_a_perturbation_that_cannot_name_a_scatter_file_is_refused_before_eval_writes(synth_run, capsys, name):
+    # the first perturbation is renamed in all three input files, and the splits file tests it
+    cfg, synth_dir, tmp = synth_run
+    expression = synth_dir / "expression.csv"
+    perts = [p for p in dict.fromkeys(line.split(",")[1] for line in expression.read_text().splitlines()[1:]) if p != "control"]
+    for path in (expression, synth_dir / "graph.tsv", synth_dir / "embeddings.csv"):
+        path.write_text(path.read_text().replace(perts[0], name))
+    splits = tmp / "splits.json"
+    splits.write_text(json.dumps({"test": [name, perts[1]]}))
+    out = tmp / "eval"
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--seed", "3", "--out", str(out), "--oracle", "--splits", str(splits)]) == 2
+    assert_one_line(capsys.readouterr().err, f"data error: perturbation {name!r} cannot name a scatter file: ")
+    assert not (out / "metrics.json").exists() and not list(out.glob("scatter_*"))
+
+
 def test_eval_deterministic_and_strata_consistent(synth_run):
     cfg, synth_dir, tmp = synth_run
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
@@ -1034,14 +1051,21 @@ def test_eval_and_deg_coverage_read_in_two_ranges_write_the_same_bytes(synth_run
     cfg, _, tmp = synth_run
     assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
     ckpt = str(tmp / "out" / "checkpoint.json")
-    cuts, counts = data._range_cuts, []
+    cuts, counts, fork, forks = data._range_cuts, [], os.fork, []
 
     def counted(fd, start):
         got = cuts(fd, start)
         counts.append(len(got) + 1)
         return got
 
+    def counted_fork():
+        pid = fork()
+        if pid:  # in this process, not the worker
+            forks.append(pid)
+        return pid
+
     monkeypatch.setattr(data, "_range_cuts", counted)
+    monkeypatch.setattr(os, "fork", counted_fork)
     outputs = {}
     for n in (1, 2):
         counts.clear()
@@ -1052,6 +1076,6 @@ def test_eval_and_deg_coverage_read_in_two_ranges_write_the_same_bytes(synth_run
         assert main(["deg-coverage", "--config", str(cfg), "--seed", "3", "--out", str(out / "cov")]) == 0
         outputs[n] = ((out / "eval" / "metrics.json").read_bytes(), (out / "cov" / "deg_coverage.json").read_bytes())
         assert max(counts) == n  # the expression file's ranges
-    assert outputs[2] == outputs[1]
+    assert outputs[2] == outputs[1] and forks  # a worker really parsed a range
     with pytest.raises(ChildProcessError):  # no worker is left
         os.waitpid(-1, os.WNOHANG)

@@ -3,6 +3,8 @@ import itertools
 import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -204,14 +206,20 @@ def assert_no_child_left():
 @pytest.fixture
 def ranges(monkeypatch):
     """`ranges(n)` makes the reader cut any file of a few kB into n ranges
-    (1: read in-process) and returns a list that collects each read's range count."""
+    (1: read in-process) and returns a list that collects each read's count
+    of the processes that parsed it: this one, and each worker really forked."""
     counts = []
-    cuts = data._range_cuts
+    cuts, fork = data._range_cuts, os.fork
 
     def counted(fd, start):
-        got = cuts(fd, start)
-        counts.append(len(got) + 1)
-        return got
+        counts.append(1)
+        return cuts(fd, start)
+
+    def counted_fork():
+        pid = fork()
+        if pid:  # in this process, not the worker
+            counts[-1] += 1
+        return pid
 
     def set_ranges(n):
         monkeypatch.setattr(data, "LOAD_RANGE_BYTES", 64 if n > 1 else 8 << 20)
@@ -219,6 +227,7 @@ def ranges(monkeypatch):
         return counts
 
     monkeypatch.setattr(data, "_range_cuts", counted)
+    monkeypatch.setattr(os, "fork", counted_fork)
     return set_ranges
 
 
@@ -426,35 +435,19 @@ def test_range_whose_fork_fails_is_parsed_in_process(tmp_path, ranges, monkeypat
     path = tmp_path / "data.csv"
     path.write_bytes(with_bad_lines(csv_bytes(EXPRESSION_LABELS, 60, 5), {50: "abc"}))
     expected = raised_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    tries = []
 
     def no_fork():
+        tries.append(None)
         raise BlockingIOError("no more processes")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert raised_in_ranges(ranges, path, EXPRESSION_LABELS, 3) == expected
-
-
-def test_a_fork_that_warns_leaves_no_child_and_its_range_is_parsed_in_process(tmp_path, ranges, monkeypatch):
-    # Python 3.12+ warns after the fork, in the parent, when other OS threads run
-    path = tmp_path / "data.csv"
-    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
-    expected = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
-    fork, pids = os.fork, []
-
-    def warning_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.", DeprecationWarning)
-        return pid
-
-    monkeypatch.setattr(os, "fork", warning_fork)
-    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 3)
-    assert (names, lead) == expected[:2] and values.tobytes() == expected[2].tobytes()
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    counts = ranges(3)
+    with pytest.raises(DataError) as info:
+        data._read_numeric_csv(path, EXPRESSION_LABELS)
+    assert (type(info.value), str(info.value), info.value.line) == expected
+    assert len(tries) == 2 and counts[-1] == 1  # two ranges' forks failed, so this process parsed all three
+    assert_no_child_left()
 
 
 def test_interrupted_read_reaps_its_workers(tmp_path, ranges, monkeypatch):
@@ -505,31 +498,66 @@ def test_lines_splits_a_binary_line_as_splitlines_does():
         assert list(data._lines(raw)) == [line for r in raw for line in r.splitlines(keepends=True)], text
 
 
+TASK = "/proc/self/task"  # this process's OS threads, one entry each, on Linux
+
+
 def running_threads() -> tuple[int, set[str]]:
     """This process's Python thread count, and its OS thread ids where /proc/self/task lists them."""
-    task = "/proc/self/task"
-    return threading.active_count(), set(os.listdir(task)) if os.path.isdir(task) else set()
+    return threading.active_count(), set(os.listdir(TASK)) if os.path.isdir(TASK) else set()
 
 
 def test_no_thread_outlives_a_read_so_a_later_load_can_fork(tmp_path, ranges):
-    # the Matrix Market reader runs on all cores: a pool it kept would make a later fork unsafe.
-    # An OS thread may stop, not start: OpenBLAS stops its pool at a fork, and this process
-    # loaded numpy before the package could pin BLAS to one thread
-    python, tids = running_threads()
-
-    def assert_no_new_thread():
-        now_python, now_tids = running_threads()
-        assert now_python == python and now_tids <= tids
-
+    # the Matrix Market reader runs on all cores: a pool it kept would make a later fork unsafe
+    threads = running_threads()
     assert data._read_plain_numbers(["1.5,-2", "3e1,4"], 2) is not None
-    assert_no_new_thread()
+    assert running_threads() == threads
     path = tmp_path / "expression.csv"
     path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
     counts = ranges(2)
     assert load_expression(path).n_genes == 5
     assert counts[-1] == 2  # a worker was forked
     assert_no_child_left()
-    assert_no_new_thread()
+    assert running_threads() == threads
+
+
+@pytest.mark.skipif(not os.path.isdir(TASK), reason="no /proc/self/task lists this process's threads")
+def test_the_suites_process_runs_one_os_thread_so_its_range_tests_fork():
+    # conftest loads the package before numpy, whose BLAS is then pinned to one thread:
+    # a matmul this large would start a threaded BLAS's pool again after a fork stopped it
+    assert (np.ones((256, 256)) @ np.ones((256, 256)))[0, 0] == 256
+    assert len(os.listdir(TASK)) == 1
+
+
+NUMPY_FIRST = """
+import os, pickle, sys
+import numpy  # before the package, so BLAS starts its pool
+threads = len(os.listdir("/proc/self/task"))
+from pertgraph import data
+fork, forks = os.fork, []
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+data.LOAD_RANGE_BYTES, data._cores = 64, lambda: 2
+got = data._read_numeric_csv(sys.argv[1], ("sample_id", "perturbation")) if threads > 1 else None
+sys.stdout.buffer.write(pickle.dumps((threads, len(forks), got)))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir(TASK), reason="no /proc/self/task lists this process's threads")
+def test_a_caller_that_loads_numpy_first_reads_in_one_range_and_forks_nothing(tmp_path, ranges):
+    path = tmp_path / "expression.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))  # two ranges, were this process's one thread the caller
+    names, lead, values = read_in_ranges(ranges, path, EXPRESSION_LABELS, 1)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FIRST, str(path)], capture_output=True, env=env, check=True)
+    threads, forks, got = pickle.loads(proc.stdout)
+    if threads < 2:
+        pytest.skip("numpy started no second thread")
+    assert forks == 0
+    assert got[:2] == (names, lead) and got[2].tobytes() == values.tobytes()
 
 
 # --- welch ------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def test_load_non_finite_weight_reports_lineno(tmp_path, weight):
     p = tmp_path / "edges.tsv"
     p.write_text(f"A\tB\t0.5\nA\tB\t{weight}\n")
     with pytest.raises(DataError, match="line 2"):
+        load_edge_list(p, GeneVocab(["A", "B"]))
+
+
+@pytest.mark.parametrize("weight", ["1_0", "\u0661", "0.\u0665", "0.5\u00a0", "\uff11"], ids=["underscore", "arabic-indic", "arabic-indic-fraction", "nbsp", "fullwidth"])
+def test_load_weight_holding_an_underscore_or_non_ascii_is_a_bad_weight(tmp_path, weight):
+    # float() reads each of these; the CSV reader's number rule refuses them
+    p = tmp_path / "edges.tsv"
+    p.write_text(f"A\tB\t0.5\nA\tB\t{weight}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 2: bad weight {re.escape(repr(weight))}"):
         load_edge_list(p, GeneVocab(["A", "B"]))
 
 
