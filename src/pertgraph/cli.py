@@ -28,7 +28,7 @@ from .data import (
     split_by_perturbation,
     synth_generate,
 )
-from .errors import DataError, NumericalError, UsageError, first_repeat, write_csv, write_json
+from .errors import DataError, NumericalError, UsageError, first_repeat, temporary_path, write_csv, write_json
 from .graph import deg_coverage, degree_stats, load_edge_list, nominations, save_edge_list, topk_filter
 from .metrics import evaluate_predictions, prediction_deltas, write_scatter_csv
 from .model import load_checkpoint, save_checkpoint
@@ -194,9 +194,12 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> str:
     xbar_c = dataset.control.mean(axis=0)
     manifest, params = (None, None) if args.oracle else _fitting_checkpoint(cfg, args, dataset, graph, embeddings)
     test_perts = _resolve_test_split(cfg, args, dataset, manifest)
-    unnamable = next((p for p in test_perts if any(c in p for c in filter(None, (os.sep, os.altsep, "\0")))), None)
-    if unnamable is not None:
-        raise DataError(f"perturbation {unnamable!r} cannot name a scatter file: it holds a path separator or NUL")
+    name_max = os.pathconf(out, "PC_NAME_MAX")
+    for p in test_perts:
+        if any(c in p for c in filter(None, (os.sep, os.altsep, "\0"))):
+            raise DataError(f"perturbation {p!r} cannot name a scatter file: it holds a path separator or NUL")
+        if len(os.fsencode(temporary_path(out / f"scatter_{p}.csv").name)) > name_max:
+            raise DataError(f"perturbation {p!r} cannot name a scatter file: the name is over {name_max} bytes")
     if args.oracle:
         predictions = {p: dataset.block(p).mean(axis=0) for p in test_perts}
     else:

@@ -94,13 +94,18 @@ def open_utf8(path) -> Iterator[TextIO]:
         yield fh
 
 
+def temporary_path(path) -> Path:
+    """The temporary file beside `path` that `atomic_write` writes first."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "w") -> Iterator[IO]:
     """Open a temporary file beside `path` that replaces `path` only once the
     block completes, so a write that fails midway leaves the old file intact.
     Text is UTF-8 and line ends are written as given (csv's are \\r\\n)."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = temporary_path(path)
     text = "b" not in mode
     try:
         with open(tmp, mode, encoding="utf-8" if text else None, newline="" if text else None) as fh:

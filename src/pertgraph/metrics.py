@@ -120,8 +120,11 @@ def _weighted_pearson_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, lengths:
 
 def _deg_rows(deg, shape: tuple[int, int]) -> np.ndarray:
     """The bool mask `deg` as (P, G) rows of `shape`, all True when `deg` is None.
-    One row's mask may also be (G,); any other shape is a ShapeError naming both."""
-    mask = np.ones(shape, dtype=bool) if deg is None else np.asarray(deg, dtype=bool)
+    One row's mask may also be (G,); any other shape is a ShapeError naming both.
+    A mask of another dtype (a set, a list of indices, 0/1 integers) is a UsageError."""
+    mask = np.ones(shape, dtype=bool) if deg is None else np.asarray(deg)
+    if mask.dtype != bool:
+        raise UsageError(f"a DEG mask must be a bool array, got dtype {mask.dtype}")
     if mask.shape != shape and not (shape[0] == 1 and mask.shape == shape[1:]):
         raise ShapeError(f"DEG mask shape {mask.shape} does not fit rows of shape {shape}")
     return mask.reshape(shape)
@@ -233,25 +236,12 @@ def pds(
     return scores, float(np.mean(list(scores.values())))
 
 
-def _gene_rows(genes, shape: tuple[int, int]) -> np.ndarray:
-    """A set of gene indices as a (1, G) bool mask, or a 2-D mask; either as `_deg_rows` fits it to `shape`."""
-    if np.ndim(genes) == 2:
-        return _deg_rows(genes, shape)
-    bad = [g for g in genes if not 0 <= g < shape[1]]
-    if bad:
-        raise UsageError(f"gene index {bad[0]} is outside [0, {shape[1]})")
-    mask = np.zeros((1, shape[1]), dtype=bool)
-    mask[0, list(genes)] = True
-    return _deg_rows(mask, shape)
-
-
 def des_fdr(g_true, g_pred):
-    """Fraction of true DEGs recovered in the predicted significant set. The sets
-    of gene indices may also be (P, G) bool masks of one shape, one perturbation a row."""
+    """Fraction of true DEGs recovered in the predicted significant set; the two
+    are bool masks of one shape, (G,) or (P, G) with one perturbation a row."""
     block = np.ndim(g_true) == 2
-    masks = [np.shape(g) for g in (g_true, g_pred) if np.ndim(g) == 2]
-    shape = masks[0] if masks else (1, max(max(g_true, default=-1), max(g_pred, default=-1)) + 1)
-    true, pred = _gene_rows(g_true, shape), _gene_rows(g_pred, shape)
+    true = _deg_rows(g_true, np.shape(g_true) if block else (1, np.size(g_true)))
+    pred = _deg_rows(g_pred, true.shape)
     n_true = true.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = (true & pred).sum(axis=1) / n_true
@@ -274,11 +264,11 @@ def predicted_deg_set(
     delta, so a single predicted profile is testable against the control
     variance with the same settings used for the ground truth.
     `control_stats`, when given, is `group_stats(control_block)`, computed
-    once for many predictions. A (P, G) block of deltas, one prediction a
-    row, gives the (P, G) bool mask of each row's set. The genes tested
-    take `data.shifted_pvalues`: one Welch call per G of them, whatever
-    rows they are in (one per row under "benjamini-hochberg", where BH
-    adjusts each row on its own), none when there are none.
+    once for many predictions. The set is a bool mask of the delta's shape:
+    (G,) for one prediction, (P, G) for a block, one prediction a row. The
+    genes tested take `data.shifted_pvalues`: one Welch call per G of them,
+    whatever rows they are in (one per row under "benjamini-hochberg", where
+    BH adjusts each row on its own), none when there are none.
 
     Under correction "none" no shifted copy is built. It has the control's n
     and, up to rounding, std s, so its t is d / (s sqrt(2/n)) with df 2(n - 1).
@@ -307,14 +297,14 @@ def predicted_deg_set(
             sig = known & (t - tol > t_hi)
             retest = ~(sig | known & (t + tol < t_lo))
         sig[retest] = is_deg(shifted_pvalues(control_block, c, d, np.flatnonzero(retest)))
-    return sig if np.ndim(pred_delta) == 2 else set(np.flatnonzero(sig[0]).tolist())
+    return sig if np.ndim(pred_delta) == 2 else sig[0]
 
 
 def des_at_k(pred_delta: np.ndarray, g_true, k: int):
     """Fraction of true DEGs in the k genes with the largest |predicted delta|.
 
-    `g_true` is the set of true DEG indices, or for a (P, G) block of deltas
-    the (P, G) bool mask of each row's true DEGs. Magnitude ties break
+    `g_true` is the bool mask of the true DEGs, of the deltas' shape: (G,)
+    for one delta, or (P, G) for a block, one row each. Magnitude ties break
     toward the lower gene index and NaN ranks last; the denominator is
     min(k, |g_true|) so a perfect ranker scores 1 even when k < |g_true|. The
     top k are the magnitudes above the k-th largest, v, plus the
@@ -322,7 +312,7 @@ def des_at_k(pred_delta: np.ndarray, g_true, k: int):
     """
     check_range("k", k, 1)
     mag = np.abs(_rows(pred_delta))
-    true = _gene_rows(g_true, mag.shape)
+    true = _deg_rows(g_true, mag.shape)
     mag[np.isnan(mag)] = -1.0
     n_genes = mag.shape[1]
     if k >= n_genes:

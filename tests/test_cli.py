@@ -409,7 +409,7 @@ def test_eval_oracle_mode_perfect_metrics(synth_run):
     assert len(scatters) == len(metrics["per_perturbation"])
 
 
-@pytest.mark.parametrize("name", ["sub/G0000", "G0000\0x"], ids=["separator", "nul"])
+@pytest.mark.parametrize("name", ["sub/G0000", "G0000\0x", "G" * 300], ids=["separator", "nul", "too-long"])
 def test_a_perturbation_that_cannot_name_a_scatter_file_is_refused_before_eval_writes(synth_run, capsys, name):
     # the first perturbation is renamed in all three input files, and the splits file tests it
     cfg, synth_dir, tmp = synth_run

@@ -941,10 +941,10 @@ def test_predicted_deg_set_with_control_stats_bit_identical(correction):
         delta[0], delta[1] = 0.0, 1.0  # gene 0 stays equal to control, gene 1 moves
         ref = welch_pvalues(control, control + delta)
         effective = bh_adjust(ref) if correction == "benjamini-hochberg" else ref
-        expected = set(np.flatnonzero(effective < 0.05).tolist())
-        assert 1 in expected and 0 not in expected
-        assert predicted_deg_set(control, delta, 0.05, correction) == expected
-        assert predicted_deg_set(control, delta, 0.05, correction, stats) == expected
+        expected = effective < 0.05
+        assert expected[1] and not expected[0]
+        assert np.array_equal(predicted_deg_set(control, delta, 0.05, correction), expected)
+        assert np.array_equal(predicted_deg_set(control, delta, 0.05, correction, stats), expected)
 
 
 def test_unknown_correction_is_rejected_before_any_welch_test(monkeypatch):
@@ -985,6 +985,37 @@ def test_a_nan_pvalue_leaves_the_other_genes_degs_under_bh():
         assert compute_degs(ds, correction=correction).deg_indices("PA").tolist() == [1, 2]
     # the NaN counts among the 5 tests but bounds no other adjusted value
     np.testing.assert_allclose(bh_adjust(np.array([np.nan, 0.004, 0.5, 0.002, 0.9])), [np.nan, 0.01, 2.5 / 3, 0.01, 1.0], rtol=1e-15)
+
+
+def reference_against_planted(sigma: float, correction: str) -> tuple[int, int, int, int, int]:
+    """`compute_degs` at alpha 0.05 against the synth's planted DEG sets,
+    pooled over the criterion-7 synth at seeds 0-4 and `noise_sigma` sigma:
+    (calls, false calls, null genes, planted genes, planted genes called)."""
+    counts = np.zeros(5, dtype=np.int64)
+    for seed in range(5):
+        config = SynthConfig(n_genes=200, n_perturbations=40, cells_per_condition=20, noise_sigma=sigma, embed_dim=16)
+        synth = synth_generate(config, seed)
+        table = compute_degs(synth.dataset, alpha=0.05, correction=correction)
+        for p in synth.dataset.pert_names():
+            planted = np.zeros(synth.dataset.n_genes, dtype=bool)
+            planted[synth.dataset.vocab.indices(synth.truth_degs[p])] = True
+            called = table.masks[p]
+            counts += [called.sum(), (called & ~planted).sum(), (~planted).sum(), planted.sum(), (called & planted).sum()]
+    return tuple(counts.tolist())
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0])
+def test_the_deg_reference_holds_to_the_planted_truth(sigma):
+    # every null gene is tested against one shared control block, so its
+    # calls are not independent: the bounds are one-sided, not a binomial band
+    alpha = 0.05
+    calls, false, null, planted, found = reference_against_planted(sigma, "benjamini-hochberg")
+    assert null == 37110 and calls > 0
+    assert false / calls <= alpha  # BH holds the pooled false share of calls to alpha
+    calls, false, null, planted, found = reference_against_planted(sigma, "none")
+    assert alpha / 2 <= false / null <= alpha  # no correction calls null genes at about alpha
+    if sigma < 1.0:
+        assert found == planted
 
 
 # --- strata -------------------------------------------------------------------------

@@ -5,7 +5,12 @@ names the rewritten files: edge lines in another order, embedding rows in
 another order, two labels' expression rows interleaved (each label's rows in
 their own order), and the expression file's label blocks in another order.
 The data is a criterion-7 synth (200 genes, 40 perturbations) with
-`top_k = 5`, trained for 20 epochs."""
+`top_k = 5`, trained for 20 epochs.
+
+The gene columns of the expression file in another order, with a model's
+gene-indexed parameters permuted to match and the graph and embeddings files
+as they were, move no eval-mode prediction or metric by more than 1e-12 and
+no truth DEG mask at all."""
 
 from __future__ import annotations
 
@@ -15,6 +20,11 @@ import numpy as np
 import pytest
 
 from pertgraph.cli import main
+from pertgraph.data import SynthConfig, load_embeddings, load_expression, save_embeddings, save_expression, synth_generate
+from pertgraph.graph import load_edge_list, save_edge_list, topk_filter
+from pertgraph.metrics import evaluate_predictions
+from pertgraph.model import ModelConfig, init_params
+from pertgraph.training import predict_profiles
 
 SETTINGS = """\
 [graph]
@@ -155,3 +165,75 @@ def test_a_rewrite_of_the_same_data_writes_the_same_bytes(reference, tmp_path, r
     assert sorted(got) == sorted(expected) and len(got) > 10
     differ = [name for name in expected if got[name] != expected[name]]
     assert not differ, f"{rewrite}: these outputs differ: {differ}"
+
+
+# --- gene order --------------------------------------------------------------
+
+# the gene-indexed parameters: node rows of the GNN table (the graph's nodes
+# are the expression file's genes), and the encoder's, decoder's and
+# alignment's gene rows or columns
+GENE_ROWS = ("gnn.table", "enc.w1", "align.proj")
+GENE_COLUMNS = ("dec.w2", "dec.b2")
+
+
+@pytest.fixture(scope="module")
+def c7_files(tmp_path_factory):
+    """The criterion-7 synth (seed 0) written out, and a copy whose expression
+    file holds the gene columns in another order; the permutation, column j
+    of the copy being gene perm[j] of the original."""
+    synth = synth_generate(SynthConfig(n_genes=200, n_perturbations=40, cells_per_condition=20, noise_sigma=0.2, embed_dim=16), seed=0)
+    root = tmp_path_factory.mktemp("gene-order")
+    data, permuted = root / "data", root / "permuted"
+    for d in (data, permuted):
+        d.mkdir()
+        save_edge_list(synth.graph, d / "graph.tsv")
+        save_embeddings(synth.embeddings, d / "embeddings.csv", genes=synth.dataset.vocab.names)
+    save_expression(synth.dataset, data / "expression.csv")
+    perm = np.random.default_rng(0).permutation(synth.dataset.n_genes)
+    order = [0, 1, *(perm + 2).tolist()]  # sample id and label first
+    lines = (data / "expression.csv").read_bytes().splitlines(keepends=True)
+    (permuted / "expression.csv").write_bytes(b"".join(b",".join(line.rstrip(b"\r\n").split(b",")[i] for i in order) + b"\r\n" for line in lines))
+    return data, permuted, perm
+
+
+def evaluated(data: Path, top_k: int, params):
+    """Eval-mode predictions of every perturbation in `data`, their metrics and truth DEG table."""
+    dataset = load_expression(data / "expression.csv")
+    graph, _ = load_edge_list(data / "graph.tsv", dataset.vocab)
+    graph = topk_filter(graph, top_k) if top_k else graph
+    embeddings = load_embeddings(data / "embeddings.csv", dataset.vocab)
+    perts = dataset.pert_names()
+    predictions = predict_profiles(params, dataset.control.mean(axis=0), perts, graph, embeddings)
+    report, truth = evaluate_predictions(dataset, predictions, perts)
+    return predictions, report, truth
+
+
+@pytest.mark.parametrize("top_k", [0, 5])
+def test_gene_order_moves_no_prediction_metric_or_truth_mask(c7_files, top_k):
+    data, permuted, perm = c7_files
+    config = ModelConfig(n_layers=1, d_struct=64, d_latent=128, d_score=32, tau=0.5)
+    params = init_params(200, 200, 16, config, seed=3)  # untrained, for the file's gene order
+    predictions, report, truth = evaluated(data, top_k, params)
+    moved = params.copy()
+    for name in GENE_ROWS:
+        moved.values[name] = params.values[name][perm]
+    for name in GENE_COLUMNS:
+        moved.values[name] = params.values[name][:, perm]
+    got_predictions, got_report, got_truth = evaluated(permuted, top_k, moved)
+    assert sorted(got_predictions) == sorted(predictions)
+    for p, prediction in predictions.items():
+        back = np.empty_like(prediction)
+        back[perm] = got_predictions[p]  # column j of the permuted file is gene perm[j]
+        assert np.max(np.abs(back - prediction)) <= 1e-12, p
+        mask = np.empty_like(truth.masks[p])
+        mask[perm] = got_truth.masks[p]
+        assert mask.tobytes() == truth.masks[p].tobytes(), p
+    rows, got_rows = report.per_perturbation, got_report.per_perturbation
+    assert sorted(got_rows) == sorted(rows)
+    for p, row in rows.items():
+        assert sorted(got_rows[p]) == sorted(row)
+        for metric, value in row.items():
+            got = got_rows[p][metric]
+            assert (got is None) == (value is None), (p, metric)
+            assert value is None or abs(got - value) <= 1e-12, (p, metric, got, value)
+    assert any(truth.masks[p].any() for p in truth.masks) and report.overall["pearson_delta"]["n"] > 0

@@ -374,33 +374,40 @@ def test_pds_sums_again_where_distances_differ_in_the_last_bits():
 # --- DES ------------------------------------------------------------------------------
 
 
+def mask(genes, n):
+    """The (n,) bool mask of the gene indices `genes`."""
+    m = np.zeros(n, dtype=bool)
+    m[list(genes)] = True
+    return m
+
+
 def test_des_fdr_cases():
-    assert des_fdr({1, 2}, {1, 2, 3}) == pytest.approx(1.0)
-    assert des_fdr({1, 2}, {3, 4}) == pytest.approx(0.0)
-    assert des_fdr({0, 1, 2, 3}, {2, 3, 9}) == pytest.approx(0.5)
+    assert des_fdr(mask({1, 2}, 4), mask({1, 2, 3}, 4)) == pytest.approx(1.0)
+    assert des_fdr(mask({1, 2}, 5), mask({3, 4}, 5)) == pytest.approx(0.0)
+    assert des_fdr(mask({0, 1, 2, 3}, 10), mask({2, 3, 9}, 10)) == pytest.approx(0.5)
     with pytest.raises(DegenerateError):
-        des_fdr(set(), {1})
+        des_fdr(mask(set(), 2), mask({1}, 2))
 
 
 def test_des_at_k_cases():
     delta = np.array([5.0, 4.0, 3.0, 0.1, 0.1, 0.2])
-    assert des_at_k(delta, {0, 1, 2}, k=3) == pytest.approx(1.0)
-    assert des_at_k(delta, {3, 4}, k=2) == pytest.approx(0.0)
+    assert des_at_k(delta, mask({0, 1, 2}, 6), k=3) == pytest.approx(1.0)
+    assert des_at_k(delta, mask({3, 4}, 6), k=2) == pytest.approx(0.0)
     # top-2 by |delta| is {0, 5} for this vector; denominator min(2, 3) = 2
     delta2 = np.array([5.0, 0.5, 0.4, 0.1, 0.0, 4.0])
-    assert des_at_k(delta2, {0, 1, 2}, k=2) == pytest.approx(0.5)
+    assert des_at_k(delta2, mask({0, 1, 2}, 6), k=2) == pytest.approx(0.5)
 
 
 def test_des_at_k_tie_break_by_lower_index():
     delta = np.array([1.0, 1.0, 1.0])
-    assert des_at_k(delta, {0}, k=1) == pytest.approx(1.0)
-    assert des_at_k(delta, {2}, k=1) == pytest.approx(0.0)
+    assert des_at_k(delta, mask({0}, 3), k=1) == pytest.approx(1.0)
+    assert des_at_k(delta, mask({2}, 3), k=1) == pytest.approx(0.0)
 
 
 def test_des_at_k_monotone_beyond_true_set_size():
     rng = np.random.default_rng(7)
     delta = rng.normal(size=30)
-    g_true = set(rng.choice(30, size=5, replace=False).tolist())
+    g_true = mask(rng.choice(30, size=5, replace=False), 30)
     values = [des_at_k(delta, g_true, k) for k in range(5, 31)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -409,7 +416,7 @@ def des_at_k_lexsort(pred_delta, g_true, k):
     """Reference: a full sort by (-|x|, index), then the first k."""
     x = np.asarray(pred_delta, dtype=np.float64)
     order = np.lexsort((np.arange(x.size), -np.abs(x)))
-    return len(set(order[:k].tolist()) & set(g_true)) / min(k, len(g_true))
+    return g_true[order[:k]].sum() / min(k, g_true.sum())
 
 
 def test_des_at_k_matches_lexsort_with_ties_and_non_finite_values():
@@ -420,16 +427,9 @@ def test_des_at_k_matches_lexsort_with_ties_and_non_finite_values():
         x = np.round(rng.normal(size=n), int(rng.integers(0, 2)))  # heavy magnitude ties
         hit = rng.random(n) < 0.2
         x[hit] = rng.choice(specials, size=int(hit.sum()))
-        g_true = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        g_true = mask(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False), n)
         for k in range(1, n + 3):
             assert des_at_k(x, g_true, k) == des_at_k_lexsort(x, g_true, k)
-
-
-def test_gene_sets_name_genes_of_the_delta():
-    with pytest.raises(UsageError, match=r"gene index 3 is outside \[0, 3\)"):
-        des_at_k(np.array([1.0, 2.0, 3.0]), {0, 3}, k=2)
-    with pytest.raises(UsageError, match="gene index -1"):
-        des_fdr({0, -1}, {0})
 
 
 # --- DEG mask shapes -----------------------------------------------------------------
@@ -446,8 +446,6 @@ def test_des_at_k_refuses_a_mask_of_another_shape():
         des_at_k(MASK_DELTAS, np.ones((1, 4), dtype=bool), k=2)
     with mask_shape_error((3, 5), (3, 4)):
         des_at_k(MASK_DELTAS, np.ones((3, 5), dtype=bool), k=2)
-    with mask_shape_error((1, 4), (3, 4)):  # an index set names one row's DEGs
-        des_at_k(MASK_DELTAS, {0, 1}, k=2)
     assert des_at_k(MASK_DELTAS[:1], np.array([[True, True, False, False]]), k=2) == [0.5]
 
 
@@ -456,9 +454,31 @@ def test_des_fdr_refuses_masks_of_two_shapes():
         des_fdr(np.ones((3, 4), dtype=bool), np.ones((1, 4), dtype=bool))
     with mask_shape_error((3, 4), (1, 4)):
         des_fdr(np.ones((1, 4), dtype=bool), np.ones((3, 4), dtype=bool))
-    with mask_shape_error((1, 4), (3, 4)):
-        des_fdr({0, 1}, np.ones((3, 4), dtype=bool))
     assert des_fdr(np.array([[True, True, False]]), np.array([[True, False, True]])) == [0.5]
+
+
+def test_des_fdr_scores_two_one_row_masks_as_their_one_row_block():
+    true, pred = np.array([False, True, True, False]), np.array([True, True, False, False])
+    assert des_fdr(true, pred) == 0.5
+    assert des_fdr(true[None], pred[None]) == [0.5]
+
+
+@pytest.mark.parametrize("not_a_mask", [{0, 1}, [0, 1], np.array([1, 1, 0, 0])], ids=["set", "list", "0/1 ints"])
+@pytest.mark.parametrize("metric", ["des_fdr", "des_at_k", "direction_match", "de_spearman_sig", "de_spearman_lfc"])
+def test_a_deg_set_that_is_not_a_bool_mask_is_refused(metric, not_a_mask):
+    x, y = MASK_DELTAS[0], MASK_DELTAS[1]
+    calls = {
+        "des_fdr": lambda: des_fdr(not_a_mask, np.ones(4, dtype=bool)),
+        "des_at_k": lambda: des_at_k(x, not_a_mask, k=2),
+        "direction_match": lambda: direction_match(x, y, not_a_mask),
+        "de_spearman_sig": lambda: de_spearman_sig(x, y, not_a_mask),
+        "de_spearman_lfc": lambda: de_spearman_lfc(x, y, not_a_mask),
+    }
+    with pytest.raises(UsageError, match=f"^a DEG mask must be a bool array, got dtype {np.asarray(not_a_mask).dtype}$"):
+        calls[metric]()
+    if metric == "des_fdr":  # on either side
+        with pytest.raises(UsageError, match="^a DEG mask must be a bool array"):
+            des_fdr(np.ones(4, dtype=bool), not_a_mask)
 
 
 @pytest.mark.parametrize("metric", [direction_match, de_spearman_sig, de_spearman_lfc])
@@ -480,10 +500,10 @@ def test_a_deg_mask_must_have_the_deltas_shape(metric):
 
 def test_des_at_k_ranks_nan_last():
     x = np.array([np.nan, 0.0, np.nan, -np.inf])
-    assert des_at_k(x, {3}, k=1) == 1.0
-    assert des_at_k(x, {1}, k=2) == 1.0
-    assert des_at_k(x, {0}, k=3) == 1.0
-    assert des_at_k(x, {2}, k=3) == 0.0
+    assert des_at_k(x, mask({3}, 4), k=1) == 1.0
+    assert des_at_k(x, mask({1}, 4), k=2) == 1.0
+    assert des_at_k(x, mask({0}, 4), k=3) == 1.0
+    assert des_at_k(x, mask({2}, 4), k=3) == 0.0
 
 
 def test_predicted_deg_set_recovers_strong_shifts():
@@ -492,15 +512,16 @@ def test_predicted_deg_set_recovers_strong_shifts():
     delta = np.zeros(12)
     delta[[2, 7]] = 1.0
     found = predicted_deg_set(control, delta, alpha=0.05)
-    assert {2, 7} <= found
+    assert found.dtype == bool and found.shape == (12,)
+    assert found[[2, 7]].all()
     weak = predicted_deg_set(control, np.zeros(12), alpha=0.05)
-    assert len(weak) == 0
+    assert not weak.any()
 
 
 def predicted_deg_set_materialised(control_block, pred_delta, alpha=0.05, correction="none", control_stats=None):
     """The reference: the control cells shifted by the delta, Welch-tested whole."""
     p = welch_pvalues(control_block, control_block + np.asarray(pred_delta, dtype=np.float64))
-    return set(np.flatnonzero(deg_rule(alpha, correction)(p)).tolist())
+    return deg_rule(alpha, correction)(p)
 
 
 def prediction_calls_fit(calls, n, g):
@@ -538,13 +559,13 @@ def test_predicted_deg_set_matches_the_materialised_test(monkeypatch):
                 expected = [predicted_deg_set_materialised(control, d, alpha, correction) for d in deltas]
                 for d, want in zip(deltas, expected):
                     calls.clear()
-                    assert predicted_deg_set(control, d, alpha, correction, c) == want
+                    assert np.array_equal(predicted_deg_set(control, d, alpha, correction, c), want)
                     assert len(calls) <= 1 and prediction_calls_fit(calls, n, g)  # no call when no gene is open
                     assert len(calls) == 1 or correction == "none"
                     retested += sum(w for _, w in calls) if correction == "none" else 0
                 calls.clear()  # the block of all six: the genes the rows leave open, g of them a call
                 got = predicted_deg_set(control, deltas, alpha, correction, c)
-                assert [set(np.flatnonzero(row).tolist()) for row in got] == expected
+                assert np.array_equal(got, expected)
                 assert prediction_calls_fit(calls, n, g) and all(cols == g for _, cols in calls[:-1])
                 assert len(calls) == len(deltas) or correction == "none"
     assert retested > 0  # the window and the degenerate columns were exercised
@@ -563,10 +584,10 @@ def test_predicted_deg_set_of_one_gene_predictions_matches_the_materialised_test
         calls.clear()
         got = predicted_deg_set(control, deltas, 0.05, correction, c)
         want = [predicted_deg_set_materialised(control, d, 0.05, correction) for d in deltas]
-        assert [set(np.flatnonzero(row).tolist()) for row in got] == want
+        assert np.array_equal(got, want)
         assert set(calls) == {(20, 1)}  # one column a call, never taken twice
         assert len(calls) == len(deltas) or correction == "none"
-        assert 0 < sum(map(len, want)) < len(want)
+        assert 0 < np.sum(want) < len(want)
 
 
 def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
@@ -578,7 +599,7 @@ def test_predicted_deg_set_retests_a_lone_column_in_the_whole_block_order():
         control = rng.uniform(0.5, 3.0, 2) + rng.normal(0.0, 0.2, (20, 2))
         c = group_stats(control)
         d = np.array([0.01, np.sqrt(c.var[1] / 10) * t_crit * (1 + rng.integers(-8, 9) * np.finfo(np.float64).eps)])
-        assert predicted_deg_set(control, d, control_stats=c) == predicted_deg_set_materialised(control, d)
+        assert np.array_equal(predicted_deg_set(control, d, control_stats=c), predicted_deg_set_materialised(control, d))
 
 
 def test_predicted_deg_set_retests_no_column_of_an_ordinary_prediction(monkeypatch):
@@ -586,7 +607,7 @@ def test_predicted_deg_set_retests_no_column_of_an_ordinary_prediction(monkeypat
     rng = np.random.default_rng(16)
     control = rng.uniform(0.5, 3.0, 500) + rng.normal(0.0, 0.2, (20, 500))
     d = rng.normal(0.0, 0.3, 500)
-    assert predicted_deg_set(control, d) == predicted_deg_set_materialised(control, d)
+    assert np.array_equal(predicted_deg_set(control, d), predicted_deg_set_materialised(control, d))
     assert calls == []
 
 
@@ -598,7 +619,7 @@ def test_a_welch_call_holds_at_most_one_block_under_benjamini_hochberg(monkeypat
     control = rng.uniform(3.0, 4.0, 50) + rng.normal(0.0, 0.2, (300, 50))
     deltas = rng.normal(0.0, 0.3, (40, 50))
     got = predicted_deg_set(control, deltas, correction="benjamini-hochberg")
-    assert [set(np.flatnonzero(row).tolist()) for row in got] == [predicted_deg_set_materialised(control, d, correction="benjamini-hochberg") for d in deltas]
+    assert np.array_equal(got, [predicted_deg_set_materialised(control, d, correction="benjamini-hochberg") for d in deltas])
     assert calls == [control.shape] * len(deltas)
     blocks = {f"P{i:02d}": control[:30] + d for i, d in enumerate(deltas)}
     calls.clear()  # true blocks are re-tested on their statistics, never on their cells
@@ -689,14 +710,11 @@ def test_evaluate_predictions_matches_loop_and_lexsort_oracles(monkeypatch):
     # the per-row oracles, looped over the rows of the (P, G) blocks the metrics take
     def des_at_k_rows(delta, true, k):
         reached.append("des_at_k")
-        return [des_at_k_lexsort(d, set(np.flatnonzero(t).tolist()), k) if t.any() else None for d, t in zip(delta, true)]
+        return [des_at_k_lexsort(d, t, k) if t.any() else None for d, t in zip(delta, true)]
 
     def predicted_deg_set_rows(control, delta, alpha, correction, control_stats=None):
         reached.append("predicted_deg_set")
-        mask = np.zeros(delta.shape, dtype=bool)
-        for row, d in zip(mask, delta):
-            row[list(predicted_deg_set_materialised(control, d, alpha, correction))] = True
-        return mask
+        return np.array([predicted_deg_set_materialised(control, d, alpha, correction) for d in delta], dtype=bool).reshape(delta.shape)
 
     monkeypatch.setattr(metrics, "pds", lambda *args: reached.append("pds") or pds_loop(*args))
     monkeypatch.setattr(metrics, "des_at_k", des_at_k_rows)
@@ -717,14 +735,13 @@ def evaluate_predictions_loop(dataset, predictions, perts, alpha=0.05, correctio
     undefined = one_row_or_none
     per = {}
     for p in perts:
-        dp, dt, deg = pred_deltas[p], truth.deltas[p], truth.deg_indices(p)
-        g_true = set(deg.tolist())
-        g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if g_true else set()
+        dp, dt, deg = pred_deltas[p], truth.deltas[p], truth.deg_mask(p)
+        g_pred = predicted_deg_set(dataset.control, dp, alpha, correction, control) if deg.any() else np.zeros_like(deg)
         per[p] = {
             "pds": pds_scores[p],
             "pearson_delta": undefined(pearson_delta, dp, dt),
-            "des_fdr": undefined(des_fdr, g_true, g_pred),
-            **{f"des_at_{k}": undefined(des_at_k, dp, g_true, k) for k in des_k},
+            "des_fdr": undefined(des_fdr, deg, g_pred),
+            **{f"des_at_{k}": undefined(des_at_k, dp, deg, k) for k in des_k},
             "de_spearman_sig": undefined(de_spearman_sig, dp[deg], dt[deg]),
             "de_spearman_lfc": undefined(de_spearman_lfc, dp[deg], dt[deg]),
             "direction_match": undefined(direction_match, dp[deg], dt[deg]),
@@ -862,14 +879,13 @@ def test_evaluate_predictions_gives_none_exactly_where_a_metric_is_undefined():
     }
     pds_scores, _ = pds({p: preds[p] - xbar_c for p in preds}, truth.deltas)
     for p, row in rows.items():
-        dp, dt, deg = preds[p] - xbar_c, truth.deltas[p], truth.deg_indices(p)
-        g_true = set(deg.tolist())
+        dp, dt, deg = preds[p] - xbar_c, truth.deltas[p], truth.deg_mask(p)
         assert row["pds"] == pds_scores[p]
         if p != "P2":
             assert row["pearson_delta"] == pearson_delta(dp, dt)
         if p != "P0":
-            assert row["des_fdr"] == des_fdr(g_true, predicted_deg_set(ds.control, dp))
-            assert row["des_at_5"] == des_at_k(dp, g_true, 5)
+            assert row["des_fdr"] == des_fdr(deg, predicted_deg_set(ds.control, dp))
+            assert row["des_at_5"] == des_at_k(dp, deg, 5)
             assert row["direction_match"] == direction_match(dp[deg], dt[deg])
     assert (rows["P2"]["des_fdr"], rows["P2"]["des_at_5"], rows["P2"]["direction_match"]) == (0.0, 1.0, 0.0)
     assert rep.overall["de_spearman_sig"] == {"mean": None, "std": None, "n": 0}
