@@ -1,6 +1,7 @@
 """Shared fixtures: a 10-gene toy problem with a 6-node connected subgraph,
 planted effects, and a small model — the workhorse for gradient checks."""
 
+import contextlib
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +45,17 @@ def counting_welch(monkeypatch):
 
     monkeypatch.setattr(data, "welch_pvalues", welch)
     return calls
+
+
+@contextlib.contextmanager
+def two_threads():
+    """Within it, `data.in_halves` runs the second half of every loop of two
+    or more steps on its helper thread, whatever the loop's size and the
+    number of cores."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "SPLIT_STEP_VALUES", 0)
+        m.setattr(data, "_cores", lambda: 2)
+        yield
 
 
 def run_builder(params, build):

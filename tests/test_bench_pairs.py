@@ -124,3 +124,13 @@ def test_traced_runs_go_parent_first_and_keep_their_digests():
     assert block["digests"]["change"] == {"params": "change-p", "predictions": "q0"}
     assert block["metrics"]["total_s"] == {"parent": 2.0, "change": 1.5}
     assert block["metrics"]["model.aggregation_s"] == {"parent": 0.02, "change": 0.02}
+
+
+@pytest.mark.parametrize("change", [None, "", "  \n"], ids=["missing", "empty", "blank"])
+def test_a_missing_or_empty_change_is_refused_before_anything_runs(monkeypatch, capsys, change):
+    monkeypatch.setattr(bench_pairs, "load_benchmark", lambda: pytest.fail("the benchmark was read"))
+    argv = ["HEAD", "--label", "x"] + ([] if change is None else ["--change", change])
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "--change" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -38,9 +39,9 @@ from pertgraph.data import (
 )
 from pertgraph.errors import DataError, ParseError, UsageError
 from pertgraph.graph import GeneVocab
-from pertgraph.metrics import predicted_deg_set
+from pertgraph.metrics import evaluate_predictions, predicted_deg_set
 
-from conftest import counting_welch
+from conftest import counting_welch, two_threads
 
 
 def tiny_dataset(n_genes=4, perts=("PA", "PB"), seed=0):
@@ -483,6 +484,41 @@ def test_reader_stays_in_one_range_while_other_threads_run(tmp_path, ranges):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task lists this process's threads")
+def test_reader_waits_out_a_joined_threads_exit_but_not_a_running_thread(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    monkeypatch.setattr(data, "LOAD_RANGE_BYTES", 64)
+    monkeypatch.setattr(data, "_cores", lambda: 2)
+    listdir, listings = os.listdir, []
+
+    def one_more_thread_for(n):  # /proc/self/task lists one more thread in its first n listings
+        def listed(path):
+            listings.append(path)
+            return listdir(path) + ["0"] * (len(listings) <= n)
+
+        return listed
+
+    release = threading.Event()
+    running = threading.Thread(target=release.wait)
+    with open(path, "rb") as fh:
+        for extra, cuts, reads in ((3, 1, 4), (10**9, 0, None)):  # a joined thread still exiting; a native pool's
+            listings.clear()
+            monkeypatch.setattr(os, "listdir", one_more_thread_for(extra))
+            assert len(data._range_cuts(fh.fileno(), 0)) == cuts
+            assert reads is None or len(listings) == reads
+        monkeypatch.setattr(os, "listdir", listdir)
+        running.start()
+        try:
+            listings.clear()
+            monkeypatch.setattr(os, "listdir", one_more_thread_for(10**9))
+            assert data._range_cuts(fh.fileno(), 0) == [] and len(listings) == 1  # no wait for a running thread
+        finally:
+            monkeypatch.setattr(os, "listdir", listdir)
+            release.set()
+            running.join()
+
+
 def test_dataset_rejects_negative_values():
     vocab = GeneVocab(["G0", "G1"])
     with pytest.raises(DataError):
@@ -518,6 +554,90 @@ def test_no_thread_outlives_a_read_so_a_later_load_can_fork(tmp_path, ranges):
     assert counts[-1] == 2  # a worker was forked
     assert_no_child_left()
     assert running_threads() == threads
+
+
+def threads_once_settled(expected: tuple[int, set[str]]) -> tuple[int, set[str]]:
+    """`running_threads()` once it reads `expected`, or after a second:
+    /proc/self/task lists a thread that `threading` has joined until its OS
+    thread exits, a moment later."""
+    deadline = time.monotonic() + 1
+    while (threads := running_threads()) != expected and time.monotonic() < deadline:
+        os.sched_yield()
+    return threads
+
+
+def test_a_loop_runs_on_two_threads_only_where_its_numpy_calls_are_large(monkeypatch):
+    monkeypatch.setattr(data, "_cores", lambda: 2)
+    sizes = {
+        "pds at 10x: 200 x 200 products, 2,000 genes": (2000, 200 * 200, True),
+        "pds of 182 perturbations": (2000, 182 * 182, True),
+        "pds of 181 perturbations": (2000, 181 * 181, False),
+        "pds at c7: 40 x 40 products": (200, 40 * 40, False),
+        "pds of 40 perturbations at 2,000 genes": (2000, 40 * 40, False),
+        "pds of one gene": (1, 200 * 200, False),
+    }
+    main = threading.main_thread()
+    for what, (n, step_values, split) in sizes.items():
+        ran_on = {}
+        halves = data.in_halves(lambda lo, hi: ran_on.update({(lo, hi): threading.current_thread()}) or (lo, hi), n, step_values)
+        assert halves == ((0, n // 2), (n // 2, n)), what
+        assert ran_on[0, n // 2] is main and (ran_on[n // 2, n] is not main) == split, what
+    monkeypatch.setattr(data, "_cores", lambda: 1)
+    ran_on = {}
+    data.in_halves(lambda lo, hi: ran_on.update({(lo, hi): threading.current_thread()}), 2000, 200 * 200)
+    assert ran_on == {(0, 1000): main, (1000, 2000): main}
+
+
+def test_no_thread_outlives_a_split_evaluation_so_a_later_load_can_fork(tmp_path, ranges, monkeypatch):
+    ds = synth_generate(SynthConfig(n_genes=30, n_perturbations=6, cells_per_condition=4), seed=2).dataset
+    perts = ds.pert_names()
+    predictions = {p: ds.block(p).mean(axis=0) + 0.01 for p in perts}
+    alone = evaluate_predictions(ds, predictions, perts)[0].to_json_dict()
+    path = tmp_path / "expression.csv"
+    path.write_bytes(csv_bytes(EXPRESSION_LABELS, 60, 5))
+    counts = ranges(2)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+    threads = running_threads()
+    with two_threads():  # PDS's gene halves on two threads
+        report = evaluate_predictions(ds, predictions, perts)[0].to_json_dict()
+    # read at once, while the helper's OS thread may still be exiting
+    assert load_expression(path).n_genes == 5
+    assert counts[-1] == 2  # a worker was forked: this process ran one thread again
+    assert_no_child_left()
+    assert started == ["pertgraph-half"]
+    assert threads_once_settled(threads) == threads
+    assert report == alone
+
+
+def test_a_split_loop_raises_its_first_error_in_the_caller_and_leaves_no_thread(monkeypatch):
+    excepthook = []  # an exception that escaped a thread would land here
+    monkeypatch.setattr(threading, "excepthook", excepthook.append)
+    threads = running_threads()
+
+    def failing_at(first_steps):
+        def run(lo, hi):
+            if lo:
+                time.sleep(0.05)  # the helper's half ends last: only a join waits for it
+            if lo in first_steps:
+                raise ValueError(f"no sum of steps {lo} to {hi}")
+            return lo, hi
+
+        return run
+
+    with two_threads():
+        assert data.in_halves(failing_at(set()), 1000, 0) == ((0, 500), (500, 1000))
+    assert threading.active_count() == threads[0]
+    for first_steps in ({500}, {0}, {0, 500}):  # the helper's half; the caller's; both
+        with pytest.raises(ValueError) as one_thread:
+            data.in_halves(failing_at(first_steps), 1000, 0)
+        with two_threads(), pytest.raises(ValueError) as split:
+            data.in_halves(failing_at(first_steps), 1000, 0)
+        assert threading.active_count() == threads[0]
+        assert (type(split.value), str(split.value)) == (type(one_thread.value), str(one_thread.value))
+        assert str(split.value) == f"no sum of steps {min(first_steps)} to {min(first_steps) + 500}"
+        assert threads_once_settled(threads) == threads
+    assert excepthook == []
 
 
 @pytest.mark.skipif(not os.path.isdir(TASK), reason="no /proc/self/task lists this process's threads")

@@ -24,7 +24,7 @@ from pertgraph.metrics import (
     write_scatter_csv,
 )
 
-from conftest import counting_welch
+from conftest import counting_welch, two_threads
 
 
 # --- pearson ------------------------------------------------------------------
@@ -344,6 +344,8 @@ def test_pds_matches_pairwise_loop_with_exact_ties():
         truths = {f"P{i}": rng.integers(-2, 3, size=n_genes).astype(float) for i in range(n_perts)}
         preds = {f"P{i}": rng.integers(-2, 3, size=n_genes).astype(float) for i in range(n_perts)}
         assert pds(preds, truths) == pds_loop(preds, truths)
+        with two_threads():  # the gene halves summed on two threads
+            assert pds(preds, truths) == pds_loop(preds, truths)
         tied += sum(
             np.abs(preds[p] - truths[t]).sum() == np.abs(preds[p] - truths[p]).sum()
             for p in preds for t in truths if t != p
@@ -369,6 +371,9 @@ def test_pds_sums_again_where_distances_differ_in_the_last_bits():
     scores, mean = pds(preds, truths)
     assert (scores, mean) == pds_loop(preds, truths)
     assert min(scores.values()) < 1.0
+    with two_threads():  # the gene halves summed on two threads: the same matrix, the same scores
+        assert metrics._l1_distances(*(np.stack([d[p] for p in names]) for d in (preds, truths))).tobytes() == dist.tobytes()
+        assert pds(preds, truths) == (scores, mean)
 
 
 # --- DES ------------------------------------------------------------------------------

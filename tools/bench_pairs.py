@@ -3,7 +3,7 @@ perfbench runs, and write the result as BENCH_<label>.json.
 
     python tools/bench_pairs.py REV --label L [--pairs 10] [--first-seed 41]
         [--workloads train-c7,analyze-10x] [--claim WORKLOAD:METRIC]
-        [--trace-seed S] [--change TEXT]
+        [--trace-seed S] --change TEXT
 
 REV's files (the parent) are written with `git archive` into a temporary
 directory, removed again afterwards; the working tree (the
@@ -15,9 +15,10 @@ and the change first when s is even. Each run is
 `perfbench/run.py --workload W --seed s --trace 0 --seconds 25` in its side's
 directory; the tool reads the last line of its output (one JSON object) and
 the `digests` line. A run that exits nonzero, prints no JSON or reports
-`correct: false` stops the tool with exit 1. `--trace-seed S` adds one
-`--trace 1` run per side and workload at seed S, the parent first, whose
-per-layer figures are listed as points.
+`correct: false` stops the tool with exit 1. A missing or blank `--change`
+is refused (exit 2) before anything runs, since the file records it.
+`--trace-seed S` adds one `--trace 1` run per side and workload at seed S,
+the parent first, whose per-layer figures are listed as points.
 
 Every end-to-end metric in BENCHMARK.json gets both sides' medians,
 quartiles and runs, the change's wins, its median change in percent and
@@ -262,8 +263,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="train-c7,analyze-10x", help="comma-separated, run in this order")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the end-to-end metric the change claims to improve")
     parser.add_argument("--trace-seed", type=int, help="also make one traced run per side and workload at this seed")
-    parser.add_argument("--change", default="", help="one paragraph on what the change does")
+    parser.add_argument("--change", required=True, help="one paragraph on what the change does")
     args = parser.parse_args(argv)
+    if not args.change.strip():
+        parser.error("--change: say in one paragraph what the change does")
 
     bench = load_benchmark()
     workload_names = args.workloads.split(",")
