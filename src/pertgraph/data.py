@@ -162,6 +162,12 @@ SPLIT_STEP_VALUES = 1 << 15  # least values each numpy call of a step touches, f
 JOINED_THREAD_WAIT_S = 0.02  # longest a read waits for a joined thread's OS thread to exit before it forks
 
 
+def on_two_threads(n: int, step_values: int) -> bool:
+    """Whether `in_halves` runs the second half of a loop of n steps, whose
+    numpy calls each touch step_values values, on its helper thread."""
+    return n >= 2 and step_values >= SPLIT_STEP_VALUES and _cores() >= 2
+
+
 def in_halves(run: Callable[[int, int], object], n: int, step_values: int) -> tuple:
     """`(run(0, n // 2), run(n // 2, n))`: the two fixed halves of a loop of
     n steps. Where this process has two cores and each step's numpy calls
@@ -172,7 +178,7 @@ def in_halves(run: Callable[[int, int], object], n: int, step_values: int) -> tu
     this returns or raises; the caller's own exception wins, and otherwise
     the helper's is raised here, as the one-thread order would."""
     h = n // 2
-    if n < 2 or step_values < SPLIT_STEP_VALUES or _cores() < 2:
+    if not on_two_threads(n, step_values):
         return run(0, h), run(h, n)
     second: list = []
     error: list[BaseException] = []

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import in_halves, on_two_threads
 from .errors import ShapeError, UsageError, check_range
 
 NORM_EPS = 1e-12  # vectors at or below this norm normalize to zero
@@ -402,6 +403,43 @@ class AdamState:
         )
 
 
+ADAM_BLOCK_VALUES = 1 << 15  # most values an Adam block touches: its six float64 arrays (1.5 MiB) stay in one core's 2 MiB L2
+
+
+def _check_grads(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    """Refuse a missing gradient or one whose shape is not its parameter's,
+    before an optimizer moves any value."""
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            raise ShapeError(f"no gradient for {name}")
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
+
+
+def _flat(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple | None:
+    """(p, g, m, v) as one run of values each, p, m and v as views of their
+    arrays; None where one of those is not C-contiguous, so has no such view."""
+    if p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous:
+        return p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    return None
+
+
+def _in_blocks(update: Callable, runs: list[tuple], lo: int, hi: int) -> None:
+    """`update` over values lo..hi of the parameters taken in order as one run
+    of values, in blocks of at most ADAM_BLOCK_VALUES values on two scratch
+    buffers of this call's own; `runs` holds each parameter's `_flat` arrays."""
+    size = min(hi - lo, ADAM_BLOCK_VALUES)
+    s1, s2 = np.empty(size), np.empty(size)
+    start = 0
+    for arrays in runs:
+        stop = min(hi - start, arrays[0].size)
+        for i in range(max(lo - start, 0), stop, ADAM_BLOCK_VALUES):
+            j = min(i + ADAM_BLOCK_VALUES, stop)
+            update(*(a[i:j] for a in arrays), s1[: j - i], s2[: j - i])
+        start += arrays[0].size
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -414,35 +452,54 @@ def adam_step(
 ) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
-    The temporaries live in two scratch buffers sized for the largest
-    parameter and shared by all of them.
+    Every value goes through the same elementwise operations in the same
+    order, so any cut of the values into blocks gives the same bytes. The
+    update runs in blocks of at most ADAM_BLOCK_VALUES values, whose arrays
+    stay in a core's cache. Where parameters average `data.SPLIT_STEP_VALUES`
+    values or more (10x-sized models, not criterion 7's), `data.in_halves`
+    updates the two halves of the parameters' run of values, taken in dict
+    order, on two threads; otherwise the parameters are updated one by one
+    on two scratch buffers shared by all of them. Nothing moves unless every
+    gradient is there and has its parameter's shape.
     """
     check_range("lr", lr, 0, low_open=True)
+    _check_grads(params, grads)
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    size = max((p.size for p in params.values()), default=0)
-    buf1, buf2 = np.empty(size), np.empty(size)
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
+
+    def update(p, g, m, v, s1, s2) -> None:
         if weight_decay:
-            g = g + weight_decay * p
-        m = state.m[name]
-        v = state.v[name]
-        s1 = buf1[: p.size].reshape(p.shape)
-        s2 = buf2[: p.size].reshape(p.shape)
+            g = np.add(g, np.multiply(weight_decay, p, out=s1), out=s1)
         m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=s1)
+        m += np.multiply(1.0 - beta1, g, out=s2)
         v *= beta2
-        np.multiply(g, g, out=s1)
-        v += np.multiply(1.0 - beta2, s1, out=s1)
+        np.multiply(g, g, out=s2)
+        v += np.multiply(1.0 - beta2, s2, out=s2)
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
         np.multiply(lr, np.divide(m, c1, out=s1), out=s1)
         np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2)
         p -= np.divide(s1, s2, out=s1)
+
+    sizes = [p.size for p in params.values()]
+    n = sum(sizes)
+    per_param = n // max(len(sizes), 1)
+    if on_two_threads(n, per_param):
+        runs = [_flat(p, grads[k], state.m[k], state.v[k]) for k, p in params.items()]
+        if None not in runs:
+            in_halves(lambda lo, hi: _in_blocks(update, runs, lo, hi), n, per_param)
+            return
+    size = min(max(sizes, default=0), ADAM_BLOCK_VALUES)
+    buf1, buf2 = np.empty(size), np.empty(size)
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        if p.size <= size:
+            update(p, g, m, v, buf1[: p.size].reshape(p.shape), buf2[: p.size].reshape(p.shape))
+        elif (run := _flat(p, g, m, v)) is not None:
+            _in_blocks(update, [run], 0, p.size)
+        else:
+            update(p, g, m, v, np.empty(p.shape), np.empty(p.shape))
 
 
 def sgd_step(
@@ -452,10 +509,9 @@ def sgd_step(
     weight_decay: float = 0.0,
 ) -> None:
     check_range("lr", lr, 0, low_open=True)
+    _check_grads(params, grads)
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         if weight_decay:
             g = g + weight_decay * p
         p -= lr * g

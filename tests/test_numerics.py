@@ -1,9 +1,15 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse
 
+from pertgraph import data
 from pertgraph.errors import ShapeError, UsageError
+from pertgraph.model import ModelConfig, init_params
 from pertgraph.numerics import (
+    ADAM_BLOCK_VALUES,
     OP_KINDS,
     AdamState,
     Tape,
@@ -13,6 +19,8 @@ from pertgraph.numerics import (
     huber_value,
     sgd_step,
 )
+
+from conftest import two_threads
 
 
 def tape_eval(kind, *arrays, **attrs):
@@ -400,6 +408,152 @@ def test_optimizer_step_rejects_a_bad_learning_rate_and_keeps_params(optimizer, 
         else:
             sgd_step(params, grads, lr=lr)
     assert np.array_equal(params["w"], [[1.0, -2.0]])
+
+
+def thread_starts(monkeypatch) -> list[str]:
+    """The names of the threads started from now on, in order."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+    return started
+
+
+def optimizer_snapshot(params, state=None) -> tuple:
+    """Every parameter's and moment's bytes, and the step count."""
+    arrays = [*params.values(), *(state.m.values() if state else ()), *(state.v.values() if state else ())]
+    return [a.tobytes() for a in arrays], state and state.step
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_an_optimizer_checks_every_gradient_before_it_moves_a_value(optimizer):
+    params = {"a": np.array([[1.0, 2.0]]), "b": np.array([[0.5, -0.5], [0.25, 2.0]])}
+    state = AdamState.for_params(params)
+    if optimizer == "adam":
+        adam_step(params, {"a": np.ones((1, 2)), "b": np.ones((2, 2))}, state, lr=0.1)
+        step = lambda grads, lr=0.1: adam_step(params, grads, state, lr=lr, weight_decay=0.01)
+    else:
+        state = None
+        step = lambda grads, lr=0.1: sgd_step(params, grads, lr=lr, weight_decay=0.01)
+    before = optimizer_snapshot(params, state)
+    refusals = {  # gradients -> the error and its message
+        "b's shape": ({"a": np.ones((1, 2)), "b": np.ones((1, 2))},
+                      "gradient shape (1, 2) != param shape (2, 2) for b"),
+        "no b": ({"a": np.ones((1, 2))}, "no gradient for b"),
+        "no a": ({"b": np.ones((2, 2))}, "no gradient for a"),
+    }
+    for what, (grads, message) in refusals.items():
+        with pytest.raises(ShapeError) as refused:
+            step(grads)
+        assert str(refused.value) == message, what
+        assert optimizer_snapshot(params, state) == before, what
+    with pytest.raises(UsageError):
+        step({"a": np.ones((1, 2))}, lr=0.0)  # lr is checked before the gradients
+    assert optimizer_snapshot(params, state) == before
+
+
+# a parameter larger than one block (w1), one across the cut between the
+# halves of the 85,009-value run (w2, values 40,007..85,007, cut at 42,504)
+# and tiny biases
+SPLIT_LAYOUT = {"w1": (40, 1000), "b1": (1, 7), "w2": (90, 500), "b2": (1, 2)}
+
+
+def adam_run(layout, steps, weight_decay, order="C"):
+    rng = np.random.default_rng(4)
+    params = {k: np.asarray(rng.normal(size=shape), order=order) for k, shape in layout.items()}
+    state = AdamState.for_params(params)
+    for _ in range(steps):
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+    return params, state
+
+
+def textbook_adam(layout, steps, weight_decay):
+    """The same updates with whole-array numpy expressions."""
+    rng = np.random.default_rng(4)
+    params = {k: rng.normal(size=shape) for k, shape in layout.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t in range(1, steps + 1):
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        for k, p in params.items():
+            g = grads[k] + weight_decay * p if weight_decay else grads[k]
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            p -= 0.01 * (m[k] / (1.0 - 0.9 ** t)) / (np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+    return params, m, v
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_on_two_threads_writes_the_one_thread_bytes(weight_decay, monkeypatch):
+    sizes = [int(np.prod(shape)) for shape in SPLIT_LAYOUT.values()]
+    cut = sum(sizes) // 2
+    assert sizes[0] > ADAM_BLOCK_VALUES and sum(sizes[:2]) < cut < sum(sizes[:3])
+    alone, alone_state = adam_run(SPLIT_LAYOUT, 3, weight_decay)
+    started = thread_starts(monkeypatch)
+    with two_threads():
+        split, split_state = adam_run(SPLIT_LAYOUT, 3, weight_decay)
+    assert started == ["pertgraph-half"] * 3
+    assert split_state.step == alone_state.step == 3
+    for a, b in ((alone, split), (alone_state.m, split_state.m), (alone_state.v, split_state.v)):
+        assert all(a[k].tobytes() == b[k].tobytes() for k in SPLIT_LAYOUT)
+    textbook = textbook_adam(SPLIT_LAYOUT, 3, weight_decay)
+    for a, b in zip((alone, alone_state.m, alone_state.v), textbook):
+        assert all(a[k].tobytes() == b[k].tobytes() for k in SPLIT_LAYOUT)
+
+
+def test_adam_updates_a_parameter_with_no_flat_view_in_place():
+    # Fortran-ordered arrays have no C-order view of their values: such a
+    # parameter, one block or larger, is updated whole, on one thread or two
+    layout = {"w": (250, 200), "b": (1, 3)}
+    for threads in (contextlib.nullcontext, two_threads):
+        with threads():
+            params, state = adam_run(layout, 3, 0.01, order="F")
+        textbook = textbook_adam(layout, 3, 0.01)
+        for a, b in zip((params, state.m, state.v), textbook):
+            assert all(np.array_equal(a[k], b[k]) and a[k].flags.f_contiguous for k in layout)
+
+
+def test_adam_splits_at_10x_model_sizes_only(monkeypatch):
+    monkeypatch.setattr(data, "_cores", lambda: 2)
+    config = ModelConfig(n_layers=1, d_struct=64, d_latent=128, d_score=32, tau=0.5)  # criterion 7's model
+    started = thread_starts(monkeypatch)
+    for genes, helpers in ((200, []), (2000, ["pertgraph-half"])):
+        params = init_params(genes, genes, 16, config, seed=0).values
+        values = sum(p.size for p in params.values())
+        assert (genes, values, len(params)) in ((200, 156_776, 16), (2000, 964_976, 16))
+        adam_step(params, {k: np.ones_like(p) for k, p in params.items()}, AdamState.for_params(params))
+        assert started == helpers, genes
+        started.clear()
+
+
+def test_an_error_in_either_half_of_adam_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    excepthook = []  # an exception that escaped a thread would land here
+    monkeypatch.setattr(threading, "excepthook", excepthook.append)
+    threads = threading.active_count()
+    started = thread_starts(monkeypatch)
+
+    def failing(halves):
+        """The split layout's parameters and gradients, failing in the named halves:
+        w1's complex gradient in the first, read-only b2 in the second."""
+        params = {k: np.zeros(shape) for k, shape in SPLIT_LAYOUT.items()}
+        grads = {k: np.ones(shape) for k, shape in SPLIT_LAYOUT.items()}
+        if "first" in halves:
+            grads["w1"] = grads["w1"] + 1j
+        if "second" in halves:
+            params["b2"].setflags(write=False)
+        return params, grads
+
+    for halves in (("second",), ("first",), ("first", "second")):
+        params, grads = failing(halves)
+        with pytest.raises(Exception) as one_thread:
+            adam_step(params, grads, AdamState.for_params(params))
+        params, grads = failing(halves)
+        with two_threads(), pytest.raises(Exception) as split:
+            adam_step(params, grads, AdamState.for_params(params))
+        assert (type(split.value), str(split.value)) == (type(one_thread.value), str(one_thread.value)), halves
+        assert isinstance(split.value, TypeError if "first" in halves else ValueError), halves
+        assert threading.active_count() == threads
+    assert started == ["pertgraph-half"] * 3
+    assert excepthook == []
 
 
 def test_as_matrix_coercion():

@@ -77,8 +77,8 @@ def test_extra_and_missing_files(runs):
 def test_chain_covers_every_command_and_mode():
     steps = outputs_rule.chain()
     commands = [args[0] for args in steps]
-    assert commands.count("synth") == 5 and commands.count("train") == 16
-    assert commands.count("eval") == 20 and commands.count("predict") == 15
+    assert commands.count("synth") == 6 and commands.count("train") == 17
+    assert commands.count("eval") == 21 and commands.count("predict") == 15
     assert commands.count("graph-stats") == 3 and commands.count("deg-coverage") == 4
     assert sum("--oracle" in args for args in steps) == 4
     configs = outputs_rule.configs()
@@ -96,3 +96,7 @@ def test_chain_covers_every_command_and_mode():
     assert "cells_per_condition = 8\n" in few and few.count("data1_cells_8/") == 3
     assert ["synth", "--config", "s1_cells_8.ini", "--seed", "1", "--out", "data1_cells_8"] in steps
     assert ["eval", "--config", "s1_cells_8.ini", "--seed", "1", "--out", "s1_cells_8/oracle", "--oracle"] in steps
+    wide = configs["s1_genes_1200.ini"]
+    assert "n_genes = 1200\n" in wide and wide.count("data1_genes_1200/") == 3
+    assert "[training]\nmax_epochs = 2\npatience = 2\nweight_decay = 0.01\n" in wide
+    assert ["train", "--config", "s1_genes_1200.ini", "--seed", "1", "--out", "s1_genes_1200/train"] in steps

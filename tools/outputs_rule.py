@@ -23,7 +23,12 @@ perturbations) with `top_k = 5`:
 - `eval --oracle`, `graph-stats` and `deg-coverage`;
 - at seed 1, a second `synth` at `cells_per_condition = 8`, where the
   closed-form DEG decisions are at their least certain, with `train`,
-  `eval`, `eval --oracle` and `deg-coverage` on it.
+  `eval`, `eval --oracle` and `deg-coverage` on it;
+- at seed 1, a third `synth` at 1,200 genes with a 2-epoch `train` at
+  `weight_decay = 0.01` and an `eval`. Its parameters average 37,861
+  values, past `data.SPLIT_STEP_VALUES` = 32,768 (1,000 genes give
+  32,248), so each optimizer step updates its two halves on two threads
+  where the machine has two cores.
 
 Each command's exit code, stdout and stderr (with the tree's path replaced)
 go into `commands.log`, which is compared like the other files. For a JSON,
@@ -59,6 +64,7 @@ MODES = {  # training mode -> the INI section it changes and the line it adds th
 }
 SMALL_MODULES = "s1_modules_50.ini"  # the extra synth's config: seed 1 with 4-gene modules
 FEW_CELLS = "s1_cells_8.ini"  # seed 1 with 8 cells per condition, its data in data1_cells_8
+SPLIT_ADAM = "s1_genes_1200.ini"  # seed 1 at 1,200 genes with weight decay, its data in data1_genes_1200
 BASE_CONFIG = """\
 [paths]
 expression = data{seed}/expression.csv
@@ -92,7 +98,7 @@ learning_rate = 0.01
 
 def configs() -> dict[str, str]:
     """INI file name -> text: one per seed, one per seed and training mode,
-    the small-module synth's and the 8-cell synth's."""
+    the small-module synth's, the 8-cell synth's and the 1,200-gene one's."""
     out = {}
     for seed in SEEDS:
         base = out[f"s{seed}.ini"] = BASE_CONFIG.format(seed=seed)
@@ -107,6 +113,10 @@ def configs() -> dict[str, str]:
             out[f"s{seed}_{mode}.ini"] = text
     out[SMALL_MODULES] = out["s1.ini"].replace("[synth]\n", "[synth]\nmodules = 50\n", 1)
     out[FEW_CELLS] = out["s1.ini"].replace("data1/", "data1_cells_8/").replace("cells_per_condition = 20", "cells_per_condition = 8")
+    out[SPLIT_ADAM] = (
+        out["s1.ini"].replace("data1/", "data1_genes_1200/").replace("n_genes = 200", "n_genes = 1200")
+        .replace("max_epochs = 15\npatience = 15", "max_epochs = 2\npatience = 2\nweight_decay = 0.01")
+    )
     return out
 
 
@@ -134,6 +144,10 @@ def chain() -> list[list[str]]:
             steps.append(["eval", *few, "--out", "s1_cells_8/eval", "--checkpoint", "s1_cells_8/train/checkpoint.json"])
             steps.append(["eval", *few, "--out", "s1_cells_8/oracle", "--oracle"])
             steps.append(["deg-coverage", *few, "--out", "s1_cells_8/deg-coverage"])
+            wide = ["--config", SPLIT_ADAM, "--seed", "1"]
+            steps.append(["synth", *wide, "--out", "data1_genes_1200"])
+            steps.append(["train", *wide, "--out", "s1_genes_1200/train"])
+            steps.append(["eval", *wide, "--out", "s1_genes_1200/eval", "--checkpoint", "s1_genes_1200/train/checkpoint.json"])
     return steps
 
 
